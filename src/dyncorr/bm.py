@@ -15,6 +15,7 @@ oracles for Monte Carlo runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .simulate import BmPathPair, check_index
 @dataclass(frozen=True)
 class BmEstimatorParams:
     """Weight exponents q (amplification) and p (damping), both >= 0."""
+
+    # report labels: the two series, then the key of the expectation ratio
+    LABELS: ClassVar[tuple] = ("x", "y", "expected_ratio_q")
 
     q: float
     p: float
@@ -41,6 +45,22 @@ class BmEstimatorParams:
     def in_variance_decay_range(self) -> bool:
         """Range with proven variance decay (0 < q <= 1/2, p > 1/2)."""
         return 0.0 < self.q <= 0.5 and self.p > 0.5
+
+    def components(self, x, y, t: int):
+        """``(gamma_hat, sigma_x_sq_hat, sigma_y_sq_hat)`` at time ``t``.
+
+        ``x`` and ``y`` are arrays shaped ``(..., T)``; each component keeps
+        the leading axes, so a ``(reps, T)`` batch gives ``(reps,)`` arrays.
+        """
+        return (
+            gamma_hat_bm(x, y, u=t, params=self),
+            sigma_sq_hat_bm(x, u=t, params=self),
+            sigma_sq_hat_bm(y, u=t, params=self),
+        )
+
+    def oracle(self, profile: CorrelationProfile, t: int, T: int):
+        """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` at time ``t`` of a length-``T`` grid."""
+        return expected_gamma_bm(profile, t, self, T), expected_sigma_sq_bm(t, self, T)
 
 
 @dataclass(frozen=True)
@@ -99,10 +119,7 @@ def rho_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams):
     Cauchy-Schwarz over the weighted sum bounds the result by 1 in
     magnitude whenever both variance components are positive.
     """
-    x, y = _coerce_pair(pair_or_x, y)
-    g = gamma_hat_bm(x, y, u=u, params=params)
-    sx = sigma_sq_hat_bm(x, u=u, params=params)
-    sy = sigma_sq_hat_bm(y, u=u, params=params)
+    g, sx, sy = params.components(*_coerce_pair(pair_or_x, y), u)
     if np.any(np.asarray(sx) <= 0.0) or np.any(np.asarray(sy) <= 0.0):
         raise DegenerateVariance(
             f"zero variance estimate at u={u}; constant path has no correlation"
@@ -111,9 +128,7 @@ def rho_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams):
 
 
 def estimate_bm(pair: BmPathPair, u: int, params: BmEstimatorParams) -> EstimateSeries:
-    g = gamma_hat_bm(pair, u=u, params=params)
-    sx = sigma_sq_hat_bm(pair.x, u=u, params=params)
-    sy = sigma_sq_hat_bm(pair.y, u=u, params=params)
+    g, sx, sy = params.components(pair.x, pair.y, u)
     if sx <= 0.0 or sy <= 0.0:
         raise DegenerateVariance(f"zero variance estimate at u={u}")
     return EstimateSeries(
@@ -191,7 +206,7 @@ def expected_ratio_q(
     carries the same factor rho as its variance analogue); the deterministic
     convergence trend is only visible for time-varying profiles.
     """
-    denom = expected_sigma_sq_bm(t, params, T)
-    if denom <= 0.0:
-        raise DegenerateVariance(f"expected variance {denom!r} not positive")
-    return expected_gamma_bm(profile, t, params, T) / denom
+    num, den = params.oracle(profile, t, T)
+    if den <= 0.0:
+        raise DegenerateVariance(f"expected variance {den!r} not positive")
+    return num / den

@@ -12,6 +12,7 @@ experiment runs write ``report.json`` and ``curves.csv`` plus a
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import datetime
 import functools
 import hashlib
@@ -25,9 +26,15 @@ import numpy as np
 
 from . import __version__, bm, gbm
 from .errors import DyncorrError
-from .harness import EXPERIMENTS, ExperimentConfig, run_experiment
+from .harness import (
+    ESTIMATOR_EXPERIMENTS,
+    EXPERIMENTS,
+    ExperimentConfig,
+    oracle_values,
+    run_experiment,
+)
 from .profiles import CorrelationProfile, TimeGrid, build_profile
-from .simulate import simulate_bm_pair, simulate_gbm_pair
+from .simulate import BmPathPair, GbmPathPair, simulate_bm_pair, simulate_gbm_pair
 
 _FLOAT_FMT = "%.17g"
 
@@ -136,6 +143,7 @@ def simulate_gbm_cmd(profile, T, sigma, seed, replication, out):
 # estimate
 
 def _read_csv_columns(path, expected: tuple) -> dict:
+    """The expected columns as float arrays of at least 2 finite values."""
     data = np.genfromtxt(path, delimiter=",", names=True)
     missing = [c for c in expected if c not in (data.dtype.names or ())]
     if missing:
@@ -143,7 +151,19 @@ def _read_csv_columns(path, expected: tuple) -> dict:
             f"{path}: missing column(s) {', '.join(missing)}; expected header "
             + ",".join(expected)
         )
-    return {c: np.atleast_1d(data[c]) for c in expected}
+    cols = {c: np.atleast_1d(data[c]) for c in expected}
+    for name, values in cols.items():
+        if values.size < 2:
+            raise click.ClickException(
+                f"{path}: column {name} has {values.size} row(s); need at least 2"
+            )
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise click.ClickException(
+                f"{path}: column {name} has a non-finite or unparsable value "
+                f"in data row {bad[0] + 1}"
+            )
+    return cols
 
 
 @main.group()
@@ -169,13 +189,14 @@ def estimate_bm_cmd(q, p, u_list, in_path, out):
     params = bm.BmEstimatorParams(q, p)
     if not params.in_consistency_range():
         click.echo(f"note: (q={q}, p={p}) lies outside the consistency range", err=True)
+    pair = BmPathPair(TimeGrid(cols["x"].size), cols["x"], cols["y"],
+                      profile=None, seed=None)
     lines = ["u,gamma_hat,sigma_x_sq,sigma_y_sq,rho_hat"]
     for u in u_list:
-        g = bm.gamma_hat_bm(cols["x"], cols["y"], u=u, params=params)
-        sx = bm.sigma_sq_hat_bm(cols["x"], u=u, params=params)
-        sy = bm.sigma_sq_hat_bm(cols["y"], u=u, params=params)
-        rho = g / math.sqrt(sx * sy)
-        lines.append(",".join([str(u)] + [_fmt(v) for v in (g, sx, sy, rho)]))
+        e = bm.estimate_bm(pair, u, params)
+        lines.append(",".join([str(u)] + [
+            _fmt(v) for v in (e.gamma_hat, e.sigma_x_sq_hat, e.sigma_y_sq_hat, e.rho_hat)
+        ]))
     Path(out).write_text("\n".join(lines) + "\n")
     click.echo(f"wrote {out} ({len(u_list)} row(s))")
 
@@ -203,21 +224,14 @@ def estimate_gbm_cmd(variant, a, b, c, sigma, t_list, in_path, out):
             f"note: (a={a}, b={b}, c={c}) lies outside the {variant} consistency range",
             err=True,
         )
-    gamma_fn = gbm.gamma_hat_gbm_v1 if variant == "v1" else gbm.gamma_hat_gbm_v2
+    pair = GbmPathPair(TimeGrid(cols["w"].size), cols["r"], cols["s"], cols["w"],
+                       cols["u"], sigma, profile=None, seed=None)
     lines = ["t,gamma_hat,sigma_w_sq,sigma_u_sq,rho_hat,flags"]
     for t in t_list:
-        g = gamma_fn(cols["w"], cols["u"], t=t, params=params)
-        sw = gbm.sigma_sq_hat_gbm(cols["w"], t=t, params=params)
-        su = gbm.sigma_sq_hat_gbm(cols["u"], t=t, params=params)
-        flags = []
-        if sw < 0 or su < 0:
-            flags.append("negative_variance")
-        elif sw == 0 or su == 0:
-            flags.append("degenerate_variance")
-        rho = g / math.sqrt(sw * su) if not flags else float("nan")
-        lines.append(",".join(
-            [str(t)] + [_fmt(v) for v in (g, sw, su, rho)] + [";".join(flags)]
-        ))
+        e = gbm.estimate_gbm(pair, t, params)
+        lines.append(",".join([str(t)] + [
+            _fmt(v) for v in (e.gamma_hat, e.sigma_w_sq_hat, e.sigma_u_sq_hat, e.rho_hat)
+        ] + [";".join(e.flags)]))
     Path(out).write_text("\n".join(lines) + "\n")
     click.echo(f"wrote {out} ({len(t_list)} row(s))")
 
@@ -239,13 +253,7 @@ def oracle():
 @_runtime_errors
 def oracle_bm_cmd(profile, q, p, t, T):
     """Expected gamma_hat, sigma_sq_hat and their ratio for a Brownian pair."""
-    prof = _load_profile(profile, TimeGrid(T))
-    params = bm.BmEstimatorParams(q, p)
-    g = bm.expected_gamma_bm(prof, t, params, T)
-    s = bm.expected_sigma_sq_bm(t, params, T)
-    click.echo(f"expected_gamma {_fmt(g)}")
-    click.echo(f"expected_sigma_sq {_fmt(s)}")
-    click.echo(f"expected_ratio_q {_fmt(g / s)}")
+    _echo_oracle(bm.BmEstimatorParams(q, p), profile, t, T)
 
 
 @oracle.command("gbm")
@@ -261,17 +269,13 @@ def oracle_bm_cmd(profile, q, p, t, T):
 @_runtime_errors
 def oracle_gbm_cmd(variant, profile, a, b, c, sigma, t, T):
     """Expected gamma_hat, sigma_sq_hat and their ratio for a geometric pair."""
+    _echo_oracle(gbm.GbmEstimatorParams(a, b, c, sigma, variant), profile, t, T)
+
+
+def _echo_oracle(params, profile: str, t: int, T: int) -> None:
     prof = _load_profile(profile, TimeGrid(T))
-    params = gbm.GbmEstimatorParams(a, b, c, sigma, variant)
-    if variant == "v1":
-        g = gbm.expected_gamma_gbm_v1(prof, t, params, T)
-        s = gbm.expected_sigma_sq_gbm_v1(t, params, T)
-    else:
-        g = gbm.expected_gamma_gbm_v2(prof, t, params, T)
-        s = gbm.expected_sigma_sq_gbm_v2(t, params, T)
-    click.echo(f"expected_gamma {_fmt(g)}")
-    click.echo(f"expected_sigma_sq {_fmt(s)}")
-    click.echo(f"expected_ratio {_fmt(g / s)}")
+    for key, value in oracle_values(params, prof, t, T).items():
+        click.echo(f"{key} {_fmt(value)}")
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +353,19 @@ def _parse_experiment_config(name: str, path: str, seed: int | None) -> Experime
         )
     except (KeyError, ValueError) as exc:
         raise click.ClickException(f"{path}: bad [experiment] section: {exc}") from exc
-    params_sec = parser["params"] if "params" in parser else {}
-    try:
-        if name.startswith("bm_"):
-            kwargs["params"] = bm.BmEstimatorParams(
-                q=float(params_sec["q"]), p=float(params_sec["p"])
-            )
-        elif name.startswith("gbm_"):
-            kwargs["params"] = gbm.GbmEstimatorParams(
-                a=float(params_sec["a"]), b=float(params_sec["b"]),
-                c=float(params_sec["c"]), sigma=float(params_sec["sigma"]),
-                variant=params_sec.get("variant", "v1"),
-            )
-    except KeyError as exc:
-        raise click.ClickException(f"{path}: missing [params] key {exc}") from exc
+    if name in ESTIMATOR_EXPERIMENTS:
+        # required fields are numbers; a field with a default (the GBM
+        # variant) keeps its text and its default
+        cls = ESTIMATOR_EXPERIMENTS[name][0]
+        params_sec = parser["params"] if "params" in parser else {}
+        try:
+            kwargs["params"] = cls(**{
+                f.name: (float(params_sec[f.name]) if f.default is dataclasses.MISSING
+                         else params_sec.get(f.name, f.default))
+                for f in dataclasses.fields(cls)
+            })
+        except KeyError as exc:
+            raise click.ClickException(f"{path}: missing [params] key {exc}") from exc
     return ExperimentConfig(**kwargs)
 
 

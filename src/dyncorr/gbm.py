@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,6 +43,9 @@ class NonconvergentSeriesWarning(UserWarning):
 class GbmEstimatorParams:
     """Window exponents (a, b, c), volatility sigma and the variant."""
 
+    # report labels: the two series, then the key of the expectation ratio
+    LABELS: ClassVar[tuple] = ("w", "u", "expected_ratio")
+
     a: float
     b: float
     c: float
@@ -58,6 +62,32 @@ class GbmEstimatorParams:
         if self.variant == "v1":
             return self.c > self.a > 0 and self.b > self.a + 10
         return self.b > 15 and self.c > self.a > 0
+
+    def components(self, w, u, t: int):
+        """``(gamma_hat, sigma_w_sq_hat, sigma_u_sq_hat)`` of this variant at time ``t``.
+
+        ``w`` and ``u`` are the driving Brownian paths shaped ``(..., T)``;
+        each component keeps the leading axes.  The variance components are
+        raw values: the second variant's can be negative.
+        """
+        gamma = gamma_hat_gbm_v1 if self.variant == "v1" else gamma_hat_gbm_v2
+        return (
+            gamma(w, u, t=t, params=self),
+            sigma_sq_hat_gbm(w, t=t, params=self),
+            sigma_sq_hat_gbm(u, t=t, params=self),
+        )
+
+    def oracle(self, profile: CorrelationProfile, t: int, T: int):
+        """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` of this variant at time ``t``.
+
+        ``profile`` is the driving pair's correlation profile.  The second
+        variant's expected variance can be negative at small ``T``.
+        """
+        if self.variant == "v1":
+            return (expected_gamma_gbm_v1(profile, t, self, T),
+                    expected_sigma_sq_gbm_v1(t, self, T))
+        return (expected_gamma_gbm_v2(profile, t, self, T),
+                expected_sigma_sq_gbm_v2(t, self, T))
 
 
 @dataclass(frozen=True)
@@ -77,13 +107,6 @@ def _check_exponents(*arrays):
                 f"intermediate exponent {float(np.max(arr)):.1f} exceeds the safe "
                 "range for these (a, b, c, sigma, T)"
             )
-
-
-def _deviation_exponents(params: GbmEstimatorParams, T: int):
-    """Per-step log-weights with the e^{-c s2 T} normalizer folded in."""
-    s2 = params.sigma ** 2
-    k = np.arange(1.0, T + 1.0)
-    return s2, k
 
 
 def _v1_bracket(path: np.ndarray, t: int, params: GbmEstimatorParams) -> np.ndarray:
@@ -163,13 +186,7 @@ def sigma_sq_hat_gbm(path, *, t: int, params: GbmEstimatorParams):
 
 def rho_hat_gbm(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
     """Correlation ratio gamma_hat / (sigma_hat_W sigma_hat_U)."""
-    w, u_path = _coerce(pair_or_w, u, params)
-    if params.variant == "v1":
-        g = gamma_hat_gbm_v1(w, u_path, t=t, params=params)
-    else:
-        g = gamma_hat_gbm_v2(w, u_path, t=t, params=params)
-    s_w = sigma_sq_hat_gbm(w, t=t, params=params)
-    s_u = sigma_sq_hat_gbm(u_path, t=t, params=params)
+    g, s_w, s_u = params.components(*_coerce(pair_or_w, u, params), t)
     if np.any(np.asarray(s_w) < 0.0) or np.any(np.asarray(s_u) < 0.0):
         raise NegativeVarianceEstimate(
             f"negative variance estimate at t={t} (variant v2, small-T pathology)"
@@ -180,14 +197,7 @@ def rho_hat_gbm(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
 
 
 def estimate_gbm(pair: GbmPathPair, t: int, params: GbmEstimatorParams) -> GbmEstimateSeries:
-    if abs(pair.sigma - params.sigma) > 1e-12:
-        raise DomainError(
-            f"params.sigma={params.sigma} does not match pair.sigma={pair.sigma}"
-        )
-    gamma_fn = gamma_hat_gbm_v1 if params.variant == "v1" else gamma_hat_gbm_v2
-    g = gamma_fn(pair.w, pair.u, t=t, params=params)
-    s_w = sigma_sq_hat_gbm(pair.w, t=t, params=params)
-    s_u = sigma_sq_hat_gbm(pair.u, t=t, params=params)
+    g, s_w, s_u = params.components(*_coerce(pair, None, params), t)
     flags = []
     if s_w < 0 or s_u < 0:
         flags.append("negative_variance")
@@ -254,16 +264,24 @@ def _d_tail(t: int, params: GbmEstimatorParams, T: int) -> float:
                  / np.expm1(params.a * s2))
 
 
-def expected_gamma_gbm_v1(
-    profile: CorrelationProfile, t: int, params: GbmEstimatorParams, T: int
-) -> float:
+def _oracle_grid(t: int, params: GbmEstimatorParams, T: int):
+    """sigma^2, the checked t, k = 1..T and the normalizer exponent c sigma^2 T.
+
+    Callers fetch ``profile.rho(T)`` first: the other order costs ~3 MB peak RSS.
+    """
     s2 = params.sigma ** 2
     t = check_index(t, T)
-    r = profile.rho(T)            # BM-level correlations r_1..r_T
-    k = np.arange(1.0, T + 1.0)
     norm = params.c * s2 * T
     if norm > _MAX_EXPONENT:
         raise NumericRange("c * sigma^2 * T too large for the expectation oracle")
+    return s2, t, np.arange(1.0, T + 1.0), norm
+
+
+def expected_gamma_gbm_v1(
+    profile: CorrelationProfile, t: int, params: GbmEstimatorParams, T: int
+) -> float:
+    r = profile.rho(T)            # BM-level correlations r_1..r_T
+    s2, t, k, norm = _oracle_grid(t, params, T)
     # step-step products: e^{(1-b) s2 k} (e^{r_k s2 k} - 1)
     a_sum = np.sum(np.exp((1 - params.b) * s2 * k) * np.expm1(r * s2 * k))
     # anchor-anchor products accumulate the geometric weight sum
@@ -278,12 +296,7 @@ def expected_gamma_gbm_v1(
 
 
 def expected_sigma_sq_gbm_v1(t: int, params: GbmEstimatorParams, T: int) -> float:
-    s2 = params.sigma ** 2
-    t = check_index(t, T)
-    k = np.arange(1.0, T + 1.0)
-    norm = params.c * s2 * T
-    if norm > _MAX_EXPONENT:
-        raise NumericRange("c * sigma^2 * T too large for the expectation oracle")
+    s2, t, k, norm = _oracle_grid(t, params, T)
     e_sum = np.sum(np.exp((1 - params.b) * s2 * k) * np.expm1(s2 * k))
     d_full = np.exp(s2 * t) * np.expm1(s2 * t) * _d_tail(t, params, T)
     w = np.exp(0.5 * (params.a - params.b) * s2 * k + 0.5 * s2 * (k + t))
@@ -297,27 +310,17 @@ def expected_sigma_sq_gbm_v1(t: int, params: GbmEstimatorParams, T: int) -> floa
 def expected_gamma_gbm_v2(
     profile: CorrelationProfile, t: int, params: GbmEstimatorParams, T: int
 ) -> float:
-    s2 = params.sigma ** 2
-    t = check_index(t, T)
     r = profile.rho(T)
     _warn_if_nonconvergent(params)
-    k = np.arange(1.0, T + 1.0)
-    norm = params.c * s2 * T
-    if norm > _MAX_EXPONENT:
-        raise NumericRange("c * sigma^2 * T too large for the expectation oracle")
+    s2, t, k, norm = _oracle_grid(t, params, T)
     d_rho = np.exp(s2 * t) * np.expm1(r[t - 1] * s2 * t) * _d_tail(t, params, T)
     a_sum = np.sum(np.exp((1 - params.b) * s2 * k) * np.expm1(r * s2 * k))
     return float(np.exp(-norm) * (d_rho - a_sum))
 
 
 def expected_sigma_sq_gbm_v2(t: int, params: GbmEstimatorParams, T: int) -> float:
-    s2 = params.sigma ** 2
-    t = check_index(t, T)
+    s2, t, k, norm = _oracle_grid(t, params, T)
     _warn_if_nonconvergent(params)
-    k = np.arange(1.0, T + 1.0)
-    norm = params.c * s2 * T
-    if norm > _MAX_EXPONENT:
-        raise NumericRange("c * sigma^2 * T too large for the expectation oracle")
     d_full = np.exp(s2 * t) * np.expm1(s2 * t) * _d_tail(t, params, T)
     b_sum = np.sum(np.exp((1 - params.b) * s2 * k) * np.expm1(s2 * k))
     return float(np.exp(-norm) * (d_full - b_sum))
@@ -331,12 +334,7 @@ def expected_ratio_gbm(
     Converges to the GBM correlation rho_t = rho_from_r(r_t, sigma, t) as T
     grows, in the respective consistency ranges.
     """
-    if params.variant == "v1":
-        num = expected_gamma_gbm_v1(profile, t, params, T)
-        den = expected_sigma_sq_gbm_v1(t, params, T)
-    else:
-        num = expected_gamma_gbm_v2(profile, t, params, T)
-        den = expected_sigma_sq_gbm_v2(t, params, T)
+    num, den = params.oracle(profile, t, T)
     if den <= 0.0:
         raise DegenerateVariance(f"expected variance {den!r} not positive")
     return num / den

@@ -15,6 +15,7 @@ chunk size or worker count.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,20 +24,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bm, gbm
-from .errors import DegenerateVariance, DomainError
+from .errors import DomainError
 from .profiles import CorrelationProfile, TimeGrid, build_profile
 from .simulate import replication_rng, simulate_bm_batch
 
-EXPERIMENTS = (
-    "bm_consistency",
-    "bm_variance_decay",
-    "bm_bias_pq0",
-    "gbm_consistency_v1",
-    "gbm_consistency_v2",
-    "gbm_variance_decay",
-    "moment_checks",
-    "exp_abs_bound",
-)
+# Estimator experiments: the params class each needs and the GBM variant it
+# requires (None: either).  The CLI reads this table to parse [params].
+ESTIMATOR_EXPERIMENTS = {
+    "bm_consistency": (bm.BmEstimatorParams, None),
+    "bm_variance_decay": (bm.BmEstimatorParams, None),
+    "bm_bias_pq0": (bm.BmEstimatorParams, None),
+    "gbm_consistency_v1": (gbm.GbmEstimatorParams, "v1"),
+    "gbm_consistency_v2": (gbm.GbmEstimatorParams, "v2"),
+    "gbm_variance_decay": (gbm.GbmEstimatorParams, None),
+}
+
+EXPERIMENTS = (*ESTIMATOR_EXPERIMENTS, "moment_checks", "exp_abs_bound")
 
 _SE_RULE = 4.0
 
@@ -46,8 +49,10 @@ class ExperimentConfig:
     """One experiment run: sweep definition, estimator, seed.
 
     ``T_list`` must be nonempty and strictly ascending with ``t_eval`` no
-    larger than its smallest entry.  ``profile`` and ``params`` may be None
-    for the experiments that do not need them (exp_abs_bound needs neither;
+    larger than its smallest entry.  ``params`` must be an instance of the
+    class ``ESTIMATOR_EXPERIMENTS`` names for the experiment, of the required
+    variant if any.  ``profile`` and ``params`` may be None for the
+    experiments that do not need them (exp_abs_bound needs neither;
     moment_checks needs only the profile).  ``chunk_size`` and ``n_jobs``
     control replication batching and never affect the statistics.
     """
@@ -67,6 +72,12 @@ class ExperimentConfig:
             raise DomainError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
             )
+        if self.experiment in ESTIMATOR_EXPERIMENTS:
+            cls, variant = ESTIMATOR_EXPERIMENTS[self.experiment]
+            if not isinstance(self.params, cls):
+                raise DomainError(f"{self.experiment} needs {cls.__name__}")
+            if variant and self.params.variant != variant:
+                raise DomainError(f"{self.experiment} requires variant {variant!r}")
         t_list = tuple(int(T) for T in self.T_list)
         if not t_list or any(a >= c for a, c in zip(t_list, t_list[1:])):
             raise DomainError("T_list must be nonempty and strictly ascending")
@@ -83,14 +94,6 @@ class ExperimentConfig:
             object.__setattr__(
                 self, "profile", build_profile(self.profile, TimeGrid(t_list[-1]))
             )
-
-    def needs_bm_params(self) -> bool:
-        return self.experiment in ("bm_consistency", "bm_variance_decay", "bm_bias_pq0")
-
-    def needs_gbm_params(self) -> bool:
-        return self.experiment in (
-            "gbm_consistency_v1", "gbm_consistency_v2", "gbm_variance_decay",
-        )
 
 
 @dataclass(frozen=True)
@@ -158,57 +161,46 @@ def _map_chunks(fn, chunks, n_jobs):
         return list(pool.map(lambda c: fn(*c), chunks))
 
 
-def _bm_replicates(config: ExperimentConfig, T: int):
-    """Per-replication (gamma, sigma_x_sq, sigma_y_sq) arrays at t_eval."""
+def _replicates(config: ExperimentConfig, T: int):
+    """Per-replication (gamma, sigma_a_sq, sigma_b_sq) arrays at t_eval."""
     grid = TimeGrid(T)
-    t, params = config.t_eval, config.params
 
     def one(off, n):
         x, y = simulate_bm_batch(config.profile, grid, config.master_seed, n, off)
-        return (
-            bm.gamma_hat_bm(x, y, u=t, params=params),
-            bm.sigma_sq_hat_bm(x, u=t, params=params),
-            bm.sigma_sq_hat_bm(y, u=t, params=params),
-        )
+        return config.params.components(x, y, config.t_eval)
 
     parts = _map_chunks(one, _chunks(config.reps, config.chunk_size), config.n_jobs)
-    g, sx, sy = (np.concatenate([p[i] for p in parts]) for i in range(3))
-    return g, sx, sy
+    return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
 
 
-def _gbm_replicates(config: ExperimentConfig, T: int):
-    """Per-replication (gamma, sigma_w_sq, sigma_u_sq) arrays at t_eval."""
-    grid = TimeGrid(T)
-    t, params = config.t_eval, config.params
-    gamma_fn = gbm.gamma_hat_gbm_v1 if params.variant == "v1" else gbm.gamma_hat_gbm_v2
+def oracle_values(params, profile: CorrelationProfile, t: int, T: int) -> dict:
+    """Exact E[gamma_hat], E[sigma_sq_hat] and their ratio, under report keys.
 
-    def one(off, n):
-        w, u = simulate_bm_batch(config.profile, grid, config.master_seed, n, off)
-        return (
-            gamma_fn(w, u, t=t, params=params),
-            gbm.sigma_sq_hat_gbm(w, t=t, params=params),
-            gbm.sigma_sq_hat_gbm(u, t=t, params=params),
-        )
-
-    parts = _map_chunks(one, _chunks(config.reps, config.chunk_size), config.n_jobs)
-    g, sw, su = (np.concatenate([p[i] for p in parts]) for i in range(3))
-    return g, sw, su
+    The ratio is NaN when the expected variance is not positive, which the
+    second GBM variant's can be at small T.
+    """
+    gamma, sigma_sq = params.oracle(profile, t, T)
+    return {
+        "expected_gamma": gamma,
+        "expected_sigma_sq": sigma_sq,
+        params.LABELS[2]: gamma / sigma_sq if sigma_sq > 0.0 else float("nan"),
+    }
 
 
-def _se_check(name: str, mc: dict, oracle: float, rule: float = _SE_RULE) -> CheckResult:
+def _se_check(name: str, mc: dict, oracle: float) -> CheckResult:
     oracle = float(oracle)
     gap = abs(mc["mean"] - oracle)
-    tol = rule * mc["se"]
+    tol = _SE_RULE * mc["se"]
     return CheckResult(
         name, bool(gap <= tol),
         {"mc_mean": mc["mean"], "oracle": oracle, "gap": gap, "tol": tol},
     )
 
 
-def _monotone_check(name: str, values, decreasing: bool = True) -> CheckResult:
+def _monotone_check(name: str, values) -> CheckResult:
+    """Passes when the values strictly decrease."""
     values = [float(v) for v in values]
-    pairs = list(zip(values, values[1:]))
-    ok = all(a > c for a, c in pairs) if decreasing else all(a < c for a, c in pairs)
+    ok = all(a > c for a, c in zip(values, values[1:]))
     return CheckResult(name, ok or len(values) < 2, {"values": values})
 
 
@@ -227,151 +219,85 @@ def run_experiment(config: ExperimentConfig) -> McReport:
         report = check_product_moments(
             config.profile, config.T_list, config.reps, config.master_seed
         )
-    elif config.experiment.startswith("bm_"):
-        report = _run_bm(config)
     else:
-        report = _run_gbm(config)
-    return McReport(
-        experiment=config.experiment,
-        master_seed=config.master_seed,
-        cells=report.cells,
-        checks=report.checks,
-        runtime_s=time.perf_counter() - start,
-        consistency_range=report.consistency_range,
-    )
+        report = _run_estimator(config)
+    return dataclasses.replace(report, runtime_s=time.perf_counter() - start)
 
 
-def _run_bm(config: ExperimentConfig) -> McReport:
-    if not isinstance(config.params, bm.BmEstimatorParams):
-        raise DomainError(f"{config.experiment} needs BmEstimatorParams")
+def _run_estimator(config: ExperimentConfig) -> McReport:
     params, t = config.params, config.t_eval
-    in_range = params.in_consistency_range()
+    a, b, _ = params.LABELS
     cells, checks = [], []
     for T in config.T_list:
         try:
-            g, sx, sy = _bm_replicates(config, T)
+            g, sa, sb = _replicates(config, T)
         except Exception as exc:
             exc.args = (f"T={T}: {exc}",)
             raise
-        rho = g / np.sqrt(sx * sy)
-        oracle_g = bm.expected_gamma_bm(config.profile, t, params, T)
-        oracle_s = bm.expected_sigma_sq_bm(t, params, T)
+        valid = (sa > 0) & (sb > 0)
+        rho = g[valid] / np.sqrt(sa[valid] * sb[valid])
+        oracle = oracle_values(params, config.profile, t, T)
         cell = {
             "T": T, "t": t,
             "gamma_hat": _stats(g),
-            "sigma_x_sq_hat": _stats(sx),
-            "sigma_y_sq_hat": _stats(sy),
-            "rho_hat": _stats(rho),
-            "rho_hat_iqr": float(np.subtract(*np.percentile(rho, [75, 25]))),
-            "oracle": {
-                "expected_gamma": oracle_g,
-                "expected_sigma_sq": oracle_s,
-                "expected_ratio_q": oracle_g / oracle_s,
-            },
-        }
-        cells.append(cell)
-        if config.experiment != "bm_variance_decay":
-            checks.append(_se_check(f"gamma_mean_vs_oracle_T{T}", cell["gamma_hat"], oracle_g))
-            checks.append(
-                _se_check(f"sigma_x_sq_mean_vs_oracle_T{T}", cell["sigma_x_sq_hat"], oracle_s)
-            )
-    rho_target = float(config.profile.rho(config.T_list[-1])[t - 1])
-    if config.experiment == "bm_consistency":
-        gaps = [abs(c["oracle"]["expected_ratio_q"] - rho_target) for c in cells]
-        checks.append(_monotone_check("ratio_gap_decreasing", gaps))
-        checks.append(
-            _monotone_check("rho_hat_var_decreasing", [c["rho_hat"]["var"] for c in cells])
-        )
-    elif config.experiment == "bm_variance_decay":
-        variances = [c["gamma_hat"]["var"] for c in cells]
-        checks.append(_monotone_check("gamma_var_decreasing", variances))
-        checks.append(CheckResult(
-            "gamma_var_halved_endpoints",
-            variances[-1] <= 0.5 * variances[0],
-            {"first": variances[0], "last": variances[-1]},
-        ))
-    elif config.experiment == "bm_bias_pq0":
-        last = cells[-1]
-        delta = abs(last["oracle"]["expected_ratio_q"] - rho_target)
-        checks.append(CheckResult(
-            "oracle_gap_positive", delta > 0.0, {"delta": delta, "target": rho_target}
-        ))
-        mc = last["rho_hat"]
-        gap = abs(mc["mean"] - rho_target)
-        checks.append(CheckResult(
-            "mc_mean_biased_beyond_3se",
-            gap > 3.0 * mc["se"],
-            {"mc_mean": mc["mean"], "target": rho_target, "gap": gap,
-             "three_se": 3.0 * mc["se"]},
-        ))
-    return McReport(config.experiment, config.master_seed, tuple(cells),
-                    tuple(checks), 0.0, in_range)
-
-
-def _run_gbm(config: ExperimentConfig) -> McReport:
-    if not isinstance(config.params, gbm.GbmEstimatorParams):
-        raise DomainError(f"{config.experiment} needs GbmEstimatorParams")
-    params, t = config.params, config.t_eval
-    expected_variant = {"gbm_consistency_v1": "v1", "gbm_consistency_v2": "v2"}.get(
-        config.experiment
-    )
-    if expected_variant and params.variant != expected_variant:
-        raise DomainError(
-            f"{config.experiment} requires variant {expected_variant!r}"
-        )
-    oracle_gamma = (
-        gbm.expected_gamma_gbm_v1 if params.variant == "v1" else gbm.expected_gamma_gbm_v2
-    )
-    oracle_sigma = (
-        gbm.expected_sigma_sq_gbm_v1 if params.variant == "v1"
-        else gbm.expected_sigma_sq_gbm_v2
-    )
-    cells, checks = [], []
-    for T in config.T_list:
-        try:
-            g, sw, su = _gbm_replicates(config, T)
-        except Exception as exc:
-            exc.args = (f"T={T}: {exc}",)
-            raise
-        valid = (sw > 0) & (su > 0)
-        rho = g[valid] / np.sqrt(sw[valid] * su[valid])
-        o_g = oracle_gamma(config.profile, t, params, T)
-        o_s = oracle_sigma(t, params, T)
-        try:
-            o_ratio = gbm.expected_ratio_gbm(config.profile, t, params, T)
-        except DegenerateVariance:
-            # the second variant's expected variance can be negative at small T
-            o_ratio = float("nan")
-        cell = {
-            "T": T, "t": t,
-            "gamma_hat": _stats(g),
-            "sigma_w_sq_hat": _stats(sw),
-            "sigma_u_sq_hat": _stats(su),
+            f"sigma_{a}_sq_hat": _stats(sa),
+            f"sigma_{b}_sq_hat": _stats(sb),
             "rho_hat": _stats(rho) if rho.size > 1 else {"mean": float("nan"),
                                                          "var": 0.0, "se": 0.0,
                                                          "n": int(rho.size)},
             "rho_hat_iqr": (float(np.subtract(*np.percentile(rho, [75, 25])))
                             if rho.size > 1 else float("nan")),
             "n_invalid_variance": int(np.sum(~valid)),
-            "oracle": {
-                "expected_gamma": o_g,
-                "expected_sigma_sq": o_s,
-                "expected_ratio": o_ratio,
-            },
+            "oracle": oracle,
         }
         cells.append(cell)
-        if config.experiment != "gbm_variance_decay":
-            checks.append(_se_check(f"gamma_mean_vs_oracle_T{T}", cell["gamma_hat"], o_g))
-            checks.append(
-                _se_check(f"sigma_w_sq_mean_vs_oracle_T{T}", cell["sigma_w_sq_hat"], o_s)
-            )
-    if config.experiment in ("gbm_consistency_v1", "gbm_consistency_v2",
-                             "gbm_variance_decay"):
-        checks.append(
-            _monotone_check("rho_hat_iqr_decreasing", [c["rho_hat_iqr"] for c in cells])
-        )
+        if config.experiment not in ("bm_variance_decay", "gbm_variance_decay"):
+            checks.append(_se_check(f"gamma_mean_vs_oracle_T{T}", cell["gamma_hat"],
+                                    oracle["expected_gamma"]))
+            checks.append(_se_check(f"sigma_{a}_sq_mean_vs_oracle_T{T}",
+                                    cell[f"sigma_{a}_sq_hat"], oracle["expected_sigma_sq"]))
+    checks.extend(_trend_checks(config, cells))
     return McReport(config.experiment, config.master_seed, tuple(cells),
                     tuple(checks), 0.0, params.in_consistency_range())
+
+
+def _trend_checks(config: ExperimentConfig, cells: list) -> list:
+    """The checks over the whole T sweep, by experiment."""
+    name = config.experiment
+    if name in ("gbm_consistency_v1", "gbm_consistency_v2", "gbm_variance_decay"):
+        return [_monotone_check("rho_hat_iqr_decreasing", [c["rho_hat_iqr"] for c in cells])]
+    if name == "bm_variance_decay":
+        variances = [c["gamma_hat"]["var"] for c in cells]
+        return [
+            _monotone_check("gamma_var_decreasing", variances),
+            CheckResult(
+                "gamma_var_halved_endpoints",
+                variances[-1] <= 0.5 * variances[0],
+                {"first": variances[0], "last": variances[-1]},
+            ),
+        ]
+    rho_target = float(config.profile.rho(config.T_list[-1])[config.t_eval - 1])
+    if name == "bm_consistency":
+        gaps = [abs(c["oracle"]["expected_ratio_q"] - rho_target) for c in cells]
+        return [
+            _monotone_check("ratio_gap_decreasing", gaps),
+            _monotone_check("rho_hat_var_decreasing", [c["rho_hat"]["var"] for c in cells]),
+        ]
+    # bm_bias_pq0
+    last = cells[-1]
+    delta = abs(last["oracle"]["expected_ratio_q"] - rho_target)
+    mc = last["rho_hat"]
+    gap = abs(mc["mean"] - rho_target)
+    return [
+        CheckResult("oracle_gap_positive", delta > 0.0,
+                    {"delta": delta, "target": rho_target}),
+        CheckResult(
+            "mc_mean_biased_beyond_3se",
+            gap > 3.0 * mc["se"],
+            {"mc_mean": mc["mean"], "target": rho_target, "gap": gap,
+             "three_se": 3.0 * mc["se"]},
+        ),
+    ]
 
 
 def _phi(x: float) -> float:

@@ -28,8 +28,8 @@ class BmPathPair:
     grid: TimeGrid
     x: np.ndarray
     y: np.ndarray
-    profile: CorrelationProfile
-    seed: int
+    profile: CorrelationProfile | None   # None for a pair read from a file
+    seed: int | None
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class GbmPathPair:
     w: np.ndarray
     u: np.ndarray
     sigma: float
-    profile: CorrelationProfile
-    seed: int
+    profile: CorrelationProfile | None   # None for a pair read from a file
+    seed: int | None
 
 
 def replication_rng(master_seed: int, replication: int = 0) -> np.random.Generator:

@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dyncorr import BmEstimatorParams, TimeGrid, build_profile, simulate_bm_pair
-from dyncorr.bm import gamma_hat_bm
+from dyncorr import (
+    BmEstimatorParams,
+    GbmEstimatorParams,
+    TimeGrid,
+    build_profile,
+    estimate_bm,
+    estimate_gbm,
+    simulate_bm_pair,
+    simulate_gbm_pair,
+)
 from dyncorr.cli import main
 
 
@@ -73,19 +81,55 @@ class TestSimulate:
 
 
 class TestEstimate:
-    def test_bm_round_trip_matches_library(self, runner, tmp_path):
+    @pytest.mark.parametrize("kind, params", [
+        ("bm", BmEstimatorParams(0.5, 1.0)),
+        ("gbm", GbmEstimatorParams(1.0, 12.0, 2.0, 0.1, "v1")),
+        ("gbm", GbmEstimatorParams(1.0, 16.0, 2.0, 0.1, "v2")),
+    ], ids=["bm", "gbm-v1", "gbm-v2"])
+    def test_bm_round_trip_matches_library(self, runner, tmp_path, kind, params):
         paths, est = tmp_path / "p.csv", tmp_path / "e.csv"
-        invoke(runner, ["simulate", "bm", "--profile", "constant:0.5",
-                        "--T", "100", "--seed", "3", "--out", str(paths)])
-        result = invoke(runner, ["estimate", "bm", "--q", "0.5", "--p", "1",
-                                 "--u", "10", "--in", str(paths), "--out", str(est)])
-        assert result.exit_code == 0
-        row = np.genfromtxt(est, delimiter=",", names=True)
         pair = simulate_bm_pair(build_profile("constant:0.5", TimeGrid(100)),
                                 TimeGrid(100), 3)
-        expected = gamma_hat_bm(pair, u=10, params=BmEstimatorParams(0.5, 1.0))
+        if kind == "bm":
+            sim_opts, est_opts = [], ["--q", "0.5", "--p", "1", "--u", "10"]
+            e = estimate_bm(pair, 10, params)
+            expected = [e.gamma_hat, e.sigma_x_sq_hat, e.sigma_y_sq_hat, e.rho_hat]
+            flags = []
+        else:
+            sim_opts = ["--sigma", "0.1"]
+            est_opts = ["--variant", params.variant, "--a", "1", "--b", str(params.b),
+                        "--c", "2", "--sigma", "0.1", "--t", "5"]
+            e = estimate_gbm(simulate_gbm_pair(pair, 0.1), 5, params)
+            expected = [e.gamma_hat, e.sigma_w_sq_hat, e.sigma_u_sq_hat, e.rho_hat]
+            flags = [";".join(e.flags)]   # v2 at t=5 has a negative variance
+        invoke(runner, ["simulate", kind, "--profile", "constant:0.5", "--T", "100",
+                        "--seed", "3", *sim_opts, "--out", str(paths)])
+        result = invoke(runner, ["estimate", kind, *est_opts,
+                                 "--in", str(paths), "--out", str(est)])
+        assert result.exit_code == 0
+        row = np.genfromtxt(est, delimiter=",", names=True)
         # 17 significant digits survive the text round trip exactly
-        assert float(row["gamma_hat"]) == expected
+        got = [float(row[n]) for n in row.dtype.names[1:5]]
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert est.read_text().splitlines()[1].split(",")[5:] == flags
+
+    @pytest.mark.parametrize("kind, text, message", [
+        ("bm", "t,x,y\n1,0.5,0.1\n2,nan,0.3\n3,0.2,0.4\n", "column x has a non-finite"),
+        ("bm", "t,x,y\n1,0.5,0.7\n", "need at least 2"),
+        ("bm", "t,x,y\n1,0,0.5\n2,0,0.7\n3,0,0.2\n", "zero variance estimate"),
+        ("gbm", "t,r,s,w,u\n1,1,1,0,0\n2,1,1,inf,0\n", "column w has a non-finite"),
+    ], ids=["bm-nan", "bm-one-row", "bm-constant", "gbm-inf"])
+    def test_bad_input_is_clean_runtime_error(self, runner, tmp_path, kind, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        opts = (["--q", "0.5", "--p", "1", "--u", "1"] if kind == "bm" else
+                ["--a", "1", "--b", "16", "--c", "2", "--sigma", "0.1", "--t", "1"])
+        result = runner.invoke(main, ["estimate", kind, *opts, "--in", str(bad),
+                                      "--out", str(tmp_path / "e.csv")])
+        assert result.exit_code == 1
+        # a clean exit, not an escaped exception
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
 
     def test_bm_negative_exponent_is_usage_error(self, runner, tmp_path):
         paths = tmp_path / "p.csv"

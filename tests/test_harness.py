@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dyncorr import (
@@ -9,9 +10,23 @@ from dyncorr import (
     DomainError,
     ExperimentConfig,
     GbmEstimatorParams,
+    TimeGrid,
+    build_profile,
     check_exp_abs_bound,
     check_product_moments,
+    expected_gamma_bm,
+    expected_gamma_gbm_v1,
+    expected_gamma_gbm_v2,
+    expected_sigma_sq_bm,
+    expected_sigma_sq_gbm_v1,
+    expected_sigma_sq_gbm_v2,
+    gamma_hat_bm,
+    gamma_hat_gbm_v1,
+    gamma_hat_gbm_v2,
     run_experiment,
+    sigma_sq_hat_bm,
+    sigma_sq_hat_gbm,
+    simulate_bm_batch,
 )
 
 BM_PARAMS = BmEstimatorParams(0.5, 1.0)
@@ -58,18 +73,40 @@ class TestConfigValidation:
         config = small_config(profile="constant:0.5")
         assert config.profile.kind == "constant"
 
-    def test_wrong_params_type_rejected_at_run(self):
-        config = small_config(params=GbmEstimatorParams(1, 12, 2, 0.1))
+    @pytest.mark.parametrize("experiment, params", [
+        ("bm_consistency", GbmEstimatorParams(1, 12, 2, 0.1)),
+        ("bm_variance_decay", None),
+        ("gbm_variance_decay", BM_PARAMS),
+        ("gbm_consistency_v1", GbmEstimatorParams(1, 16, 2, 0.1, "v2")),
+        ("gbm_consistency_v2", GbmEstimatorParams(1, 12, 2, 0.1, "v1")),
+    ], ids=["bm-gets-gbm", "bm-gets-none", "gbm-gets-bm", "v1-gets-v2", "v2-gets-v1"])
+    def test_wrong_family_or_variant_rejected_at_config(self, experiment, params):
+        # rejected before any simulation runs
         with pytest.raises(DomainError):
-            run_experiment(config)
+            small_config(experiment=experiment, params=params)
 
-    def test_variant_mismatch_rejected(self):
-        config = small_config(
-            experiment="gbm_consistency_v2",
-            params=GbmEstimatorParams(1, 12, 2, 0.1, "v1"),
+
+class TestEstimatorPath:
+    @pytest.mark.parametrize("params, gamma, sigma_sq, e_gamma, e_sigma_sq, time_kw", [
+        (BM_PARAMS, gamma_hat_bm, sigma_sq_hat_bm,
+         expected_gamma_bm, expected_sigma_sq_bm, "u"),
+        (GbmEstimatorParams(1, 12, 2, 0.1, "v1"), gamma_hat_gbm_v1, sigma_sq_hat_gbm,
+         expected_gamma_gbm_v1, expected_sigma_sq_gbm_v1, "t"),
+        (GbmEstimatorParams(1, 16, 2, 0.1, "v2"), gamma_hat_gbm_v2, sigma_sq_hat_gbm,
+         expected_gamma_gbm_v2, expected_sigma_sq_gbm_v2, "t"),
+    ], ids=["bm", "gbm-v1", "gbm-v2"])
+    def test_methods_equal_module_functions(self, params, gamma, sigma_sq,
+                                            e_gamma, e_sigma_sq, time_kw):
+        T, t = 120, 7
+        profile = build_profile("capped:0.5,10", TimeGrid(T))
+        x, y = simulate_bm_batch(profile, TimeGrid(T), 3, 6)
+        at = {time_kw: t, "params": params}
+        got = params.components(x, y, t)
+        want = (gamma(x, y, **at), sigma_sq(x, **at), sigma_sq(y, **at))
+        assert all(g.shape == (6,) and np.array_equal(g, w) for g, w in zip(got, want))
+        assert params.oracle(profile, t, T) == (
+            e_gamma(profile, t, params, T), e_sigma_sq(t, params, T)
         )
-        with pytest.raises(DomainError):
-            run_experiment(config)
 
 
 class TestDeterminism:
@@ -108,6 +145,7 @@ class TestExperiments:
         names = [c.name for c in report.checks]
         assert "ratio_gap_decreasing" in names
         assert any(n.startswith("gamma_mean_vs_oracle") for n in names)
+        assert all(c["n_invalid_variance"] == 0 for c in report.cells)
         assert report.runtime_s > 0
 
     def test_bias_experiment_records_out_of_range(self):
