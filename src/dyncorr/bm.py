@@ -5,8 +5,21 @@ The point estimator at time ``u`` with exponents ``(q, p)`` is
 
     gamma_hat = (1/(T-1)) * sum_{v != u} (v^q X_u - v^-p X_v)(v^q Y_u - v^-p Y_v) / (u-v)^2
 
-with the variance estimates obtained by squaring a single series.  The
-expectation formulas below are exact under increment coupling
+with the variance estimates obtained by squaring a single series.  It is
+evaluated in anchor-centred form: with ``D_v = X_u - X_v``, ``a_v = v^q - v^-p``
+and ``d_v = v^-p`` each term is ``(a_v X_u + d_v D_v)(a_v Y_u + d_v D'_v)/(u-v)^2``,
+so
+
+    (T-1) gamma_hat = X_u Y_u A + X_u <w_c, D'> + Y_u <w_c, D> + <w_d, D o D'>
+
+with ``A = sum a_v^2/(u-v)^2``, ``w_c = a_v d_v/(u-v)^2``, ``w_d = d_v^2/(u-v)^2``
+and every weight 0 at ``v = u``.  Expanding ``X_u - X_v`` instead would leave a
+``X_u Y_u sum v^2q/(u-v)^2`` term that cancels against the others as T grows.
+The inner products use ``np.vecdot`` and a three-operand ``np.einsum``, which
+reduce each row independently, so a row gives bitwise the same value in a batch
+of any shape (a BLAS matrix-vector product ``x @ w`` does not).
+
+The expectation formulas below are exact under increment coupling
 (``Cov(X_s, Y_t) = min(s, t) * rho_{min(s, t)}``), which is precisely how
 ``dyncorr.simulate`` generates pairs, so they serve as deterministic
 oracles for Monte Carlo runs.
@@ -14,6 +27,7 @@ oracles for Monte Carlo runs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -75,15 +89,64 @@ class EstimateSeries:
     rho_hat: float
 
 
-def _weights(T: int, u: int, params: BmEstimatorParams):
+# Rows per block of _centred_sum: about 512 KB per deviation array, so a
+# block stays in cache and its memory is reused.  Whole-batch deviations are
+# fresh pages on every call: one (256, 1e4) ``components`` call took 33 ms
+# that way against 19 ms blocked (2 MB L2).  Each row is reduced on its own,
+# so the block size changes no result.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+@functools.lru_cache(maxsize=2)
+def _weights(T: int, u: int, q: float, p: float):
+    """``(A, w_c, w_d)`` of the centred form; both arrays are 0 at ``v = u``.
+
+    One ``components`` call and every chunk of a harness run share a build.
+    """
     v = np.arange(1.0, T + 1.0)
-    mask = v != u
-    v = v[mask]
+    off = v != u
+    inv_sq = np.zeros(T)
+    inv_sq[off] = 1.0 / (u - v[off]) ** 2
     # v >= 1 always, so exp(q*log v) is safe for any real exponents
-    amp = v ** params.q
-    damp = v ** -params.p
-    inv_sq = 1.0 / (u - v) ** 2
-    return mask, amp, damp, inv_sq
+    damp = v ** -p
+    anchor = v ** q - damp
+    w_c = anchor * damp * inv_sq
+    w_d = damp * damp * inv_sq
+    w_c.setflags(write=False)
+    w_d.setflags(write=False)
+    return float(np.sum(anchor * anchor * inv_sq)), w_c, w_d
+
+
+def _centred_sum(x, y, u: int, params: BmEstimatorParams):
+    """(1/(T-1)) * [X_u Y_u A + X_u<w_c, D'> + Y_u<w_c, D> + <w_d, D o D'>]."""
+    T = x.shape[-1]
+    u = check_index(u, T)
+    A, w_c, w_d = _weights(T, u, params.q, params.p)
+    same = y is x
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    lead = x.shape[:-1]
+    x = x.reshape(-1, T)
+    y = x if same else y.reshape(-1, T)
+    out = np.empty(len(x))
+    step = max(1, _BLOCK_ELEMENTS // T)
+    for i in range(0, len(x), step):
+        xb = x[i:i + step]
+        xu = xb[:, u - 1]
+        dx = xu[:, None] - xb
+        cx = np.vecdot(dx, w_c)
+        if same:
+            yu, dy, cy = xu, dx, cx
+        else:
+            yb = y[i:i + step]
+            yu = yb[:, u - 1]
+            dy = yu[:, None] - yb
+            cy = np.vecdot(dy, w_c)
+        out[i:i + step] = (
+            xu * yu * A + xu * cy + yu * cx + np.einsum("ij,ij,j->i", dx, dy, w_d)
+        )
+    out /= T - 1
+    return float(out[0]) if not lead else out.reshape(lead)
 
 
 def gamma_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams) -> float:
@@ -92,25 +155,13 @@ def gamma_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams) -> flo
     Accepts a :class:`BmPathPair` or two arrays shaped ``(..., T)``; with a
     batch the leading axes are preserved.
     """
-    x, y = _coerce_pair(pair_or_x, y)
-    T = x.shape[-1]
-    u = check_index(u, T)
-    mask, amp, damp, inv_sq = _weights(T, u, params)
-    dx = amp * x[..., u - 1, None] - damp * x[..., mask]
-    dy = amp * y[..., u - 1, None] - damp * y[..., mask]
-    out = np.sum(dx * dy * inv_sq, axis=-1) / (T - 1)
-    return float(out) if out.ndim == 0 else out
+    return _centred_sum(*_coerce_pair(pair_or_x, y), u, params)
 
 
 def sigma_sq_hat_bm(path, *, u: int, params: BmEstimatorParams) -> float:
     """Variance component: the same weighted sum with both series equal."""
     x = np.asarray(path, dtype=float)
-    T = x.shape[-1]
-    u = check_index(u, T)
-    mask, amp, damp, inv_sq = _weights(T, u, params)
-    d = amp * x[..., u - 1, None] - damp * x[..., mask]
-    out = np.sum(d * d * inv_sq, axis=-1) / (T - 1)
-    return float(out) if out.ndim == 0 else out
+    return _centred_sum(x, x, u, params)
 
 
 def rho_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams):
@@ -130,7 +181,8 @@ def rho_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams):
 def estimate_bm(pair: BmPathPair, u: int, params: BmEstimatorParams) -> EstimateSeries:
     g, sx, sy = params.components(pair.x, pair.y, u)
     if sx <= 0.0 or sy <= 0.0:
-        raise DegenerateVariance(f"zero variance estimate at u={u}")
+        label = params.LABELS[0] if sx <= 0.0 else params.LABELS[1]
+        raise DegenerateVariance(f"series {label} has a zero variance estimate at u={u}")
     return EstimateSeries(
         grid=pair.grid, u=u, gamma_hat=g, sigma_x_sq_hat=sx,
         sigma_y_sq_hat=sy, rho_hat=g / np.sqrt(sx * sy),

@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from . import __version__, bm, gbm
-from .errors import DyncorrError
+from .errors import DegenerateVariance, DyncorrError
 from .harness import (
     ESTIMATOR_EXPERIMENTS,
     EXPERIMENTS,
@@ -193,7 +193,10 @@ def estimate_bm_cmd(q, p, u_list, in_path, out):
                       profile=None, seed=None)
     lines = ["u,gamma_hat,sigma_x_sq,sigma_y_sq,rho_hat"]
     for u in u_list:
-        e = bm.estimate_bm(pair, u, params)
+        try:
+            e = bm.estimate_bm(pair, u, params)
+        except DegenerateVariance as exc:
+            raise click.ClickException(f"{in_path}: {exc}") from exc
         lines.append(",".join([str(u)] + [
             _fmt(v) for v in (e.gamma_hat, e.sigma_x_sq_hat, e.sigma_y_sq_hat, e.rho_hat)
         ]))

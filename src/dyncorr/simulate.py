@@ -52,13 +52,14 @@ def replication_rng(master_seed: int, replication: int = 0) -> np.random.Generat
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _bm_from_rng(r: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    T = len(r)
-    z = rng.standard_normal((2, T))
+def _bm_into(r: np.ndarray, r_perp: np.ndarray, rng: np.random.Generator,
+             x: np.ndarray, y: np.ndarray) -> None:
+    """Write one pair into ``x`` and ``y``; ``r_perp`` is ``sqrt(1 - r*r)``."""
+    z = rng.standard_normal((2, len(r)))
     dx = z[0]
     # r = 1 gives dy identical to dx bitwise (sqrt(0) term vanishes exactly)
-    dy = r * dx + np.sqrt(1.0 - r * r) * z[1]
-    return np.cumsum(dx), np.cumsum(dy)
+    np.cumsum(dx, out=x)
+    np.cumsum(r * dx + r_perp * z[1], out=y)
 
 
 def simulate_bm_pair(
@@ -66,7 +67,9 @@ def simulate_bm_pair(
 ) -> BmPathPair:
     """Generate one correlated BM pair by increment coupling."""
     r = profile.increments(grid.T)
-    x, y = _bm_from_rng(r, replication_rng(seed, replication))
+    x = np.empty(grid.T)
+    y = np.empty(grid.T)
+    _bm_into(r, np.sqrt(1.0 - r * r), replication_rng(seed, replication), x, y)
     x.setflags(write=False)
     y.setflags(write=False)
     return BmPathPair(grid=grid, x=x, y=y, profile=profile, seed=seed)
@@ -83,10 +86,11 @@ def simulate_bm_batch(
     agree with serial ones.
     """
     r = profile.increments(grid.T)
+    r_perp = np.sqrt(1.0 - r * r)
     x = np.empty((reps, grid.T))
     y = np.empty((reps, grid.T))
     for i in range(reps):
-        x[i], y[i] = _bm_from_rng(r, replication_rng(seed, rep_offset + i))
+        _bm_into(r, r_perp, replication_rng(seed, rep_offset + i), x[i], y[i])
     return x, y
 
 

@@ -49,6 +49,22 @@ def brute_force_expected_gamma(rho, u, q, p, T):
     return total / (T - 1)
 
 
+def direct_gamma(x, y, u, q, p):
+    """The estimator's defining masked sum over v != u, term by term.
+
+    Returns the estimate and the same sum over the terms' absolute values,
+    the scale against which rounding in a rearranged form is judged.
+    """
+    T = x.shape[-1]
+    v = np.arange(1.0, T + 1.0)
+    mask = v != u
+    v = v[mask]
+    dx = v ** q * x[..., u - 1, None] - v ** -p * x[..., mask]
+    dy = v ** q * y[..., u - 1, None] - v ** -p * y[..., mask]
+    terms = dx * dy / (u - v) ** 2
+    return terms.sum(axis=-1) / (T - 1), np.abs(terms).sum(axis=-1) / (T - 1)
+
+
 def brute_force_expected_sigma_sq(u, q, p, T):
     return brute_force_expected_gamma(np.ones(T), u, q, p, T)
 
@@ -94,12 +110,31 @@ class TestPointEstimator:
         g = gamma_hat_bm(x, x, u=5, params=params)
         assert sigma_sq_hat_bm(x, u=5, params=params) == pytest.approx(g)
 
+    @pytest.mark.parametrize("q,p", [(0.5, 1.0), (0.0, 0.0), (0.5, 0.5), (1.0, 2.0),
+                                     (0.25, 0.75)])
+    @pytest.mark.parametrize("T", [50, 2000, 20000])
+    def test_matches_direct_form(self, q, p, T):
+        x, y = simulate_bm_batch(CONST_HALF, TimeGrid(T), 12, reps=3)
+        params = BmEstimatorParams(q, p)
+        for u in (1, T // 2, T):
+            direct, scale = direct_gamma(x, y, u, q, p)
+            g = gamma_hat_bm(x, y, u=u, params=params)
+            assert np.all(np.abs(g - direct) <= 1e-12 * scale)
+            direct, scale = direct_gamma(x, x, u, q, p)
+            s = sigma_sq_hat_bm(x, u=u, params=params)
+            assert np.all(np.abs(s - direct) <= 1e-12 * scale)
+
     def test_batch_matches_loop(self):
-        x, y = simulate_bm_batch(CONST_HALF, TimeGrid(40), 4, reps=6)
         params = BmEstimatorParams(0.5, 1.0)
-        batch = gamma_hat_bm(x, y, u=10, params=params)
-        singles = [gamma_hat_bm(x[i], y[i], u=10, params=params) for i in range(6)]
-        assert np.allclose(batch, singles, rtol=1e-14)
+        for reps in (7, 64):
+            # at T = 20000 a batch spans several of the kernel's row blocks
+            x, y = simulate_bm_batch(CONST_HALF, TimeGrid(20000), 4, reps=reps)
+            batch = gamma_hat_bm(x, y, u=10, params=params)
+            singles = [gamma_hat_bm(x[i], y[i], u=10, params=params) for i in range(reps)]
+            assert np.array_equal(batch, singles)
+            batch = sigma_sq_hat_bm(y, u=10, params=params)
+            singles = [sigma_sq_hat_bm(y[i], u=10, params=params) for i in range(reps)]
+            assert np.array_equal(batch, singles)
 
     def test_rho_hat_within_unit_interval(self):
         x, y = simulate_bm_batch(CONST_HALF, TimeGrid(60), 8, reps=200)

@@ -116,9 +116,10 @@ class TestEstimate:
     @pytest.mark.parametrize("kind, text, message", [
         ("bm", "t,x,y\n1,0.5,0.1\n2,nan,0.3\n3,0.2,0.4\n", "column x has a non-finite"),
         ("bm", "t,x,y\n1,0.5,0.7\n", "need at least 2"),
-        ("bm", "t,x,y\n1,0,0.5\n2,0,0.7\n3,0,0.2\n", "zero variance estimate"),
+        ("bm", "t,x,y\n1,0,0.5\n2,0,0.7\n3,0,0.2\n", "series x has a zero variance"),
+        ("bm", "t,x,y\n1,0.5,0\n2,0.7,0\n3,0.2,0\n", "series y has a zero variance"),
         ("gbm", "t,r,s,w,u\n1,1,1,0,0\n2,1,1,inf,0\n", "column w has a non-finite"),
-    ], ids=["bm-nan", "bm-one-row", "bm-constant", "gbm-inf"])
+    ], ids=["bm-nan", "bm-one-row", "bm-constant", "bm-constant-y", "gbm-inf"])
     def test_bad_input_is_clean_runtime_error(self, runner, tmp_path, kind, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
@@ -130,6 +131,7 @@ class TestEstimate:
         # a clean exit, not an escaped exception
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
+        assert str(bad) in result.output
 
     def test_bm_negative_exponent_is_usage_error(self, runner, tmp_path):
         paths = tmp_path / "p.csv"
