@@ -69,24 +69,22 @@ from .simulate import (
 )
 from .vg import VgParams, product_normal_vg_params, vg_moments, vg_pdf
 
+# The names the README and the tests use; the rest stay importable by name.
 __all__ = [
-    "__version__",
     "bessel_k",
-    "BmEstimatorParams", "EstimateSeries", "estimate_bm", "expected_gamma_bm",
-    "expected_ratio_q", "expected_sigma_sq_bm", "gamma_hat_bm", "rho_hat_bm",
-    "sigma_sq_hat_bm",
+    "BmEstimatorParams", "estimate_bm", "expected_gamma_bm", "expected_ratio_q",
+    "expected_sigma_sq_bm", "gamma_hat_bm", "rho_hat_bm", "sigma_sq_hat_bm",
     "DegenerateVariance", "DomainError", "DyncorrError", "IncrementInfeasible",
     "IndexOutOfRange", "NegativeVarianceEstimate", "NumericRange",
     "PathOverflow", "ProfileOutOfRange",
-    "GbmEstimateSeries", "GbmEstimatorParams", "NonconvergentSeriesWarning",
+    "GbmEstimatorParams", "NonconvergentSeriesWarning",
     "estimate_gbm", "expected_gamma_gbm_v1", "expected_gamma_gbm_v2",
     "expected_ratio_gbm", "expected_sigma_sq_gbm_v1", "expected_sigma_sq_gbm_v2",
     "gamma_hat_gbm_v1", "gamma_hat_gbm_v2", "r_from_rho", "rho_from_r",
     "rho_hat_gbm", "sigma_sq_hat_gbm",
-    "EXPERIMENTS", "CheckResult", "ExperimentConfig", "McReport",
-    "check_exp_abs_bound", "check_product_moments", "run_experiment",
+    "ExperimentConfig", "check_exp_abs_bound", "check_product_moments", "run_experiment",
     "CorrelationProfile", "TimeGrid", "build_profile",
-    "BmPathPair", "GbmPathPair", "gbm_transform", "replication_rng",
+    "gbm_transform", "replication_rng",
     "simulate_bm_batch", "simulate_bm_pair", "simulate_gbm_pair",
     "VgParams", "product_normal_vg_params", "vg_moments", "vg_pdf",
 ]

@@ -89,11 +89,11 @@ class EstimateSeries:
     rho_hat: float
 
 
-# Rows per block of _centred_sum: about 512 KB per deviation array, so a
-# block stays in cache and its memory is reused.  Whole-batch deviations are
-# fresh pages on every call: one (256, 1e4) ``components`` call took 33 ms
-# that way against 19 ms blocked (2 MB L2).  Each row is reduced on its own,
-# so the block size changes no result.
+# Rows per block of _centred_sum and of ``gbm._sums``: about 512 KB per
+# deviation array, so a block stays in cache and its memory is reused.
+# Whole-batch deviations are fresh pages on every call: one (256, 1e4)
+# ``components`` call took 33 ms that way against 19 ms blocked (2 MB L2).
+# Each row is reduced on its own, so the block size changes no result.
 _BLOCK_ELEMENTS = 1 << 16
 
 

@@ -1,6 +1,6 @@
 """Dynamic-correlation estimators for geometric Brownian pairs.
 
-Both variants weigh deviation products ``(e^{sigma W_k} - e^{sigma^2 k/2})``
+Both variants weigh deviations ``D_k = e^{sigma W_k} - e^{sigma^2 k/2}``
 with exponential windows controlled by (a, b, c) and rescale by
 ``e^{-c sigma^2 T}``.  Variance estimates follow by substituting the same
 path for both series.  ``rho_hat`` then estimates the correlation between
@@ -8,21 +8,27 @@ path for both series.  ``rho_hat`` then estimates the correlation between
 has correlation ``r_t`` at time t, that target is
 ``rho_t = (e^{r_t sigma^2 t} - 1) / (e^{sigma^2 t} - 1)``.
 
-All weighted sums are evaluated with the common factor ``e^{-c sigma^2 T}``
-folded into each term's exponent before exponentiation, so nothing larger
-than the raw path exponentials is ever formed; any exponent beyond the safe
-double range raises :class:`NumericRange`.  Weight tails that underflow are
-dropped (they are decaying positive factors).
+One kernel, ``_sums``, walks a batch in row blocks and exponentiates each
+path once per block, as the v1 bracket ``e^{m_k} D_k - e^{m_t} D_t`` or the
+v2 deviation ``D_k``; gamma and both variances are reduced from those arrays
+row by row (``np.vecdot``, three-operand ``np.einsum``), so a row's value does
+not depend on the batch shape.  The t-independent weights are cached.  The
+factor ``e^{-c sigma^2 T}`` is folded into each weight exponent ``m``, so
+nothing larger than a raw path exponential is formed; an exponent beyond the
+safe double range raises :class:`NumericRange` first.  Weight tails that
+underflow are dropped (they are decaying positive factors).
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
+from .bm import _BLOCK_ELEMENTS
 from .errors import (
     DegenerateVariance,
     DomainError,
@@ -70,12 +76,7 @@ class GbmEstimatorParams:
         each component keeps the leading axes.  The variance components are
         raw values: the second variant's can be negative.
         """
-        gamma = gamma_hat_gbm_v1 if self.variant == "v1" else gamma_hat_gbm_v2
-        return (
-            gamma(w, u, t=t, params=self),
-            sigma_sq_hat_gbm(w, t=t, params=self),
-            sigma_sq_hat_gbm(u, t=t, params=self),
-        )
+        return _sums(w, u, t, self, self.variant)
 
     def oracle(self, profile: CorrelationProfile, t: int, T: int):
         """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` of this variant at time ``t``.
@@ -100,71 +101,105 @@ class GbmEstimateSeries:
     flags: tuple = ()
 
 
-def _check_exponents(*arrays):
-    for arr in arrays:
-        if np.max(arr) > _MAX_EXPONENT:
+def _check_exponents(*tops):
+    for top in tops:
+        if top > _MAX_EXPONENT:
             raise NumericRange(
-                f"intermediate exponent {float(np.max(arr)):.1f} exceeds the safe "
+                f"intermediate exponent {float(top):.1f} exceeds the safe "
                 "range for these (a, b, c, sigma, T)"
             )
 
 
-def _v1_bracket(path: np.ndarray, t: int, params: GbmEstimatorParams) -> np.ndarray:
-    """exp(-c s2 T / 2)-scaled bracket series for one path (shape (..., T))."""
-    T = path.shape[-1]
+@functools.lru_cache(maxsize=2)
+def _grid(T: int, params: GbmEstimatorParams, variant: str):
+    """The t-independent, read-only weights of ``variant`` at length ``T``.
+
+    v1: the step and anchor exponents ``m_k``, ``m_t`` (each carrying half
+    the normalizer) and ``e^{m_k + s2 k/2}``; v2: ``e^{s2 k/2}``,
+    ``e^{m_step}`` and the scalar ``sum_k e^{m_anchor}``.
+    """
     s2 = params.sigma ** 2
     k = np.arange(1.0, T + 1.0)
-    half_norm = 0.5 * params.c * s2 * T
-    m_k = -0.5 * params.b * s2 * k - half_norm   # weight on the step-k deviation
-    m_t = 0.5 * params.a * s2 * k - half_norm    # weight on the anchor deviation
-    sw = params.sigma * path
-    _check_exponents(m_k + sw[..., None].max(initial=-np.inf),
-                     m_k + 0.5 * s2 * k,
-                     m_t + sw[..., t - 1, None].max(initial=-np.inf),
-                     np.atleast_1d(m_t + 0.5 * s2 * t))
+    if variant == "v1":
+        half_norm = 0.5 * params.c * s2 * T
+        m_k = -0.5 * params.b * s2 * k - half_norm
+        _check_exponents(np.max(m_k + 0.5 * s2 * k))
+        grid = (m_k, 0.5 * params.a * s2 * k - half_norm, np.exp(m_k + 0.5 * s2 * k))
+    else:
+        m_anchor = params.a * s2 * k - params.c * s2 * T
+        _check_exponents(np.max(m_anchor), s2 * T)
+        grid = (np.exp(0.5 * s2 * k), np.exp(-params.b * s2 * k - params.c * s2 * T),
+                np.sum(np.exp(m_anchor)))
+    for arr in grid:
+        arr.setflags(write=False)   # a numpy scalar, v2's sum, takes it as a no-op
+    return grid
+
+
+def _sums(w, u, t: int, params: GbmEstimatorParams, variant: str):
+    """Per-row ``(gamma_hat, sigma_w_sq_hat, sigma_u_sq_hat)`` of ``variant``."""
+    same = u is w
+    w = np.asarray(w, dtype=float)
+    u = w if same else np.asarray(u, dtype=float)
+    if w.shape != u.shape:
+        w, u = np.broadcast_arrays(w, u)
+    lead, T = w.shape[:-1], w.shape[-1]
+    t = check_index(t, T)
+    w = w.reshape(-1, T)
+    u = w if same else u.reshape(-1, T)
+    paths = (w,) if same else (w, u)
+    sigma, s2 = params.sigma, params.sigma ** 2
+    rows = max(1, min(len(w), _BLOCK_ELEMENTS // T))
+    buf = np.empty((3, rows, T))
+    # sigma > 0 and rounding is monotone: sigma * max(x) is max(sigma * x) exactly
     with np.errstate(under="ignore"):
-        return (
-            np.exp(m_k + sw)
-            - np.exp(m_k + 0.5 * s2 * k)
-            - np.exp(m_t + sw[..., t - 1, None])
-            + np.exp(m_t + 0.5 * s2 * t)
-        )
+        if variant == "v1":
+            m_k, m_t, mean = _grid(T, params, variant)
+            for x in paths:
+                _check_exponents(np.max(m_k) + sigma * np.max(x, initial=-np.inf),
+                                 np.max(m_t) + sigma * np.max(x[:, t - 1], initial=-np.inf),
+                                 np.max(m_t) + 0.5 * s2 * t)
+            anchor_mean = np.exp(m_t + 0.5 * s2 * t)
+
+            def series(x, dst):
+                # e^{m_k + sW_k} - e^{m_k + s2 k/2} - e^{m_t + sW_t} + e^{m_t + s2 t/2}
+                np.exp(np.add(m_k, np.multiply(x, sigma, out=dst), out=dst), out=dst)
+                dst -= mean
+                anchor = np.add(m_t, sigma * x[:, t - 1, None], out=buf[2, :len(x)])
+                dst -= np.exp(anchor, out=anchor)
+                dst += anchor_mean
+                return dst
+
+            inner = np.vecdot
+        else:
+            mean, step, anchor_weight = _grid(T, params, variant)
+            _check_exponents(*(sigma * np.max(x, initial=-np.inf) for x in paths))
+
+            def series(x, dst):
+                np.exp(np.multiply(x, sigma, out=dst), out=dst)
+                dst -= mean
+                return dst
+
+            def inner(x, y):
+                return (x[:, t - 1] * y[:, t - 1] * anchor_weight
+                        - np.einsum("ij,ij,j->i", x, y, step))
+
+        out = np.empty((3, len(w)))
+        for i in range(0, len(w), rows):
+            block = slice(i, i + rows)
+            sw = series(w[block], buf[0, :len(w[block])])
+            su = sw if same else series(u[block], buf[1, :len(sw)])
+            out[:, block] = inner(sw, su), inner(sw, sw), inner(su, su)
+    return tuple(v.reshape(lead) if lead else float(v[0]) for v in out)
 
 
 def gamma_hat_gbm_v1(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
     """First-variant covariance estimate (sum of bracket products)."""
-    w, u_path = _coerce(pair_or_w, u, params)
-    t = check_index(t, w.shape[-1])
-    bw = _v1_bracket(w, t, params)
-    bu = _v1_bracket(u_path, t, params)
-    out = np.sum(bw * bu, axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
-def _v2_terms(w, u_path, t, params):
-    T = w.shape[-1]
-    s2 = params.sigma ** 2
-    k = np.arange(1.0, T + 1.0)
-    norm = params.c * s2 * T
-    m_anchor = params.a * s2 * k - norm
-    m_step = -params.b * s2 * k - norm
-    sw, su = params.sigma * w, params.sigma * u_path
-    _check_exponents(np.atleast_1d(m_anchor), np.atleast_1d(sw), np.atleast_1d(su),
-                     np.atleast_1d(s2 * k))
-    with np.errstate(under="ignore"):
-        dev_w = np.exp(sw) - np.exp(0.5 * s2 * k)
-        dev_u = np.exp(su) - np.exp(0.5 * s2 * k)
-        anchor = dev_w[..., t - 1, None] * dev_u[..., t - 1, None]
-        return np.sum(np.exp(m_anchor) * anchor - np.exp(m_step) * dev_w * dev_u,
-                      axis=-1)
+    return _sums(*_coerce(pair_or_w, u, params), t, params, "v1")[0]
 
 
 def gamma_hat_gbm_v2(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
     """Second-variant covariance estimate (anchor minus step products)."""
-    w, u_path = _coerce(pair_or_w, u, params)
-    t = check_index(t, w.shape[-1])
-    out = _v2_terms(w, u_path, t, params)
-    return float(out) if out.ndim == 0 else out
+    return _sums(*_coerce(pair_or_w, u, params), t, params, "v2")[0]
 
 
 def sigma_sq_hat_gbm(path, *, t: int, params: GbmEstimatorParams):
@@ -175,13 +210,7 @@ def sigma_sq_hat_gbm(path, *, t: int, params: GbmEstimatorParams):
     The raw value is returned either way so the pathology stays visible.
     """
     w = np.asarray(path, dtype=float)
-    t = check_index(t, w.shape[-1])
-    if params.variant == "v1":
-        b = _v1_bracket(w, t, params)
-        out = np.sum(b * b, axis=-1)
-    else:
-        out = _v2_terms(w, w, t, params)
-    return float(out) if out.ndim == 0 else out
+    return _sums(w, w, t, params, params.variant)[1]
 
 
 def rho_hat_gbm(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
@@ -248,82 +277,62 @@ def rho_from_r(r_t: float, sigma: float, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact expectation formulas (constant-profile oracles)
+# Exact expectation formulas
 #
 # ``profile`` is the correlation profile of the *driving BM pair*, exactly as
-# passed to the simulator.  Cross moments between times use the per-index
-# convention of the closed-form derivation (rho_k-indexed); under increment
-# coupling that is exact for constant profiles and approximate otherwise.
+# passed to the simulator.  Cross moments follow its increment coupling,
+# ``Cov(W_s, U_v) = m r_m`` with ``m = min(s, v)``, so the formulas are exact
+# for every feasible profile.  A variance is the covariance with ``r = 1``.
 
-def _d_tail(t: int, params: GbmEstimatorParams, T: int) -> float:
-    """Geometric anchor-weight sum e^{a s2} (e^{a s2 T}-1)/(e^{a s2}-1)."""
-    s2 = params.sigma ** 2
-    if params.a * s2 * T > _MAX_EXPONENT:
-        raise NumericRange("a * sigma^2 * T too large for the expectation oracle")
-    return float(np.exp(params.a * s2) * np.expm1(params.a * s2 * T)
-                 / np.expm1(params.a * s2))
-
-
-def _oracle_grid(t: int, params: GbmEstimatorParams, T: int):
-    """sigma^2, the checked t, k = 1..T and the normalizer exponent c sigma^2 T.
-
-    Callers fetch ``profile.rho(T)`` first: the other order costs ~3 MB peak RSS.
-    """
+def _expected(r, t: int, params: GbmEstimatorParams, T: int, variant: str):
+    """E[gamma_hat] of ``variant`` for BM-level correlations ``r_1..r_T`` (or a scalar)."""
     s2 = params.sigma ** 2
     t = check_index(t, T)
     norm = params.c * s2 * T
     if norm > _MAX_EXPONENT:
         raise NumericRange("c * sigma^2 * T too large for the expectation oracle")
-    return s2, t, np.arange(1.0, T + 1.0), norm
+    if params.a * s2 * T > _MAX_EXPONENT:
+        raise NumericRange("a * sigma^2 * T too large for the expectation oracle")
+    # anchor-anchor products carry the geometric weight sum sum_k e^{a s2 k}
+    tail = float(np.exp(params.a * s2) * np.expm1(params.a * s2 * T) / np.expm1(params.a * s2))
+    k = np.arange(1.0, T + 1.0)
+    r = np.broadcast_to(r, k.shape)
+    # step-step products: e^{(1-b) s2 k} (e^{r_k s2 k} - 1)
+    a_sum = np.sum(np.exp((1 - params.b) * s2 * k) * np.expm1(r * s2 * k))
+    d_rho = np.exp(s2 * t) * np.expm1(r[t - 1] * s2 * t) * tail
+    if variant == "v2":
+        if params.b <= 2:
+            warnings.warn(f"b = {params.b} <= 2: the step-product expectation series "
+                          "grows with T instead of converging",
+                          NonconvergentSeriesWarning, stacklevel=3)
+        return float(np.exp(-norm) * (d_rho - a_sum))
+    # cross products: Cov(W_k, U_t) is k r_k before the anchor time, t r_t from it on
+    w = np.exp(0.5 * (params.a - params.b) * s2 * k + 0.5 * s2 * (k + t))
+    head = k < t
+    b_sum = np.sum(w[head] * (np.exp(r[head] * s2 * k[head])
+                              - np.exp(r[head] * s2 * t)))
+    c_sum = np.sum(w * np.expm1(np.where(head, r, r[t - 1]) * s2 * t))
+    return float(np.exp(-norm) * (a_sum + d_rho - 2 * b_sum - 2 * c_sum))
 
 
 def expected_gamma_gbm_v1(
     profile: CorrelationProfile, t: int, params: GbmEstimatorParams, T: int
 ) -> float:
-    r = profile.rho(T)            # BM-level correlations r_1..r_T
-    s2, t, k, norm = _oracle_grid(t, params, T)
-    # step-step products: e^{(1-b) s2 k} (e^{r_k s2 k} - 1)
-    a_sum = np.sum(np.exp((1 - params.b) * s2 * k) * np.expm1(r * s2 * k))
-    # anchor-anchor products accumulate the geometric weight sum
-    d_rho = np.exp(s2 * t) * np.expm1(r[t - 1] * s2 * t) * _d_tail(t, params, T)
-    # cross products, split at the anchor time
-    w = np.exp(0.5 * (params.a - params.b) * s2 * k + 0.5 * s2 * (k + t))
-    head = k < t
-    b_sum = np.sum(w[head] * (np.exp(r[head] * s2 * k[head])
-                              - np.exp(r[head] * s2 * t)))
-    c_sum = np.sum(w * np.expm1(r * s2 * t))
-    return float(np.exp(-norm) * (a_sum + d_rho - 2 * b_sum - 2 * c_sum))
+    return _expected(profile.rho(T), t, params, T, "v1")
 
 
 def expected_sigma_sq_gbm_v1(t: int, params: GbmEstimatorParams, T: int) -> float:
-    s2, t, k, norm = _oracle_grid(t, params, T)
-    e_sum = np.sum(np.exp((1 - params.b) * s2 * k) * np.expm1(s2 * k))
-    d_full = np.exp(s2 * t) * np.expm1(s2 * t) * _d_tail(t, params, T)
-    w = np.exp(0.5 * (params.a - params.b) * s2 * k + 0.5 * s2 * (k + t))
-    head = k < t
-    f_sum = np.sum(w[head] * (np.exp(s2 * k[head]) - np.exp(s2 * t)))
-    g_sum = float(np.exp(0.5 * s2 * t) * np.expm1(s2 * t)
-                  * np.sum(np.exp(0.5 * (params.a - params.b + 1) * s2 * k)))
-    return float(np.exp(-norm) * (e_sum + d_full - 2 * f_sum - 2 * g_sum))
+    return _expected(1.0, t, params, T, "v1")
 
 
 def expected_gamma_gbm_v2(
     profile: CorrelationProfile, t: int, params: GbmEstimatorParams, T: int
 ) -> float:
-    r = profile.rho(T)
-    _warn_if_nonconvergent(params)
-    s2, t, k, norm = _oracle_grid(t, params, T)
-    d_rho = np.exp(s2 * t) * np.expm1(r[t - 1] * s2 * t) * _d_tail(t, params, T)
-    a_sum = np.sum(np.exp((1 - params.b) * s2 * k) * np.expm1(r * s2 * k))
-    return float(np.exp(-norm) * (d_rho - a_sum))
+    return _expected(profile.rho(T), t, params, T, "v2")
 
 
 def expected_sigma_sq_gbm_v2(t: int, params: GbmEstimatorParams, T: int) -> float:
-    s2, t, k, norm = _oracle_grid(t, params, T)
-    _warn_if_nonconvergent(params)
-    d_full = np.exp(s2 * t) * np.expm1(s2 * t) * _d_tail(t, params, T)
-    b_sum = np.sum(np.exp((1 - params.b) * s2 * k) * np.expm1(s2 * k))
-    return float(np.exp(-norm) * (d_full - b_sum))
+    return _expected(1.0, t, params, T, "v2")
 
 
 def expected_ratio_gbm(
@@ -339,12 +348,3 @@ def expected_ratio_gbm(
         raise DegenerateVariance(f"expected variance {den!r} not positive")
     return num / den
 
-
-def _warn_if_nonconvergent(params: GbmEstimatorParams) -> None:
-    if params.b <= 2:
-        warnings.warn(
-            f"b = {params.b} <= 2: the step-product expectation series grows "
-            "with T instead of converging",
-            NonconvergentSeriesWarning,
-            stacklevel=3,
-        )
