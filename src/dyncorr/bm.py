@@ -19,6 +19,11 @@ The inner products use ``np.vecdot`` and a three-operand ``np.einsum``, which
 reduce each row independently, so a row gives bitwise the same value in a batch
 of any shape (a BLAS matrix-vector product ``x @ w`` does not).
 
+Both estimator families share one row-block driver, ``_rowwise``: it builds
+each path's series (here ``X_u``, ``D``, ``<w_c, D>``) once per block, reduces
+gamma and both variances in that one pass, and raises :class:`NumericRange`
+on a non-finite component.
+
 The expectation formulas below are exact under increment coupling
 (``Cov(X_s, Y_t) = min(s, t) * rho_{min(s, t)}``), which is precisely how
 ``dyncorr.simulate`` generates pairs, so they serve as deterministic
@@ -33,7 +38,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegenerateVariance, DomainError
+from .errors import DegenerateVariance, DomainError, NumericRange
 from .profiles import CorrelationProfile, TimeGrid
 from .simulate import BmPathPair, check_index
 
@@ -66,15 +71,28 @@ class BmEstimatorParams:
         ``x`` and ``y`` are arrays shaped ``(..., T)``; each component keeps
         the leading axes, so a ``(reps, T)`` batch gives ``(reps,)`` arrays.
         """
-        return (
-            gamma_hat_bm(x, y, u=t, params=self),
-            sigma_sq_hat_bm(x, u=t, params=self),
-            sigma_sq_hat_bm(y, u=t, params=self),
-        )
+        return _rowwise(x, y, t, self._kernel)
 
     def oracle(self, profile: CorrelationProfile, t: int, T: int):
         """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` at time ``t`` of a length-``T`` grid."""
-        return expected_gamma_bm(profile, t, self, T), expected_sigma_sq_bm(t, self, T)
+        return _expected(profile.rho(T), t, self, T)
+
+    def _kernel(self, x, y, t: int):
+        """The series ``(X_u, D, <w_c, D>)`` of a block and the centred inner product."""
+        T = x.shape[-1]
+        A, w_c, w_d = _weights(T, t, self.q, self.p)
+
+        def series(rows, d):
+            xu = rows[:, t - 1]
+            np.subtract(xu[:, None], rows, out=d)
+            return xu, d, np.vecdot(d, w_c)
+
+        def inner(a, b):
+            # (T-1) gamma_hat = X_u Y_u A + X_u <w_c, D'> + Y_u <w_c, D> + <w_d, D o D'>
+            return (a[0] * b[0] * A + a[0] * b[2] + b[0] * a[2]
+                    + np.einsum("ij,ij,j->i", a[1], b[1], w_d)) / (T - 1)
+
+        return series, inner
 
 
 @dataclass(frozen=True)
@@ -89,7 +107,7 @@ class EstimateSeries:
     rho_hat: float
 
 
-# Rows per block of _centred_sum and of ``gbm._sums``: about 512 KB per
+# Rows per block of ``_rowwise``, for both families: about 512 KB per
 # deviation array, so a block stays in cache and its memory is reused.
 # Whole-batch deviations are fresh pages on every call: one (256, 1e4)
 # ``components`` call took 33 ms that way against 19 ms blocked (2 MB L2).
@@ -101,7 +119,7 @@ _BLOCK_ELEMENTS = 1 << 16
 def _weights(T: int, u: int, q: float, p: float):
     """``(A, w_c, w_d)`` of the centred form; both arrays are 0 at ``v = u``.
 
-    One ``components`` call and every chunk of a harness run share a build.
+    Every chunk of a harness run shares a build.
     """
     v = np.arange(1.0, T + 1.0)
     off = v != u
@@ -117,36 +135,38 @@ def _weights(T: int, u: int, q: float, p: float):
     return float(np.sum(anchor * anchor * inv_sq)), w_c, w_d
 
 
-def _centred_sum(x, y, u: int, params: BmEstimatorParams):
-    """(1/(T-1)) * [X_u Y_u A + X_u<w_c, D'> + Y_u<w_c, D> + <w_d, D o D'>]."""
-    T = x.shape[-1]
-    u = check_index(u, T)
-    A, w_c, w_d = _weights(T, u, params.q, params.p)
+def _rowwise(x, y, t: int, kernel):
+    """Per-row ``(inner(S, S'), inner(S, S), inner(S', S'))`` of two ``(..., T)`` batches.
+
+    ``kernel(x, y, t)`` sees the whole ``(rows, T)`` batch once, to build its
+    weights and check its range, and returns ``series`` and ``inner``.
+    ``series(block, out)`` builds a block's series ``S`` around ``out``, a
+    reused ``(len(block), T)`` buffer; ``inner`` reduces two series per row.
+    """
     same = y is x
+    x = np.asarray(x, dtype=float)
+    y = x if same else np.asarray(y, dtype=float)
     if x.shape != y.shape:
         x, y = np.broadcast_arrays(x, y)
-    lead = x.shape[:-1]
+    lead, T = x.shape[:-1], x.shape[-1]
+    t = check_index(t, T)
     x = x.reshape(-1, T)
     y = x if same else y.reshape(-1, T)
-    out = np.empty(len(x))
-    step = max(1, _BLOCK_ELEMENTS // T)
-    for i in range(0, len(x), step):
-        xb = x[i:i + step]
-        xu = xb[:, u - 1]
-        dx = xu[:, None] - xb
-        cx = np.vecdot(dx, w_c)
-        if same:
-            yu, dy, cy = xu, dx, cx
-        else:
-            yb = y[i:i + step]
-            yu = yb[:, u - 1]
-            dy = yu[:, None] - yb
-            cy = np.vecdot(dy, w_c)
-        out[i:i + step] = (
-            xu * yu * A + xu * cy + yu * cx + np.einsum("ij,ij,j->i", dx, dy, w_d)
-        )
-    out /= T - 1
-    return float(out[0]) if not lead else out.reshape(lead)
+    rows = max(1, min(len(x), _BLOCK_ELEMENTS // T))
+    buf = np.empty((2, rows, T))
+    out = np.empty((3, len(x)))
+    # out-of-range sums become inf or nan here and are rejected below
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        series, inner = kernel(x, y, t)
+        for i in range(0, len(x), rows):
+            xb, yb = x[i:i + rows], y[i:i + rows]
+            sx = series(xb, buf[0, :len(xb)])
+            sy = sx if same else series(yb, buf[1, :len(yb)])
+            out[:, i:i + rows] = inner(sx, sy), inner(sx, sx), inner(sy, sy)
+    if not np.isfinite(out).all():
+        raise NumericRange(f"non-finite estimator component at time {t}: the paths "
+                           "are not finite or too large for the weighted sums")
+    return tuple(v.reshape(lead) if lead else float(v[0]) for v in out)
 
 
 def gamma_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams) -> float:
@@ -155,13 +175,12 @@ def gamma_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams) -> flo
     Accepts a :class:`BmPathPair` or two arrays shaped ``(..., T)``; with a
     batch the leading axes are preserved.
     """
-    return _centred_sum(*_coerce_pair(pair_or_x, y), u, params)
+    return params.components(*_coerce_pair(pair_or_x, y), u)[0]
 
 
 def sigma_sq_hat_bm(path, *, u: int, params: BmEstimatorParams) -> float:
     """Variance component: the same weighted sum with both series equal."""
-    x = np.asarray(path, dtype=float)
-    return _centred_sum(x, x, u, params)
+    return params.components(path, path, u)[1]
 
 
 def rho_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams):
@@ -200,52 +219,51 @@ def _coerce_pair(pair_or_x, y):
 # ---------------------------------------------------------------------------
 # Exact expectation formulas (deterministic oracles)
 
-def expected_gamma_bm(
-    profile: CorrelationProfile, t: int, params: BmEstimatorParams, T: int
-) -> float:
-    """Exact E[gamma_hat] under increment coupling.
+def _expected(rho, t: int, params: BmEstimatorParams, T: int):
+    """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` for correlations ``rho_1..rho_T``.
 
-    Evaluated as the four-group rearrangement
+    Both come from one build of the weights, as the four-group rearrangement
 
-        (T-1) E = t*rho_t*K + A1 - 2*A2 + 2*A3
+        (T-1) E[gamma_hat] = t*rho_t*K + A1 - 2*A2 + 2*A3
 
     with K the diverging weight sum, A1/A2 the damped correlation sums and
     A3 the tail correction sum_{s>t} s^{q-p} (s*rho_s - t*rho_t)/(s-t)^2.
     """
-    rho = profile.rho(T)
-    t = check_index(t, T)
-    q, p = params.q, params.p
-    s = np.arange(1.0, T + 1.0)
-    mask = s != t
-    sm = s[mask]
-    rho_m = rho[mask]
-    inv_sq = 1.0 / (sm - t) ** 2
-    K = np.sum(sm ** (2 * q) * inv_sq)
-    A1 = np.sum(rho_m * sm ** (1 - 2 * p) * inv_sq)
-    A2 = np.sum(rho_m * sm ** (q - p + 1) * inv_sq)
-    tail = s > t
-    A3 = np.sum(
-        s[tail] ** (q - p) * (s[tail] * rho[tail] - t * rho[t - 1]) / (s[tail] - t) ** 2
-    )
-    return float((t * rho[t - 1] * K + A1 - 2 * A2 + 2 * A3) / (T - 1))
-
-
-def expected_sigma_sq_bm(t: int, params: BmEstimatorParams, T: int) -> float:
-    """Exact E[sigma_sq_hat]; profile-independent (single-path moments)."""
     if T < 2:
         raise DomainError("T must be >= 2")
     t = check_index(t, T)
     q, p = params.q, params.p
     s = np.arange(1.0, T + 1.0)
+    rho = np.broadcast_to(rho, s.shape)
     mask = s != t
     sm = s[mask]
+    rho_m = rho[mask]
     inv_sq = 1.0 / (sm - t) ** 2
     K = np.sum(sm ** (2 * q) * inv_sq)
-    B1 = np.sum(sm ** (1 - 2 * p) * inv_sq)
-    B2 = np.sum(sm ** (q - p + 1) * inv_sq)
-    tail = sm > t
-    B3 = np.sum(sm[tail] ** (q - p) / (sm[tail] - t))
-    return float((t * K + B1 - 2 * B2 + 2 * B3) / (T - 1))
+    own = sm ** (1 - 2 * p)
+    cross = sm ** (q - p + 1)
+    tail = s > t
+    st = s[tail]
+    damp = st ** (q - p)
+    A1, B1 = np.sum(rho_m * own * inv_sq), np.sum(own * inv_sq)
+    A2, B2 = np.sum(rho_m * cross * inv_sq), np.sum(cross * inv_sq)
+    # at correlation 1 the tail term reduces to s^{q-p}/(s-t)
+    A3 = np.sum(damp * (st * rho[tail] - t * rho[t - 1]) / (st - t) ** 2)
+    B3 = np.sum(damp / (st - t))
+    return (float((t * rho[t - 1] * K + A1 - 2 * A2 + 2 * A3) / (T - 1)),
+            float((t * K + B1 - 2 * B2 + 2 * B3) / (T - 1)))
+
+
+def expected_gamma_bm(
+    profile: CorrelationProfile, t: int, params: BmEstimatorParams, T: int
+) -> float:
+    """Exact E[gamma_hat] under increment coupling."""
+    return _expected(profile.rho(T), t, params, T)[0]
+
+
+def expected_sigma_sq_bm(t: int, params: BmEstimatorParams, T: int) -> float:
+    """Exact E[sigma_sq_hat]; profile-independent (single-path moments)."""
+    return _expected(1.0, t, params, T)[1]
 
 
 def expected_ratio_q(

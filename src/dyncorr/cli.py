@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from . import __version__, bm, gbm
-from .errors import DegenerateVariance, DyncorrError
+from .errors import DyncorrError
 from .harness import (
     ESTIMATOR_EXPERIMENTS,
     EXPERIMENTS,
@@ -51,7 +51,9 @@ def _runtime_errors(fn):
         try:
             return fn(*args, **kwargs)
         except (DyncorrError, OSError, ValueError) as exc:
-            raise click.ClickException(str(exc)) from exc
+            # a package error of a command that reads a file names the file
+            where = kwargs.get("in_path") if isinstance(exc, DyncorrError) else None
+            raise click.ClickException(f"{where}: {exc}" if where else str(exc)) from exc
 
     return wrapper
 
@@ -193,10 +195,7 @@ def estimate_bm_cmd(q, p, u_list, in_path, out):
                       profile=None, seed=None)
     lines = ["u,gamma_hat,sigma_x_sq,sigma_y_sq,rho_hat"]
     for u in u_list:
-        try:
-            e = bm.estimate_bm(pair, u, params)
-        except DegenerateVariance as exc:
-            raise click.ClickException(f"{in_path}: {exc}") from exc
+        e = bm.estimate_bm(pair, u, params)
         lines.append(",".join([str(u)] + [
             _fmt(v) for v in (e.gamma_hat, e.sigma_x_sq_hat, e.sigma_y_sq_hat, e.rho_hat)
         ]))

@@ -8,27 +8,27 @@ path for both series.  ``rho_hat`` then estimates the correlation between
 has correlation ``r_t`` at time t, that target is
 ``rho_t = (e^{r_t sigma^2 t} - 1) / (e^{sigma^2 t} - 1)``.
 
-One kernel, ``_sums``, walks a batch in row blocks and exponentiates each
-path once per block, as the v1 bracket ``e^{m_k} D_k - e^{m_t} D_t`` or the
-v2 deviation ``D_k``; gamma and both variances are reduced from those arrays
-row by row (``np.vecdot``, three-operand ``np.einsum``), so a row's value does
-not depend on the batch shape.  The t-independent weights are cached.  The
-factor ``e^{-c sigma^2 T}`` is folded into each weight exponent ``m``, so
-nothing larger than a raw path exponential is formed; an exponent beyond the
-safe double range raises :class:`NumericRange` first.  Weight tails that
-underflow are dropped (they are decaying positive factors).
+The row-block driver ``bm._rowwise`` exponentiates each path once per block,
+as the v1 bracket ``e^{m_k} D_k - e^{m_t} D_t`` or the v2 deviation ``D_k``,
+and reduces gamma and both variances from those arrays row by row in one pass.
+The t-independent weights are cached.  The factor ``e^{-c sigma^2 T}`` is
+folded into each weight exponent ``m``, so nothing larger than a raw path
+exponential is formed; an exponent beyond the safe double range raises
+:class:`NumericRange` first, and so do sums that still overflow.  Weight tails
+that underflow are dropped (they are decaying positive factors).  An oracle
+call builds its weights once for the covariance and the variance.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .bm import _BLOCK_ELEMENTS
+from .bm import _rowwise
 from .errors import (
     DegenerateVariance,
     DomainError,
@@ -36,9 +36,7 @@ from .errors import (
     NumericRange,
 )
 from .profiles import CorrelationProfile
-from .simulate import GbmPathPair, check_index
-
-_MAX_EXPONENT = 700.0
+from .simulate import _MAX_EXPONENT, GbmPathPair, check_index
 
 
 class NonconvergentSeriesWarning(UserWarning):
@@ -76,7 +74,7 @@ class GbmEstimatorParams:
         each component keeps the leading axes.  The variance components are
         raw values: the second variant's can be negative.
         """
-        return _sums(w, u, t, self, self.variant)
+        return _rowwise(w, u, t, self._kernel)
 
     def oracle(self, profile: CorrelationProfile, t: int, T: int):
         """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` of this variant at time ``t``.
@@ -84,11 +82,45 @@ class GbmEstimatorParams:
         ``profile`` is the driving pair's correlation profile.  The second
         variant's expected variance can be negative at small ``T``.
         """
+        return _expected(profile.rho(T), t, self, T)
+
+    def _kernel(self, w, u, t: int):
+        """Range checks on the whole batch, then this variant's series and inner product."""
+        T = w.shape[-1]
+        sigma, s2 = self.sigma, self.sigma ** 2
+        paths = (w,) if u is w else (w, u)
+        # sigma > 0 and rounding is monotone: sigma * max(x) is max(sigma * x) exactly
         if self.variant == "v1":
-            return (expected_gamma_gbm_v1(profile, t, self, T),
-                    expected_sigma_sq_gbm_v1(t, self, T))
-        return (expected_gamma_gbm_v2(profile, t, self, T),
-                expected_sigma_sq_gbm_v2(t, self, T))
+            m_k, m_t, mean = _grid(T, self)
+            for x in paths:
+                _check_exponents(np.max(m_k) + sigma * np.max(x, initial=-np.inf),
+                                 np.max(m_t) + sigma * np.max(x[:, t - 1], initial=-np.inf),
+                                 np.max(m_t) + 0.5 * s2 * t)
+            anchor_mean = np.exp(m_t + 0.5 * s2 * t)
+
+            def series(x, d):
+                # e^{m_k + sW_k} - e^{m_k + s2 k/2} - e^{m_t + sW_t} + e^{m_t + s2 t/2}
+                np.exp(np.add(m_k, np.multiply(x, sigma, out=d), out=d), out=d)
+                d -= mean
+                anchor = np.add(m_t, sigma * x[:, t - 1, None])
+                d -= np.exp(anchor, out=anchor)
+                d += anchor_mean
+                return d
+
+            return series, np.vecdot
+        mean, step, anchor_weight = _grid(T, self)
+        _check_exponents(*(sigma * np.max(x, initial=-np.inf) for x in paths))
+
+        def series(x, d):
+            np.exp(np.multiply(x, sigma, out=d), out=d)
+            d -= mean
+            return d
+
+        def inner(x, y):
+            return (x[:, t - 1] * y[:, t - 1] * anchor_weight
+                    - np.einsum("ij,ij,j->i", x, y, step))
+
+        return series, inner
 
 
 @dataclass(frozen=True)
@@ -111,8 +143,8 @@ def _check_exponents(*tops):
 
 
 @functools.lru_cache(maxsize=2)
-def _grid(T: int, params: GbmEstimatorParams, variant: str):
-    """The t-independent, read-only weights of ``variant`` at length ``T``.
+def _grid(T: int, params: GbmEstimatorParams):
+    """The t-independent, read-only weights of ``params.variant`` at length ``T``.
 
     v1: the step and anchor exponents ``m_k``, ``m_t`` (each carrying half
     the normalizer) and ``e^{m_k + s2 k/2}``; v2: ``e^{s2 k/2}``,
@@ -120,7 +152,7 @@ def _grid(T: int, params: GbmEstimatorParams, variant: str):
     """
     s2 = params.sigma ** 2
     k = np.arange(1.0, T + 1.0)
-    if variant == "v1":
+    if params.variant == "v1":
         half_norm = 0.5 * params.c * s2 * T
         m_k = -0.5 * params.b * s2 * k - half_norm
         _check_exponents(np.max(m_k + 0.5 * s2 * k))
@@ -135,71 +167,14 @@ def _grid(T: int, params: GbmEstimatorParams, variant: str):
     return grid
 
 
-def _sums(w, u, t: int, params: GbmEstimatorParams, variant: str):
-    """Per-row ``(gamma_hat, sigma_w_sq_hat, sigma_u_sq_hat)`` of ``variant``."""
-    same = u is w
-    w = np.asarray(w, dtype=float)
-    u = w if same else np.asarray(u, dtype=float)
-    if w.shape != u.shape:
-        w, u = np.broadcast_arrays(w, u)
-    lead, T = w.shape[:-1], w.shape[-1]
-    t = check_index(t, T)
-    w = w.reshape(-1, T)
-    u = w if same else u.reshape(-1, T)
-    paths = (w,) if same else (w, u)
-    sigma, s2 = params.sigma, params.sigma ** 2
-    rows = max(1, min(len(w), _BLOCK_ELEMENTS // T))
-    buf = np.empty((3, rows, T))
-    # sigma > 0 and rounding is monotone: sigma * max(x) is max(sigma * x) exactly
-    with np.errstate(under="ignore"):
-        if variant == "v1":
-            m_k, m_t, mean = _grid(T, params, variant)
-            for x in paths:
-                _check_exponents(np.max(m_k) + sigma * np.max(x, initial=-np.inf),
-                                 np.max(m_t) + sigma * np.max(x[:, t - 1], initial=-np.inf),
-                                 np.max(m_t) + 0.5 * s2 * t)
-            anchor_mean = np.exp(m_t + 0.5 * s2 * t)
-
-            def series(x, dst):
-                # e^{m_k + sW_k} - e^{m_k + s2 k/2} - e^{m_t + sW_t} + e^{m_t + s2 t/2}
-                np.exp(np.add(m_k, np.multiply(x, sigma, out=dst), out=dst), out=dst)
-                dst -= mean
-                anchor = np.add(m_t, sigma * x[:, t - 1, None], out=buf[2, :len(x)])
-                dst -= np.exp(anchor, out=anchor)
-                dst += anchor_mean
-                return dst
-
-            inner = np.vecdot
-        else:
-            mean, step, anchor_weight = _grid(T, params, variant)
-            _check_exponents(*(sigma * np.max(x, initial=-np.inf) for x in paths))
-
-            def series(x, dst):
-                np.exp(np.multiply(x, sigma, out=dst), out=dst)
-                dst -= mean
-                return dst
-
-            def inner(x, y):
-                return (x[:, t - 1] * y[:, t - 1] * anchor_weight
-                        - np.einsum("ij,ij,j->i", x, y, step))
-
-        out = np.empty((3, len(w)))
-        for i in range(0, len(w), rows):
-            block = slice(i, i + rows)
-            sw = series(w[block], buf[0, :len(w[block])])
-            su = sw if same else series(u[block], buf[1, :len(sw)])
-            out[:, block] = inner(sw, su), inner(sw, sw), inner(su, su)
-    return tuple(v.reshape(lead) if lead else float(v[0]) for v in out)
-
-
 def gamma_hat_gbm_v1(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
     """First-variant covariance estimate (sum of bracket products)."""
-    return _sums(*_coerce(pair_or_w, u, params), t, params, "v1")[0]
+    return replace(params, variant="v1").components(*_coerce(pair_or_w, u, params), t)[0]
 
 
 def gamma_hat_gbm_v2(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
     """Second-variant covariance estimate (anchor minus step products)."""
-    return _sums(*_coerce(pair_or_w, u, params), t, params, "v2")[0]
+    return replace(params, variant="v2").components(*_coerce(pair_or_w, u, params), t)[0]
 
 
 def sigma_sq_hat_gbm(path, *, t: int, params: GbmEstimatorParams):
@@ -209,8 +184,7 @@ def sigma_sq_hat_gbm(path, *, t: int, params: GbmEstimatorParams):
     second is a difference of terms and can come out negative at small T.
     The raw value is returned either way so the pathology stays visible.
     """
-    w = np.asarray(path, dtype=float)
-    return _sums(w, w, t, params, params.variant)[1]
+    return params.components(path, path, t)[1]
 
 
 def rho_hat_gbm(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
@@ -284,8 +258,9 @@ def rho_from_r(r_t: float, sigma: float, t: float) -> float:
 # ``Cov(W_s, U_v) = m r_m`` with ``m = min(s, v)``, so the formulas are exact
 # for every feasible profile.  A variance is the covariance with ``r = 1``.
 
-def _expected(r, t: int, params: GbmEstimatorParams, T: int, variant: str):
-    """E[gamma_hat] of ``variant`` for BM-level correlations ``r_1..r_T`` (or a scalar)."""
+def _expected(r, t: int, params: GbmEstimatorParams, T: int):
+    """``(E[gamma_hat], E[sigma_sq_hat])`` of ``params.variant`` for BM-level
+    correlations ``r_1..r_T`` (or a scalar), from one build of the weights."""
     s2 = params.sigma ** 2
     t = check_index(t, T)
     norm = params.c * s2 * T
@@ -293,46 +268,51 @@ def _expected(r, t: int, params: GbmEstimatorParams, T: int, variant: str):
         raise NumericRange("c * sigma^2 * T too large for the expectation oracle")
     if params.a * s2 * T > _MAX_EXPONENT:
         raise NumericRange("a * sigma^2 * T too large for the expectation oracle")
+    if params.variant == "v2" and params.b <= 2:
+        warnings.warn(f"b = {params.b} <= 2: the step-product expectation series "
+                      "grows with T instead of converging",
+                      NonconvergentSeriesWarning, stacklevel=3)
     # anchor-anchor products carry the geometric weight sum sum_k e^{a s2 k}
     tail = float(np.exp(params.a * s2) * np.expm1(params.a * s2 * T) / np.expm1(params.a * s2))
     k = np.arange(1.0, T + 1.0)
-    r = np.broadcast_to(r, k.shape)
-    # step-step products: e^{(1-b) s2 k} (e^{r_k s2 k} - 1)
-    a_sum = np.sum(np.exp((1 - params.b) * s2 * k) * np.expm1(r * s2 * k))
-    d_rho = np.exp(s2 * t) * np.expm1(r[t - 1] * s2 * t) * tail
-    if variant == "v2":
-        if params.b <= 2:
-            warnings.warn(f"b = {params.b} <= 2: the step-product expectation series "
-                          "grows with T instead of converging",
-                          NonconvergentSeriesWarning, stacklevel=3)
-        return float(np.exp(-norm) * (d_rho - a_sum))
-    # cross products: Cov(W_k, U_t) is k r_k before the anchor time, t r_t from it on
-    w = np.exp(0.5 * (params.a - params.b) * s2 * k + 0.5 * s2 * (k + t))
-    head = k < t
-    b_sum = np.sum(w[head] * (np.exp(r[head] * s2 * k[head])
-                              - np.exp(r[head] * s2 * t)))
-    c_sum = np.sum(w * np.expm1(np.where(head, r, r[t - 1]) * s2 * t))
-    return float(np.exp(-norm) * (a_sum + d_rho - 2 * b_sum - 2 * c_sum))
+    step = np.exp((1 - params.b) * s2 * k)
+    if params.variant == "v1":
+        # cross products: Cov(W_k, U_t) is k r_k before the anchor time, t r_t from it on
+        w = np.exp(0.5 * (params.a - params.b) * s2 * k + 0.5 * s2 * (k + t))
+        head = k < t
+
+    def moment(r):
+        r = np.broadcast_to(r, k.shape)
+        # step-step products: e^{(1-b) s2 k} (e^{r_k s2 k} - 1)
+        a_sum = np.sum(step * np.expm1(r * s2 * k))
+        d_rho = np.exp(s2 * t) * np.expm1(r[t - 1] * s2 * t) * tail
+        if params.variant == "v2":
+            return float(np.exp(-norm) * (d_rho - a_sum))
+        b_sum = np.sum(w[head] * (np.exp(r[head] * s2 * k[head]) - np.exp(r[head] * s2 * t)))
+        c_sum = np.sum(w * np.expm1(np.where(head, r, r[t - 1]) * s2 * t))
+        return float(np.exp(-norm) * (a_sum + d_rho - 2 * b_sum - 2 * c_sum))
+
+    return moment(r), moment(1.0)
 
 
 def expected_gamma_gbm_v1(
     profile: CorrelationProfile, t: int, params: GbmEstimatorParams, T: int
 ) -> float:
-    return _expected(profile.rho(T), t, params, T, "v1")
+    return _expected(profile.rho(T), t, replace(params, variant="v1"), T)[0]
 
 
 def expected_sigma_sq_gbm_v1(t: int, params: GbmEstimatorParams, T: int) -> float:
-    return _expected(1.0, t, params, T, "v1")
+    return _expected(1.0, t, replace(params, variant="v1"), T)[1]
 
 
 def expected_gamma_gbm_v2(
     profile: CorrelationProfile, t: int, params: GbmEstimatorParams, T: int
 ) -> float:
-    return _expected(profile.rho(T), t, params, T, "v2")
+    return _expected(profile.rho(T), t, replace(params, variant="v2"), T)[0]
 
 
 def expected_sigma_sq_gbm_v2(t: int, params: GbmEstimatorParams, T: int) -> float:
-    return _expected(1.0, t, params, T, "v2")
+    return _expected(1.0, t, replace(params, variant="v2"), T)[1]
 
 
 def expected_ratio_gbm(

@@ -14,6 +14,7 @@ from dyncorr import (
     CorrelationProfile,
     DegenerateVariance,
     DomainError,
+    NumericRange,
     TimeGrid,
     estimate_bm,
     expected_gamma_bm,
@@ -126,15 +127,33 @@ class TestPointEstimator:
 
     def test_batch_matches_loop(self):
         params = BmEstimatorParams(0.5, 1.0)
-        for reps in (7, 64):
-            # at T = 20000 a batch spans several of the kernel's row blocks
-            x, y = simulate_bm_batch(CONST_HALF, TimeGrid(20000), 4, reps=reps)
-            batch = gamma_hat_bm(x, y, u=10, params=params)
-            singles = [gamma_hat_bm(x[i], y[i], u=10, params=params) for i in range(reps)]
+        # at T = 20000 a batch spans several of the kernel's row blocks
+        x, y = simulate_bm_batch(CONST_HALF, TimeGrid(20000), 4, reps=64)
+        x7, y7 = simulate_bm_batch(CONST_HALF, TimeGrid(20000), 4, reps=7)
+        batch = params.components(x, y, 10)
+        head = params.components(x7, y7, 10)
+        singles = [params.components(x[i], y[i], 10) for i in range(64)]
+        for j in range(3):
+            assert np.array_equal(batch[j], [s[j] for s in singles])
+            assert np.array_equal(head[j], batch[j][:7])
+        for xs, ys in ((x7, y7), (x, y)):
+            batch = gamma_hat_bm(xs, ys, u=10, params=params)
+            singles = [gamma_hat_bm(a, b, u=10, params=params) for a, b in zip(xs, ys)]
             assert np.array_equal(batch, singles)
-            batch = sigma_sq_hat_bm(y, u=10, params=params)
-            singles = [sigma_sq_hat_bm(y[i], u=10, params=params) for i in range(reps)]
+            batch = sigma_sq_hat_bm(ys, u=10, params=params)
+            singles = [sigma_sq_hat_bm(b, u=10, params=params) for b in ys]
             assert np.array_equal(batch, singles)
+
+    def test_non_finite_component_raises(self):
+        params = BmEstimatorParams(0.5, 1.0)
+        y = np.linspace(1.0, 2.0, 40)
+        # X_u^2 A overflows: the x variance would be inf
+        with pytest.raises(NumericRange):
+            params.components(np.full(40, 1e200), y, 5)
+        x = y.copy()
+        x[7] = np.nan
+        with pytest.raises(NumericRange):
+            params.components(x, y, 5)
 
     def test_rho_hat_within_unit_interval(self):
         x, y = simulate_bm_batch(CONST_HALF, TimeGrid(60), 8, reps=200)

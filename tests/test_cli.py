@@ -119,7 +119,11 @@ class TestEstimate:
         ("bm", "t,x,y\n1,0,0.5\n2,0,0.7\n3,0,0.2\n", "series x has a zero variance"),
         ("bm", "t,x,y\n1,0.5,0\n2,0.7,0\n3,0.2,0\n", "series y has a zero variance"),
         ("gbm", "t,r,s,w,u\n1,1,1,0,0\n2,1,1,inf,0\n", "column w has a non-finite"),
-    ], ids=["bm-nan", "bm-one-row", "bm-constant", "bm-constant-y", "gbm-inf"])
+        # sigma * w = 700 passes the exponent check; the squared bracket overflows
+        ("gbm", "t,r,s,w,u\n1,1,1,0,0\n2,1,1,7000,0\n3,1,1,0,0\n",
+         "non-finite estimator component"),
+    ], ids=["bm-nan", "bm-one-row", "bm-constant", "bm-constant-y", "gbm-inf",
+            "gbm-overflow"])
     def test_bad_input_is_clean_runtime_error(self, runner, tmp_path, kind, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)

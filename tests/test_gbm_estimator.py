@@ -328,6 +328,18 @@ class TestPointEstimators:
         with pytest.raises(NumericRange):
             sigma_sq_hat_gbm(u, t=5, params=params)
 
+    @pytest.mark.parametrize("params, path, k, spike", [
+        # every exponent passes (650 < 700), but D_21^2 e^{m_step} overflows
+        (GbmEstimatorParams(1.0, 16.0, 2.0, 1.0, "v2"), 1, 20, 650.0),
+        # a spike off the anchor passes the exponent check; its square does not fit
+        (GbmEstimatorParams(17.0, 12.0, 2.0, 1.0, "v1"), 0, 19, 690.0),
+    ], ids=["v2", "v1"])
+    def test_overflowing_sum_raises(self, params, path, k, spike):
+        paths = np.zeros((2, 40))
+        paths[path, k] = spike
+        with pytest.raises(NumericRange):
+            params.components(*paths, 5)
+
     def test_sigma_mismatch_rejected(self):
         pair = simulate_gbm_pair(simulate_bm_pair(CONST_HALF, TimeGrid(30), 1), 0.1)
         params = GbmEstimatorParams(1.0, 12.0, 2.0, 0.2, "v1")
