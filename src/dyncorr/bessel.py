@@ -1,130 +1,50 @@
-"""Modified Bessel function of the second kind, K_nu(x).
+"""Modified Bessel function of the second kind, K_nu(x), by the trapezoid rule.
 
-Two regimes, switched at x = 2:
-
-* small x: Temme's series for K_mu and K_{mu+1} with |mu| <= 1/2, then
-  upward recurrence K_{mu+i+1} = K_{mu+i-1} + 2(mu+i)/x * K_{mu+i};
-* large x: the Steed continued fraction for the confluent ratio, which
-  yields K_mu directly via sqrt(pi/2x) e^{-x} / S.
-
-Both converge to near machine precision on nu in [0, 5], x in [1e-6, 50]
-(validated in the test-suite against half-integer closed forms, the
-integral representation and an arbitrary-precision reference).
+e^x K_nu(x) = 1/2 int exp(nu t - 2x sinh^2(t/2)) dt over the real line, and
+the trapezoid rule converges geometrically on this double-exponentially
+decaying integrand.  Step: 0.2, or half the peak width 1/sqrt(hypot(x, nu))
+if narrower; the grid ends where the exponent is 40 below its peak.
+Relative error is below 1e-13 against arbitrary-precision references for
+nu in [0, 200], x in [1e-300, 1e5] wherever e^x K_nu(x) < 1e300; spot checks
+up to nu = 1e4 (the largest accepted: the grid grows as sqrt(nu)) give ~1e-13.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
 
-_EPS = 1e-16
-_MAX_ITER = 10_000
-_EULER_GAMMA = 0.5772156649015329
-_ZETA3 = 1.2020569031595943
-
-# 1/Gamma(1+x) = 1 + a1*x + a2*x^2 + a3*x^3 + ...
-_A1 = _EULER_GAMMA
-_A3 = _EULER_GAMMA ** 3 / 6 - _EULER_GAMMA * math.pi ** 2 / 12 + _ZETA3 / 3
+_LOG_MAX = 709.78   # e^m overflows a double above this
 
 
-def _gamma_pair(mu: float):
-    """Auxiliary reciprocal-Gamma combinations used by Temme's series.
-
-    Returns (g1, g2, gp, gm) with gp = 1/Gamma(1+mu), gm = 1/Gamma(1-mu),
-    g2 = (gm+gp)/2 and g1 = (gm-gp)/(2 mu), the last taken as a series for
-    small mu where the direct difference cancels.
-    """
-    gp = 1.0 / math.gamma(1.0 + mu)
-    gm = 1.0 / math.gamma(1.0 - mu)
-    g2 = 0.5 * (gm + gp)
-    if abs(mu) < 1e-3:
-        g1 = -(_A1 + _A3 * mu * mu)
-    else:
-        g1 = (gm - gp) / (2.0 * mu)
-    return g1, g2, gp, gm
-
-
-def _temme_small_x(mu: float, x: float):
-    """K_mu(x) and K_{mu+1}(x) for x <= 2, |mu| <= 1/2."""
-    half_x = 0.5 * x
-    d = -math.log(half_x)
-    e = mu * d
-    fact = 1.0 if abs(mu) < _EPS else math.pi * mu / math.sin(math.pi * mu)
-    fact2 = 1.0 if abs(e) < _EPS else math.sinh(e) / e
-    g1, g2, gp, gm = _gamma_pair(mu)
-    ff = fact * (g1 * math.cosh(e) + g2 * fact2 * d)
-    total = ff
-    ee = math.exp(e)
-    p = 0.5 * ee / gp
-    q = 0.5 / (ee * gm)
-    c = 1.0
-    x2 = half_x * half_x
-    total1 = p
-    for i in range(1, _MAX_ITER):
-        ff = (i * ff + p + q) / (i * i - mu * mu)
-        c *= x2 / i
-        p /= i - mu
-        q /= i + mu
-        delta = c * ff
-        total += delta
-        total1 += c * (p - i * ff)
-        if abs(delta) < abs(total) * _EPS:
-            break
-    return total, total1 * (2.0 / x)
-
-
-def _steed_large_x(mu: float, x: float, scaled: bool = False):
-    """K_mu(x) and K_{mu+1}(x) for x > 2, |mu| <= 1/2 (CF2 of Steed's method)."""
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = 0.0, 1.0
-    a1 = 0.25 - mu * mu
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, _MAX_ITER):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) < _EPS:
-            break
-    h = a1 * h
-    k_mu = math.sqrt(math.pi / (2.0 * x)) / s
-    if not scaled:
-        k_mu *= math.exp(-x)
-    k_mu1 = k_mu * (mu + x + 0.5 - h) / x
-    return k_mu, k_mu1
+def scaled_k_terms(nu: float, x: float) -> tuple[float, float]:
+    """(m, s) with e^x K_nu(x) = s e^m; both stay finite where K overflows."""
+    rho = math.hypot(x, nu)
+    h = min(0.2, 0.5 / math.sqrt(rho))
+    # ends: x (cosh t - 1) = 40 at 2 asinh(sqrt(20/x)); nu t = -40; peak below log(1 + 2nu/x)
+    root20 = math.sqrt(20.0)
+    lo = min(2.0 * math.asinh(root20 / math.sqrt(x)), 40.0 / nu if nu else math.inf)
+    hi = math.log(x + 2.0 * nu) - math.log(x) + 2.0 * math.asinh(root20 / math.sqrt(rho))
+    half_t = (0.5 * h) * np.arange(-math.ceil(lo / h), math.ceil(hi / h) + 1)
+    # 2x sinh^2(t/2) as (sqrt(2x) sinh(t/2))^2: finite at tiny x; 2x and x/2 are exact
+    c = math.sqrt(2.0 * x) if x < 1.0 else 2.0 * math.sqrt(0.5 * x)
+    a = (2.0 * nu) * half_t - (c * np.sinh(half_t)) ** 2
+    m = float(a.max()) if nu * hi > 700.0 else 0.0   # max a < nu hi: else no overflow
+    if m:
+        a -= m
+    return m, 0.5 * h * float(np.exp(a).sum())
 
 
 def bessel_k(nu: float, x: float, scaled: bool = False) -> float:
-    """K_nu(x) for nu >= 0, x > 0; ``scaled`` returns e^x K_nu(x).
-
-    The scaled form stays representable for large x, where K itself
-    underflows; callers needing log-density tails rely on it.
-    """
-    if x <= 0.0:
-        raise DomainError(f"bessel_k requires x > 0, got {x!r}")
-    if nu < 0.0:
-        raise DomainError(f"bessel_k requires nu >= 0, got {nu!r} (K is even in nu)")
-    n = int(nu + 0.5)
-    mu = nu - n  # |mu| <= 1/2
-    if x <= 2.0:
-        k0, k1 = _temme_small_x(mu, x)
-        if scaled:
-            scale = math.exp(x)
-            k0, k1 = k0 * scale, k1 * scale
-    else:
-        k0, k1 = _steed_large_x(mu, x, scaled)
-    for i in range(n):
-        k0, k1 = k1, (mu + i + 1) * (2.0 / x) * k1 + k0
-    return k0
+    """K_nu(x) for finite x > 0, 0 <= nu <= 1e4; ``scaled`` returns e^x K_nu(x),
+    which stays representable for large x, where K itself underflows."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"bessel_k requires finite x > 0, got {x!r}")
+    if not 0.0 <= nu <= 1e4:
+        raise DomainError(f"bessel_k requires 0 <= nu <= 1e4, got {nu!r} (K is even in nu)")
+    m, s = scaled_k_terms(nu, x)
+    value = s * math.exp(m) if m < _LOG_MAX else math.inf
+    return value if scaled else value * math.exp(-x)

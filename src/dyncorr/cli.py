@@ -34,7 +34,7 @@ from .harness import (
     run_experiment,
 )
 from .profiles import CorrelationProfile, TimeGrid, build_profile
-from .simulate import BmPathPair, GbmPathPair, simulate_bm_pair, simulate_gbm_pair
+from .simulate import BmPathPair, simulate_bm_pair, simulate_gbm_pair
 
 _FLOAT_FMT = "%.17g"
 
@@ -217,17 +217,18 @@ def estimate_bm_cmd(q, p, u_list, in_path, out):
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
 @_runtime_errors
 def estimate_gbm_cmd(variant, a, b, c, sigma, t_list, in_path, out):
-    """Estimate at each requested time; CSV columns
+    """Estimate at each requested time from the driving paths (columns t,w,u;
+    r and s are rebuilt from them); CSV columns
     t,gamma_hat,sigma_w_sq,sigma_u_sq,rho_hat,flags."""
-    cols = _read_csv_columns(in_path, ("t", "r", "s", "w", "u"))
+    cols = _read_csv_columns(in_path, ("t", "w", "u"))
     params = gbm.GbmEstimatorParams(a, b, c, sigma, variant)
     if not params.in_consistency_range():
         click.echo(
             f"note: (a={a}, b={b}, c={c}) lies outside the {variant} consistency range",
             err=True,
         )
-    pair = GbmPathPair(TimeGrid(cols["w"].size), cols["r"], cols["s"], cols["w"],
-                       cols["u"], sigma, profile=None, seed=None)
+    pair = simulate_gbm_pair(BmPathPair(TimeGrid(cols["w"].size), cols["w"], cols["u"],
+                                        profile=None, seed=None), sigma)
     lines = ["t,gamma_hat,sigma_w_sq,sigma_u_sq,rho_hat,flags"]
     for t in t_list:
         e = gbm.estimate_gbm(pair, t, params)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import bessel_k
+from .bessel import bessel_k, scaled_k_terms
 from .errors import DomainError
 
 
@@ -31,6 +31,8 @@ class VgParams:
     mu: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r, self.theta, self.sigma, self.mu))):
+            raise DomainError(f"VG parameters must be finite, got {self!r}")
         if self.r <= 0:
             raise DomainError(f"shape r must be positive, got {self.r!r}")
         if self.sigma < 0:
@@ -45,30 +47,39 @@ def vg_pdf(x: float, params: VgParams) -> float:
     """Density of VG(r, theta, sigma, mu) at x."""
     if params.degenerate:
         raise DomainError("density undefined at the sigma = 0 boundary")
+    if math.isnan(x):
+        raise DomainError("density undefined at x = nan")
     r, theta, sigma, mu = params.r, params.theta, params.sigma, params.mu
     nu = 0.5 * (r - 1.0)
     dev = abs(x - mu)
     root = math.sqrt(theta * theta + sigma * sigma)
-    if dev == 0.0:
+    z = root * dev / (sigma * sigma)
+    if z == math.inf:   # x = +-inf, or a tail too far out to form the tilt
+        return 0.0
+    tilt = theta * (x - mu) / (sigma * sigma)
+    # at mu, and wherever the O(z^2) correction to the tilted x = mu limit is
+    # below rounding: there nu log(dev) and log K_nu(z) cancel to ~nu |log z| ulps
+    if dev == 0.0 or z * z < 1e-16 * (nu - 1.0):
         if r <= 1.0:
             raise DomainError(
                 f"density is singular at x = mu for r = {r} <= 1"
             )
         # limit from K_nu(z) ~ Gamma(nu) (2/z)^nu / 2 as z -> 0, nu > 0
-        return (
-            math.gamma(nu)
-            * (sigma * sigma / (theta * theta + sigma * sigma)) ** nu
-            / (2.0 * sigma * math.sqrt(math.pi) * math.gamma(0.5 * r))
-        )
+        return math.exp(
+            tilt + math.lgamma(nu) - math.lgamma(0.5 * r)
+            + nu * math.log(sigma * sigma / (theta * theta + sigma * sigma))
+        ) / (2.0 * sigma * math.sqrt(math.pi))
+    # near mu for large r, K overflows before (dev / 2 root)^nu cancels it
+    k = bessel_k(abs(nu), z, scaled=True)
+    m, s = (0.0, k) if k < math.inf else scaled_k_terms(abs(nu), z)
     # log-space evaluation: the tilt e^{theta dev / sigma^2} and the Bessel
     # decay e^{-root dev / sigma^2} cancel in the tails but overflow alone
-    z = root * dev / (sigma * sigma)
     log_value = (
-        theta * (x - mu) / (sigma * sigma)
+        tilt
         - z
-        - math.log(sigma * math.sqrt(math.pi) * math.gamma(0.5 * r))
+        - math.log(sigma * math.sqrt(math.pi)) - math.lgamma(0.5 * r)
         + nu * math.log(dev / (2.0 * root))
-        + math.log(bessel_k(abs(nu), z, scaled=True))
+        + m + math.log(s)
     )
     return math.exp(log_value) if log_value > -745.0 else 0.0
 

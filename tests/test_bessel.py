@@ -52,7 +52,10 @@ class TestRecurrenceAndDomain:
         values = [bessel_k(1.0, x) for x in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("nu,x", [(1.0, 0.0), (1.0, -1.0), (-0.5, 1.0)])
+    @pytest.mark.parametrize("nu,x", [
+        (1.0, 0.0), (1.0, -1.0), (-0.5, 1.0),
+        (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (math.inf, 1.0), (2e4, 1.0),
+    ])
     def test_domain_errors(self, nu, x):
         with pytest.raises(DomainError):
             bessel_k(nu, x)
@@ -67,3 +70,20 @@ class TestRecurrenceAndDomain:
             rel = abs(bessel_k(nu, x) - exact) / abs(exact)
             worst = max(worst, rel)
         assert worst < 1e-12
+
+    def test_wide_range_precision(self):
+        # nu up to 200 and x over 305 decades, wherever e^x K_nu(x) is below 1e300
+        rng = np.random.default_rng(0)
+        worst, checked = 0.0, 0
+        with mpmath.workdps(30):
+            for _ in range(3000):
+                nu = rng.uniform(0, 200)
+                x = 10 ** rng.uniform(-300, 5)
+                exact = mpmath.besselk(nu, x) * mpmath.exp(x)
+                if exact >= 1e300:
+                    continue
+                checked += 1
+                rel = abs(bessel_k(nu, x, scaled=True) - exact) / exact
+                worst = max(worst, float(rel))
+        assert checked > 50
+        assert worst < 1e-13

@@ -137,6 +137,21 @@ class TestEstimate:
         assert message in result.output
         assert str(bad) in result.output
 
+    def test_gbm_reads_only_the_driving_paths(self, runner, tmp_path):
+        full, bare = tmp_path / "full.csv", tmp_path / "bare.csv"
+        invoke(runner, ["simulate", "gbm", "--profile", "constant:0.5", "--T", "50",
+                        "--sigma", "0.1", "--seed", "4", "--out", str(full)])
+        cols = np.genfromtxt(full, delimiter=",", names=True)
+        np.savetxt(bare, np.column_stack([cols["t"], cols["w"], cols["u"]]),
+                   delimiter=",", header="t,w,u", comments="", fmt="%.17g")
+        outs = []
+        for name, path in [("full", full), ("bare", bare)]:
+            outs.append(tmp_path / f"e-{name}.csv")
+            invoke(runner, ["estimate", "gbm", "--variant", "v2", "--a", "1", "--b", "16",
+                            "--c", "2", "--sigma", "0.1", "--t", "5", "--t", "30",
+                            "--in", str(path), "--out", str(outs[-1])])
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_bm_negative_exponent_is_usage_error(self, runner, tmp_path):
         paths = tmp_path / "p.csv"
         invoke(runner, ["simulate", "bm", "--profile", "constant:0.5",
@@ -213,6 +228,12 @@ class TestOracleAndVg:
         result = runner.invoke(main, ["vg", "pdf", "--r", "1", "--theta", "0",
                                       "--sigma", "1", "--mu", "0", "--x", "0"])
         assert result.exit_code == 1
+
+    def test_vg_pdf_nan_point_is_runtime_error(self, runner):
+        result = runner.invoke(main, ["vg", "pdf", "--r", "2", "--theta", "0",
+                                      "--sigma", "1", "--mu", "0", "--x", "nan"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
 
 
 class TestExperimentRun:

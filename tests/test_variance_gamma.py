@@ -71,9 +71,31 @@ class TestDensity:
         with pytest.raises(DomainError):
             vg_pdf(0.0, VgParams(1.0, 0.5, 0.0, 0.0))
 
-    def test_invalid_shape_rejected(self):
+    @pytest.mark.parametrize("r", [0.0, math.nan])
+    def test_invalid_shape_rejected(self, r):
         with pytest.raises(DomainError):
-            VgParams(0.0, 0.0, 1.0, 0.0)
+            VgParams(r, 0.0, 1.0, 0.0)
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(DomainError):
+            vg_pdf(math.nan, VgParams(2.0, 0.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    def test_infinite_point_has_zero_density(self, x):
+        assert vg_pdf(x, VgParams(2.0, 0.3, 1.0, 0.0)) == 0.0
+
+    @pytest.mark.parametrize("r", [2.0, 3.0, 11.0, 21.0, 401.0])
+    @pytest.mark.parametrize("dev", [1e-9, 1e-30, 1e-100, 1e-200])
+    def test_finite_next_to_location_for_large_shapes(self, r, dev):
+        # for large r, K_nu(dev) overflows before (dev / 2)^nu cancels it
+        params = VgParams(r, 0.0, 1.0, 0.0)
+        peak = vg_pdf(0.0, params)
+        # r = 2 is the Laplace law e^{-|x|} / 2: its kink shows at dev = 1e-9
+        want = peak * math.exp(-dev) if r == 2.0 else peak
+        for x in (dev, -dev):
+            value = vg_pdf(x, params)
+            assert math.isfinite(value)
+            assert value == pytest.approx(want, rel=1e-12)
 
 
 class TestMoments:
