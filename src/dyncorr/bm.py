@@ -19,6 +19,11 @@ The inner products use ``np.vecdot`` and a three-operand ``np.einsum``, which
 reduce each row independently, so a row gives bitwise the same value in a batch
 of any shape (a BLAS matrix-vector product ``x @ w`` does not).
 
+Nothing that depends on ``u`` is cached.  The weights at ``u`` are the read-only
+products ``a_v^2``, ``a_v d_v`` and ``d_v^2``, built once per ``(T, q, p)``, times
+the slice ``[T-u:2T-u]`` of one read-only lag table ``1/d^2``, built once per
+``T``; a call along a curve pays only its own O(T) products and sums.
+
 Both estimator families share one row-block driver, ``_rowwise``: it builds
 each path's series (here ``X_u``, ``D``, ``<w_c, D>``) once per block, reduces
 gamma and both variances in that one pass, and raises :class:`NumericRange`
@@ -27,7 +32,10 @@ on a non-finite component.
 The expectation formulas below are exact under increment coupling
 (``Cov(X_s, Y_t) = min(s, t) * rho_{min(s, t)}``), which is precisely how
 ``dyncorr.simulate`` generates pairs, so they serve as deterministic
-oracles for Monte Carlo runs.
+oracles for Monte Carlo runs.  Their t-independent rows are built once per
+``(profile, T, q, p)``, so ``profile.rho(T)`` runs once per curve; the sums at
+``t`` are one ``np.einsum`` of those rows with the same lag slice plus a tail
+sum, and the expected variance is the same moment at correlation 1.
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ class BmEstimatorParams:
 
     def oracle(self, profile: CorrelationProfile, t: int, T: int):
         """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` at time ``t`` of a length-``T`` grid."""
-        return _expected(profile.rho(T), t, self, T)
+        return _expected(profile, t, self, T)
 
     def _kernel(self, x, y, t: int):
         """The series ``(X_u, D, <w_c, D>)`` of a block and the centred inner product."""
@@ -116,23 +124,42 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 @functools.lru_cache(maxsize=2)
-def _weights(T: int, u: int, q: float, p: float):
-    """``(A, w_c, w_d)`` of the centred form; both arrays are 0 at ``v = u``.
+def _lags(T: int):
+    """Read-only ``1/d^2`` for lags ``d = -(T-1)..T-1``, 0 at ``d = 0``.
 
-    Every chunk of a harness run shares a build.
+    ``_lags(T)[T-u:2T-u]`` is ``1/(v-u)^2`` over ``v = 1..T`` (0 at ``v = u``):
+    every weight at time ``u``, of the estimator and of the oracle, is a
+    u-independent row times this slice.
+    """
+    d = np.arange(1.0 - T, float(T))
+    lags = np.zeros_like(d)
+    off = d != 0
+    lags[off] = 1.0 / d[off] ** 2
+    lags.setflags(write=False)
+    return lags
+
+
+@functools.lru_cache(maxsize=2)
+def _products(T: int, q: float, p: float):
+    """Read-only ``(a_v^2, a_v d_v, d_v^2)`` over ``v = 1..T``.
+
+    Every chunk of a harness run and every point of a curve shares a build.
     """
     v = np.arange(1.0, T + 1.0)
-    off = v != u
-    inv_sq = np.zeros(T)
-    inv_sq[off] = 1.0 / (u - v[off]) ** 2
     # v >= 1 always, so exp(q*log v) is safe for any real exponents
     damp = v ** -p
     anchor = v ** q - damp
-    w_c = anchor * damp * inv_sq
-    w_d = damp * damp * inv_sq
-    w_c.setflags(write=False)
-    w_d.setflags(write=False)
-    return float(np.sum(anchor * anchor * inv_sq)), w_c, w_d
+    products = (anchor * anchor, anchor * damp, damp * damp)
+    for arr in products:
+        arr.setflags(write=False)
+    return products
+
+
+def _weights(T: int, u: int, q: float, p: float):
+    """``(A, w_c, w_d)`` of the centred form; both arrays are 0 at ``v = u``."""
+    aa, ad, dd = _products(T, q, p)
+    lag = _lags(T)[T - u:2 * T - u]
+    return float(np.sum(aa * lag)), ad * lag, dd * lag
 
 
 def _rowwise(x, y, t: int, kernel):
@@ -219,51 +246,72 @@ def _coerce_pair(pair_or_x, y):
 # ---------------------------------------------------------------------------
 # Exact expectation formulas (deterministic oracles)
 
-def _expected(rho, t: int, params: BmEstimatorParams, T: int):
-    """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` for correlations ``rho_1..rho_T``.
+def _expected(profile, t: int, params: BmEstimatorParams, T: int):
+    """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` at time ``t``; ``profile=None`` means rho = 1.
 
-    Both come from one build of the weights, as the four-group rearrangement
+    Each is the four-group rearrangement
 
         (T-1) E[gamma_hat] = t*rho_t*K + A1 - 2*A2 + 2*A3
 
     with K the diverging weight sum, A1/A2 the damped correlation sums and
-    A3 the tail correction sum_{s>t} s^{q-p} (s*rho_s - t*rho_t)/(s-t)^2.
+    A3 the tail correction sum_{s>t} s^{q-p} (s*rho_s - t*rho_t)/(s-t)^2, taken
+    from one cached build of ``_oracle_rows``; the variance is the same moment
+    at rho = 1.
     """
     if T < 2:
         raise DomainError("T must be >= 2")
     t = check_index(t, T)
-    q, p = params.q, params.p
-    s = np.arange(1.0, T + 1.0)
-    rho = np.broadcast_to(rho, s.shape)
-    mask = s != t
-    sm = s[mask]
-    rho_m = rho[mask]
-    inv_sq = 1.0 / (sm - t) ** 2
-    K = np.sum(sm ** (2 * q) * inv_sq)
-    own = sm ** (1 - 2 * p)
-    cross = sm ** (q - p + 1)
-    tail = s > t
-    st = s[tail]
-    damp = st ** (q - p)
-    A1, B1 = np.sum(rho_m * own * inv_sq), np.sum(own * inv_sq)
-    A2, B2 = np.sum(rho_m * cross * inv_sq), np.sum(cross * inv_sq)
-    # at correlation 1 the tail term reduces to s^{q-p}/(s-t)
-    A3 = np.sum(damp * (st * rho[tail] - t * rho[t - 1]) / (st - t) ** 2)
-    B3 = np.sum(damp / (st - t))
-    return (float((t * rho[t - 1] * K + A1 - 2 * A2 + 2 * A3) / (T - 1)),
-            float((t * K + B1 - 2 * B2 + 2 * B3) / (T - 1)))
+    sigma_sq = _moment(_oracle_rows(None, T, params.q, params.p), t, T)
+    if profile is None:
+        return sigma_sq, sigma_sq
+    return _moment(_oracle_rows(profile, T, params.q, params.p), t, T), sigma_sq
+
+
+@functools.lru_cache(maxsize=2)   # the rho = 1 build and a profile's
+def _oracle_rows(profile, T: int, q: float, p: float):
+    """Read-only t-independent terms of the moment: the rows ``(s^2q,
+    rho_s s^{1-2p}, rho_s s^{q-p+1})`` of K, A1 and A2, the tail weights
+    ``s^{q-p}`` and ``g_s = s rho_s``.  ``profile=None`` stands for rho = 1.
+
+    A profile's build scales the rho = 1 build's powers, and runs
+    ``profile.rho(T)``, with its validation, once rather than once per ``t``.
+    """
+    if profile is None:
+        s = np.arange(1.0, T + 1.0)
+        terms = (np.stack([s ** (2 * q), s ** (1 - 2 * p), s ** (q - p + 1)]), s ** (q - p), s)
+    else:
+        rows, damp, s = _oracle_rows(None, T, q, p)
+        rho = profile.rho(T)
+        rows = rows.copy()
+        rows[1:] *= rho
+        terms = (rows, damp, s * rho)
+    for arr in terms:
+        arr.setflags(write=False)
+    return terms
+
+
+def _moment(terms, t: int, T: int) -> float:
+    """``(t rho_t K + A1 - 2 A2 + 2 A3) / (T-1)`` from one build of ``_oracle_rows``."""
+    rows, damp, g = terms
+    lag = _lags(T)[T - t:2 * T - t]
+    # einsum, not vecdot: vecdot is BLAS ddot, which OpenBLAS threads past
+    # n = 1e4; on 2 cores a call that woke the threads took ~40 ms at T = 1e5,
+    # against 0.5 ms single-threaded
+    K, A1, A2 = np.einsum("ij,j->i", rows, lag)
+    A3 = np.einsum("i,i,i->", damp[t:], g[t:] - g[t - 1], lag[t:])
+    return float((g[t - 1] * K + A1 - 2 * A2 + 2 * A3) / (T - 1))
 
 
 def expected_gamma_bm(
     profile: CorrelationProfile, t: int, params: BmEstimatorParams, T: int
 ) -> float:
     """Exact E[gamma_hat] under increment coupling."""
-    return _expected(profile.rho(T), t, params, T)[0]
+    return _expected(profile, t, params, T)[0]
 
 
 def expected_sigma_sq_bm(t: int, params: BmEstimatorParams, T: int) -> float:
     """Exact E[sigma_sq_hat]; profile-independent (single-path moments)."""
-    return _expected(1.0, t, params, T)[1]
+    return _expected(None, t, params, T)[1]
 
 
 def expected_ratio_q(

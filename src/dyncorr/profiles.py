@@ -58,6 +58,9 @@ class CorrelationProfile:
             raise DomainError(f"unknown profile kind {self.kind!r}")
         if self.kind == "table" and len(self.table) < 2:
             raise DomainError("table profile needs at least 2 values")
+        # tuples keep the profile hashable: the BM oracle caches its build per profile
+        object.__setattr__(self, "params", tuple(self.params))
+        object.__setattr__(self, "table", tuple(self.table))
 
     def rho(self, T: int) -> np.ndarray:
         """Correlation values rho_1..rho_T (validated)."""

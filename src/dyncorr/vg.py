@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .bessel import bessel_k, scaled_k_terms
-from .errors import DomainError
+from .errors import DomainError, NumericRange
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,10 @@ def vg_pdf(x: float, params: VgParams) -> float:
     if z == math.inf:   # x = +-inf, or a tail too far out to form the tilt
         return 0.0
     tilt = theta * (x - mu) / (sigma * sigma)
-    # at mu, and wherever the O(z^2) correction to the tilted x = mu limit is
-    # below rounding: there nu log(dev) and log K_nu(z) cancel to ~nu |log z| ulps
-    if dev == 0.0 or z * z < 1e-16 * (nu - 1.0):
+    # at mu (z = 0, also where root * dev / sigma^2 underflows), and wherever the
+    # O(z^2) correction to the tilted x = mu limit is below rounding: there
+    # nu log(dev) and log K_nu(z) cancel to ~nu |log z| ulps
+    if z == 0.0 or z * z < 1e-16 * (nu - 1.0):
         if r <= 1.0:
             raise DomainError(
                 f"density is singular at x = mu for r = {r} <= 1"
@@ -78,10 +79,20 @@ def vg_pdf(x: float, params: VgParams) -> float:
         tilt
         - z
         - math.log(sigma * math.sqrt(math.pi)) - math.lgamma(0.5 * r)
-        + nu * math.log(dev / (2.0 * root))
+        # nu log(dev / 2 root) through z: at a subnormal dev, z keeps only a few
+        # bits, and this takes both factors at that rounded z (dev / 2 root itself
+        # underflows to 0 there); K_nu(z) z^nu is flat next to mu for nu > 0
+        + nu * (math.log(z) - math.log(2.0) + 2.0 * (math.log(sigma) - math.log(root)))
         + m + math.log(s)
     )
-    return math.exp(log_value) if log_value > -745.0 else 0.0
+    if log_value <= -745.0:
+        return 0.0
+    try:
+        return math.exp(log_value)
+    except OverflowError:   # r < 1 next to mu: the density is above the largest double
+        raise NumericRange(
+            f"density {log_value:.1f} in log space at x = {x!r} exceeds the double range"
+        ) from None
 
 
 def vg_moments(params: VgParams) -> tuple[float, float]:

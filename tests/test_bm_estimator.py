@@ -6,9 +6,12 @@ Cov(X_s, Y_t) = min(s, t) * rho_{min(s, t)}, written independently of the
 grouped rearrangement used in the implementation.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from dyncorr import bm
 from dyncorr import (
     BmEstimatorParams,
     CorrelationProfile,
@@ -28,16 +31,18 @@ from dyncorr import (
 )
 
 CONST_HALF = CorrelationProfile("constant", (0.5,))
+# increments alternating 0.8, 0.8, -0.5: a feasible profile with a jagged rho_t
+JAGGED = tuple(np.cumsum(np.where(np.arange(1, 61) % 3, 0.8, -0.5)) / np.arange(1, 61))
 
 
-def brute_force_expected_gamma(rho, u, q, p, T):
-    """Direct weighted-moment sum, no algebraic regrouping."""
+def brute_force_expected_terms(rho, u, q, p, T):
+    """Terms of the direct weighted-moment sum, no algebraic regrouping."""
 
     def cov(s, t):
         m = min(s, t)
         return m * rho[m - 1]
 
-    total = 0.0
+    terms = []
     for v in range(1, T + 1):
         if v == u:
             continue
@@ -46,8 +51,12 @@ def brute_force_expected_gamma(rho, u, q, p, T):
             - v ** (q - p) * (cov(u, v) + cov(v, u))
             + v ** (-2 * p) * cov(v, v)
         )
-        total += term / (u - v) ** 2
-    return total / (T - 1)
+        terms.append(term / (u - v) ** 2)
+    return terms
+
+
+def brute_force_expected_gamma(rho, u, q, p, T):
+    return sum(brute_force_expected_terms(rho, u, q, p, T)) / (T - 1)
 
 
 def direct_gamma(x, y, u, q, p):
@@ -231,6 +240,25 @@ class TestExpectationFormulas:
                 for T in (1000, 10000)]
         assert gaps[1] < gaps[0]
 
+    @pytest.mark.parametrize("q,p", [(0.5, 1.0), (0.0, 0.0), (0.3, 0.8), (1.0, 2.0)])
+    @pytest.mark.parametrize("profile", [
+        CONST_HALF,
+        CorrelationProfile("capped", (0.5, 10.0)),
+        CorrelationProfile("linear", (0.05, 0.004)),
+        CorrelationProfile("table", table=JAGGED),
+    ], ids=["constant", "capped", "linear", "table"])
+    def test_oracle_matches_brute_force_at_every_time(self, q, p, profile):
+        # t = 1 has no head, t = T has an empty tail
+        params = BmEstimatorParams(q, p)
+        for T in (2, 3, 60):
+            ones = np.ones(T)
+            for t in range(1, T + 1):
+                for got, rho in zip(params.oracle(profile, t, T), (profile.rho(T), ones)):
+                    # exact rounding of the direct sum, judged on its terms' magnitudes
+                    terms = brute_force_expected_terms(rho, t, q, p, T)
+                    want, scale = math.fsum(terms), math.fsum(map(abs, terms))
+                    assert abs(got - want / (T - 1)) <= 1e-12 * scale / (T - 1)
+
     def test_mc_mean_matches_oracle(self):
         profile = CorrelationProfile("capped", (0.4, 8.0))
         T, t, reps = 300, 8, 3000
@@ -240,3 +268,73 @@ class TestExpectationFormulas:
         target = expected_gamma_bm(profile, t, params, T)
         se = g.std(ddof=1) / np.sqrt(reps)
         assert abs(g.mean() - target) < 4 * se
+
+
+def _clear_caches():
+    for cache in (bm._lags, bm._products, bm._oracle_rows):
+        cache.cache_clear()
+
+
+class TestCaches:
+    PROFILES = (CorrelationProfile("capped", (0.5, 10.0)), CorrelationProfile("table", table=JAGGED))
+    PARAMS = (BmEstimatorParams(0.5, 1.0), BmEstimatorParams(0.3, 0.8))
+
+    def test_interleaved_calls_equal_fresh_calls(self):
+        x, y = simulate_bm_batch(CONST_HALF, TimeGrid(60), 4, reps=3)
+        calls = [(kind, profile, T, params, t)
+                 for kind in ("oracle", "components")
+                 for profile in self.PROFILES
+                 for T in (40, 60)
+                 for params in self.PARAMS
+                 for t in (1, T // 3, T)]
+
+        def call(kind, profile, T, params, t):
+            if kind == "oracle":
+                return expected_ratio_q(profile, t, params, T)
+            return params.components(x[:, :T], y[:, :T], t)
+
+        fresh = []
+        for args in calls:
+            _clear_caches()
+            fresh.append(call(*args))
+        order = np.random.default_rng(0).permutation(len(calls))
+        for _ in range(2):
+            for i in order:
+                got = call(*calls[i])
+                if calls[i][0] == "oracle":
+                    assert got == fresh[i]
+                else:
+                    for a, b in zip(got, fresh[i]):
+                        np.testing.assert_array_equal(a, b)
+
+    def test_cached_arrays_are_read_only(self):
+        params = self.PARAMS[0]
+        arrays = [bm._lags(60), *bm._products(60, params.q, params.p)]
+        for profile in (None, *self.PROFILES):
+            rows, damp, g = bm._oracle_rows(profile, 60, params.q, params.p)
+            arrays += [rows, damp, g]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+    def test_profile_with_list_fields_keys_the_cache(self):
+        listed = CorrelationProfile("capped", [0.5, 10.0])
+        params = self.PARAMS[0]
+        assert expected_ratio_q(listed, 5, params, 60) == (
+            expected_ratio_q(self.PROFILES[0], 5, params, 60))
+
+    def test_oracle_reads_the_profile_once_per_curve(self, monkeypatch):
+        # the per-t work is slices of one build, not a fresh profile.rho(T)
+        calls = []
+        rho = CorrelationProfile.rho
+
+        def counted(self, T):
+            calls.append(T)
+            return rho(self, T)
+
+        monkeypatch.setattr(CorrelationProfile, "rho", counted)
+        _clear_caches()
+        T, params = 80, self.PARAMS[0]
+        for t in range(1, T + 1):
+            expected_ratio_q(self.PROFILES[0], t, params, T)
+        assert calls == [T]
