@@ -351,7 +351,6 @@ def _parse_experiment_config(name: str, path: str, seed: int | None) -> Experime
             t_eval=sec.getint("t_eval", t_list[0] if t_list else 1),
             reps=sec.getint("reps", 500),
             master_seed=(seed if seed is not None else sec.getint("seed", 0)),
-            chunk_size=sec.getint("chunk_size", 256),
             n_jobs=sec.getint("n_jobs", 1),
         )
     except (KeyError, ValueError) as exc:
@@ -478,7 +477,6 @@ def experiment_run_cmd(ctx, name, config_path, out_dir, seed):
             "reps": config.reps,
             "params": (vars(config.params) if config.params is not None else None),
             "master_seed": config.master_seed,
-            "chunk_size": config.chunk_size,
             "n_jobs": config.n_jobs,
         },
         "seeds": {"master_seed": config.master_seed,

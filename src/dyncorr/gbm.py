@@ -17,6 +17,11 @@ exponential is formed; an exponent beyond the safe double range raises
 :class:`NumericRange` first, and so do sums that still overflow.  Weight tails
 that underflow are dropped (they are decaying positive factors).  An oracle
 call builds its weights once for the covariance and the variance.
+
+No limit law of ``rho_hat`` is derived here (for the Brownian estimator see
+``dyncorr.bm``).  Measured: v1 with ``(a, b, c, sigma) = (1, 12, 2, 0.1)`` on a
+constant profile of 0.5 gave ``|rho_hat| > 0.99`` in 99% of replications at
+T = 1e3 and in 100% at T = 1e4.
 """
 
 from __future__ import annotations

@@ -10,7 +10,11 @@ its target only logarithmically.
 Replications are independent: replication ``i`` always uses the stream
 ``SeedSequence(master_seed, spawn_key=(i,))``, and aggregation runs in
 replication order, so reports are byte-identical (runtime aside) for any
-chunk size or worker count.
+worker count.  Every path-pair simulation goes through one simulate-and-reduce
+loop, ``_simulate_reduce``: it simulates one estimator row block of
+``bm._block_rows(T)`` pairs (about 512 KB per path array) at a time and keeps
+only what the experiment reduces it to, so a run holds one block per worker
+whatever ``reps`` is.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ class ExperimentConfig:
     class ``ESTIMATOR_EXPERIMENTS`` names for the experiment, of the required
     variant if any.  ``profile`` and ``params`` may be None for the
     experiments that do not need them (exp_abs_bound needs neither;
-    moment_checks needs only the profile).  ``chunk_size`` and ``n_jobs``
-    control replication batching and never affect the statistics.
+    moment_checks needs only the profile).  ``n_jobs`` threads map over the
+    row blocks of the estimator experiments and never affect the statistics;
+    the block size follows from T alone.
     """
 
     experiment: str
@@ -64,7 +69,6 @@ class ExperimentConfig:
     reps: int
     params: object = None
     master_seed: int = 0
-    chunk_size: int = 256
     n_jobs: int = 1
 
     def __post_init__(self):
@@ -88,8 +92,8 @@ class ExperimentConfig:
             )
         if self.reps < 2:
             raise DomainError("reps must be >= 2")
-        if self.chunk_size < 1 or self.n_jobs < 1:
-            raise DomainError("chunk_size and n_jobs must be >= 1")
+        if self.n_jobs < 1:
+            raise DomainError("n_jobs must be >= 1")
         if self.profile is not None:
             object.__setattr__(
                 self, "profile", build_profile(self.profile, TimeGrid(t_list[-1]))
@@ -149,28 +153,35 @@ def _stats(values: np.ndarray) -> dict:
     return {"mean": mean, "var": var, "se": math.sqrt(var / n), "n": n}
 
 
-def _chunks(reps: int, chunk_size: int):
-    return [(off, min(chunk_size, reps - off)) for off in range(0, reps, chunk_size)]
+def _simulate_reduce(profile, T: int, seed: int, reps: int, reduce, n_jobs: int = 1):
+    """``reduce(x, y)`` of ``reps`` simulated pairs, one row block at a time.
 
+    Each block is the ``(rows, T)`` batch of replications ``off..off+rows-1``;
+    ``reduce`` returns an array whose last axis runs over its rows, and the
+    results are joined along that axis in replication order, whatever the
+    worker count.
+    """
+    grid, rows = TimeGrid(T), bm._block_rows(T)
 
-def _map_chunks(fn, chunks, n_jobs):
-    """Apply fn over chunks, preserving order regardless of worker count."""
+    def one(off):
+        return reduce(*simulate_bm_batch(profile, grid, seed, min(rows, reps - off), off))
+
+    offsets = range(0, reps, rows)
     if n_jobs == 1:
-        return [fn(off, n) for off, n in chunks]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(lambda c: fn(*c), chunks))
+        parts = [one(off) for off in offsets]
+    else:
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            parts = list(pool.map(one, offsets))
+    return np.concatenate(parts, axis=-1)
 
 
 def _replicates(config: ExperimentConfig, T: int):
     """Per-replication (gamma, sigma_a_sq, sigma_b_sq) arrays at t_eval."""
-    grid = TimeGrid(T)
+    def components(x, y):
+        return np.stack(config.params.components(x, y, config.t_eval))
 
-    def one(off, n):
-        x, y = simulate_bm_batch(config.profile, grid, config.master_seed, n, off)
-        return config.params.components(x, y, config.t_eval)
-
-    parts = _map_chunks(one, _chunks(config.reps, config.chunk_size), config.n_jobs)
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
+    return tuple(_simulate_reduce(config.profile, T, config.master_seed, config.reps,
+                                  components, config.n_jobs))
 
 
 def oracle_values(params, profile: CorrelationProfile, t: int, T: int) -> dict:
@@ -353,13 +364,14 @@ def check_product_moments(profile, t_list, reps: int, seed: int) -> McReport:
     t_list = tuple(int(t) for t in t_list)
     if not t_list or min(t_list) < 1:
         raise DomainError("t_list must be nonempty with entries >= 1")
-    T = max(t_list)
-    profile = build_profile(profile, TimeGrid(max(T, 2)))
-    rho = profile.rho(max(T, 2))
-    x, y = simulate_bm_batch(profile, TimeGrid(max(T, 2)), seed, reps)
+    T = max(*t_list, 2)
+    profile = build_profile(profile, TimeGrid(T))
+    rho = profile.rho(T)
+    cols = np.array(t_list) - 1
+    products = _simulate_reduce(profile, T, seed, reps,
+                                lambda x, y: (x[:, cols] * y[:, cols]).T)
     cells, checks = [], []
-    for t in t_list:
-        z = x[:, t - 1] * y[:, t - 1]
+    for t, z in zip(t_list, products):
         mc = _stats(z)
         target_mean = float(t * rho[t - 1])
         scaled = z / (t * t)

@@ -289,18 +289,18 @@ class TestAcceptance:
         x2, y2 = simulate_bm_batch(CONST_HALF, TimeGrid(50), 42, 4)
         ok = ok and np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
-        # parallel/serial report equality
-        def key(chunk_size, n_jobs):
+        # parallel/serial report equality; T = 20000 takes 22 row blocks
+        def key(n_jobs):
             config = ExperimentConfig(
-                "bm_consistency", CAPPED, (100, 200), 10, 64,
-                BmEstimatorParams(0.5, 1.0), 42,
-                chunk_size=chunk_size, n_jobs=n_jobs,
+                "bm_consistency", CAPPED, (100, 20000), 10, 64,
+                BmEstimatorParams(0.5, 1.0), 42, n_jobs=n_jobs,
             )
             d = run_experiment(config).to_dict()
             d.pop("runtime_s")
             return json.dumps(d, sort_keys=True)
 
-        ok = ok and key(64, 1) == key(7, 4)
+        serial = key(1)
+        ok = ok and key(3) == serial and key(4) == serial
 
         assert total >= 10 ** 4
         announce(10, "randomized invariant suite holds "

@@ -289,6 +289,21 @@ class TestExperimentRun:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "curves.csv").read_bytes() == (out2 / "curves.csv").read_bytes()
 
+    def test_old_chunk_size_key_is_ignored(self, runner, tmp_path):
+        # INI files written for the removed chunk_size option still run
+        old = self.CONFIG.replace("seed = 7\n", "seed = 7\nchunk_size = 7\n")
+        results = {}
+        for label, text in (("old", old), ("new", self.CONFIG)):
+            cfg = tmp_path / f"{label}.ini"
+            cfg.write_text(text)
+            out = tmp_path / label
+            result = invoke(runner, ["experiment", "run", "--name", "bm_consistency",
+                                     "--config", str(cfg), "--out", str(out)])
+            results[label] = (result.exit_code, (out / "report.json").read_bytes())
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert "chunk_size" not in manifest["config"]
+        assert results["old"] == results["new"]
+
     def test_seed_flag_overrides_config(self, runner, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "run"

@@ -28,6 +28,8 @@ from dyncorr import (
     sigma_sq_hat_gbm,
     simulate_bm_batch,
 )
+from dyncorr import harness
+from dyncorr.bm import _BLOCK_ELEMENTS
 
 BM_PARAMS = BmEstimatorParams(0.5, 1.0)
 
@@ -115,18 +117,48 @@ class TestDeterminism:
         b = run_experiment(small_config())
         assert report_key(a) == report_key(b)
 
-    def test_chunking_and_threads_do_not_change_statistics(self):
-        baseline = report_key(run_experiment(small_config()))
-        for chunk_size, n_jobs in ((7, 1), (256, 4), (13, 3)):
-            variant = run_experiment(
-                small_config(chunk_size=chunk_size, n_jobs=n_jobs)
-            )
-            assert report_key(variant) == baseline
+    def test_threads_do_not_change_statistics(self):
+        # T = 20000 takes three rows per block: 17 blocks for the threads
+        def key(n_jobs):
+            return report_key(run_experiment(
+                small_config(T_list=(100, 20000), n_jobs=n_jobs)
+            ))
+
+        baseline = key(1)
+        assert key(3) == baseline
+        assert key(4) == baseline
 
     def test_different_seeds_differ(self):
         a = run_experiment(small_config())
         b = run_experiment(small_config(master_seed=8))
         assert report_key(a) != report_key(b)
+
+
+class TestBlocks:
+    def test_every_simulation_holds_one_block(self, monkeypatch):
+        calls = []
+
+        def recording(profile, grid, seed, reps, rep_offset=0):
+            calls.append((reps, grid.T))
+            return simulate_bm_batch(profile, grid, seed, reps, rep_offset)
+
+        monkeypatch.setattr(harness, "simulate_bm_batch", recording)
+        t_list = (100, 20000)
+        for config in (
+            small_config(T_list=t_list, reps=20),
+            small_config(experiment="gbm_consistency_v2", T_list=t_list, t_eval=5,
+                         reps=20, params=GbmEstimatorParams(1, 16, 2, 0.1, "v2")),
+            small_config(experiment="moment_checks", T_list=t_list, reps=20,
+                         params=None),
+        ):
+            calls.clear()
+            run_experiment(config)
+            # the calls cover every replication at each simulated T
+            by_T = {}
+            for n, T in calls:
+                by_T[T] = by_T.get(T, 0) + n
+            assert by_T[20000] == 20 and set(by_T.values()) == {20}
+            assert all(n == 1 or n * T <= _BLOCK_ELEMENTS for n, T in calls)
 
 
 class TestExperiments:
