@@ -15,13 +15,26 @@ so
 with ``A = sum a_v^2/(u-v)^2``, ``w_c = a_v d_v/(u-v)^2``, ``w_d = d_v^2/(u-v)^2``
 and every weight 0 at ``v = u``.  Expanding ``X_u - X_v`` instead would leave a
 ``X_u Y_u sum v^2q/(u-v)^2`` term that cancels against the others as T grows.
-The inner products use ``np.vecdot`` and a three-operand ``np.einsum``, which
-reduce each row independently, so a row gives bitwise the same value in a batch
-of any shape (a BLAS matrix-vector product ``x @ w`` does not).  On float64
-``np.vecdot`` is one BLAS ``ddot`` per row, which OpenBLAS may thread for long
-rows.  A two-operand ``np.einsum("ij,j->i")`` is no drop-in for it: on a
-(6, 1e4) block it was not bitwise equal row by row to one-row calls, and it
-took 1.7-2.2x as long single-threaded (numpy 2.4.6).
+Every per-row sum, here and in ``dyncorr.gbm``, is one helper, ``_rowdot``:
+``np.vecdot`` over column chunks of at most 8192, added left to right.  A row
+then gives bitwise the same value in a batch of any shape and under any BLAS
+thread count.  The forms it replaces or rules out, measured with numpy 2.4.6
+(OpenBLAS 0.3.31) on 2 cores:
+
+* unchunked ``np.vecdot`` is one BLAS ``ddot`` per row, which OpenBLAS splits
+  over its threads above n = 10000.  That changes the rounding with the
+  thread count, and one ``estimate_bm`` call at T = 2e4 after a 50 ms pause
+  took 16-18 ms against 0.9 ms on one thread (the threads' wake-up);
+* a two-operand ``np.einsum`` (``"ij,ij->i"`` or ``"ij,j->i"``) is not bitwise
+  equal row by row between a 6-row block and one-row calls from T = 9000 on;
+* a BLAS product ``x @ w`` is not, at any T.
+
+The weights enter through their square roots: with ``e_c = a_v/|u-v|`` and
+``e_d = d_v/|u-v|`` (0 at ``v = u``), ``w_c = e_c e_d``, ``w_d = e_d^2`` and
+``A = <e_c, e_c>``.  So a block's series ``E = e_d D``, scaled in place, gives
+``<w_d, D o D'> = <E, E'>`` with no weighted copy and no three-operand
+``einsum``.  The series of both paths sit stacked in one buffer, so both
+variances are one reduction and the cross term one more.
 
 What converges: at fixed ``u`` the ``X_u Y_u A`` term dominates, because ``A``
 grows like ``log T`` at ``q = 1/2`` (like ``T^(2q-1)`` above it) while the other
@@ -33,22 +46,24 @@ at T = 1e3 / 1e4 / 1e5, against the sign law's
 ``1 - ((2/pi) arcsin rho_u)^2 = 0.889``.
 
 Nothing that depends on ``u`` is cached.  The weights at ``u`` are the read-only
-products ``a_v^2``, ``a_v d_v`` and ``d_v^2``, built once per ``(T, q, p)``, times
-the slice ``[T-u:2T-u]`` of one read-only lag table ``1/d^2``, built once per
-``T``; a call along a curve pays only its own O(T) products and sums.
+stacked ``(a_v, d_v)``, built once per ``(T, q, p)``, times the slice
+``[T-u:2T-u]`` of one read-only lag table ``1/|d|``, built once per ``T``:
+``(e_c, e_d)`` is one multiply and ``A`` one reduction, so a call along a curve
+pays only its own O(T) products and sums.
 
 Both estimator families share one row-block driver, ``_rowwise``: it builds
-each path's series (here ``X_u``, ``D``, ``<w_c, D>``) once per block, reduces
-gamma and both variances in that one pass, and raises :class:`NumericRange`
-on a non-finite component.
+each path's series (here ``D``) once per block, reduces gamma and both
+variances in that one pass, and raises :class:`NumericRange` on a
+non-finite component.
 
 The expectation formulas below are exact under increment coupling
 (``Cov(X_s, Y_t) = min(s, t) * rho_{min(s, t)}``), which is precisely how
 ``dyncorr.simulate`` generates pairs, so they serve as deterministic
 oracles for Monte Carlo runs.  Their t-independent rows are built once per
-``(profile, T, q, p)``, so ``profile.rho(T)`` runs once per curve; the sums at
-``t`` are one ``np.einsum`` of those rows with the same lag slice plus a tail
-sum, and the expected variance is the same moment at correlation 1.
+``(profile, T, q, p)``, so ``profile.rho(T)`` runs once per curve.  A build
+stacks the profile's rows on the rows at correlation 1, whose moment is the
+expected variance: at ``t`` one ``_rowdot`` with the squared lag slice gives all
+six sums, one more both tails, and the rest is Python float arithmetic.
 """
 
 from __future__ import annotations
@@ -98,22 +113,26 @@ class BmEstimatorParams:
         """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` at time ``t`` of a length-``T`` grid."""
         return _expected(profile, t, self, T)
 
-    def _kernel(self, x, y, t: int):
-        """The series ``(X_u, D, <w_c, D>)`` of a block and the centred inner product."""
-        T = x.shape[-1]
-        A, w_c, w_d = _weights(T, t, self.q, self.p)
+    def _kernel(self, paths, t: int):
+        """The block reduction of the centred form, with this ``t``'s weights."""
+        T = paths[0].shape[-1]
+        A, (e_c, e_d) = _weights(T, t, self.q, self.p)
+        anchors = np.array([p[:, t - 1] for p in paths])   # X_u of every row
 
-        def series(rows, d):
-            xu = rows[:, t - 1]
-            np.subtract(xu[:, None], rows, out=d)
-            return xu, d, np.vecdot(d, w_c)
-
-        def inner(a, b):
+        def reduce(rows, buf):
+            # the scaled series E = e_d (X_u - X) of each path, stacked
+            d, xu = buf[0], anchors[:, rows]
+            for p, out, u in zip(paths, d, xu):
+                np.subtract(u[:, None], p[rows], out=out)
+            d *= e_d
             # (T-1) gamma_hat = X_u Y_u A + X_u <w_c, D'> + Y_u <w_c, D> + <w_d, D o D'>
-            return (a[0] * b[0] * A + a[0] * b[2] + b[0] * a[2]
-                    + np.einsum("ij,ij,j->i", a[1], b[1], w_d)) / (T - 1)
+            #                 = X_u h' + Y_u h + <E, E'>,  h = X_u A/2 + <e_c, E>
+            # (A and the weights carry the 1/(T-1))
+            h = xu * (0.5 * A) + _rowdot(d, e_c)
+            return (xu[0] * h[-1] + xu[-1] * h[0] + _rowdot(d[0], d[-1]),
+                    2.0 * xu * h + _rowdot(d, d))
 
-        return series, inner
+        return reduce
 
 
 @dataclass(frozen=True)
@@ -147,50 +166,77 @@ def _block_rows(T: int) -> int:
 
 @functools.lru_cache(maxsize=2)
 def _lags(T: int):
-    """Read-only ``1/d^2`` for lags ``d = -(T-1)..T-1``, 0 at ``d = 0``.
+    """Read-only ``1/|d|`` for lags ``d = -(T-1)..T-1``, 0 at ``d = 0``.
 
-    ``_lags(T)[T-u:2T-u]`` is ``1/(v-u)^2`` over ``v = 1..T`` (0 at ``v = u``):
-    every weight at time ``u``, of the estimator and of the oracle, is a
-    u-independent row times this slice.
+    ``_lags(T)[T-u:2T-u]`` is ``1/|v-u|`` over ``v = 1..T`` (0 at ``v = u``):
+    every weight at time ``u`` is a u-independent row times this slice (the
+    estimator's) or its square (the oracle's).
     """
     d = np.arange(1.0 - T, float(T))
     lags = np.zeros_like(d)
     off = d != 0
-    lags[off] = 1.0 / d[off] ** 2
+    lags[off] = 1.0 / np.abs(d[off])
     lags.setflags(write=False)
     return lags
 
 
 @functools.lru_cache(maxsize=2)
 def _products(T: int, q: float, p: float):
-    """Read-only ``(a_v^2, a_v d_v, d_v^2)`` over ``v = 1..T``.
+    """Read-only stacked ``(a_v, d_v)`` over ``v = 1..T``, over ``sqrt(T - 1)``.
 
     Every block of a harness run and every point of a curve shares a build.
     """
     v = np.arange(1.0, T + 1.0)
     # v >= 1 always, so exp(q*log v) is safe for any real exponents
     damp = v ** -p
-    anchor = v ** q - damp
-    products = (anchor * anchor, anchor * damp, damp * damp)
-    for arr in products:
-        arr.setflags(write=False)
+    products = np.stack([v ** q - damp, damp]) / np.sqrt(T - 1)
+    products.setflags(write=False)
     return products
 
 
 def _weights(T: int, u: int, q: float, p: float):
-    """``(A, w_c, w_d)`` of the centred form; both arrays are 0 at ``v = u``."""
-    aa, ad, dd = _products(T, q, p)
-    lag = _lags(T)[T - u:2 * T - u]
-    return float(np.sum(aa * lag)), ad * lag, dd * lag
+    """``(A, (e_c, e_d))`` at ``u``, with the normalizer ``1/(T-1)`` folded in.
+
+    ``e_c = a_v/|u-v|`` and ``e_d = d_v/|u-v|`` (0 at ``v = u``) are the square
+    roots of the centred form's weights: ``e_c e_d = w_c``, ``e_d^2 = w_d`` and
+    ``A = <e_c, e_c>``.
+    """
+    weights = _products(T, q, p) * _lags(T)[T - u:2 * T - u]
+    return float(_rowdot(weights[0], weights[0])), weights
+
+
+# Columns per BLAS call of ``_rowdot``.  OpenBLAS runs ``ddot`` on one thread
+# up to n = 10000 and splits longer vectors over its threads, which changes
+# the rounding with the thread count and pays a thread wake-up per call.
+_DOT_CHUNK = 8192
+
+
+def _rowdot(a, b):
+    """Per-row ``sum(a * b)`` over the last axis, ``b`` broadcast against ``a``.
+
+    The one reduction of both estimator families and the Brownian oracle.
+    Each row is ``np.vecdot`` (one BLAS ``ddot``) of column chunks of at most
+    ``_DOT_CHUNK``, added left to right, so a row's value is bitwise the same
+    in a batch of any shape and under any BLAS thread count.
+    """
+    if a.shape[-1] <= _DOT_CHUNK:   # one chunk: spare the slicing
+        return np.vecdot(a, b)
+    acc = np.vecdot(a[..., :_DOT_CHUNK], b[..., :_DOT_CHUNK])
+    for k in range(_DOT_CHUNK, a.shape[-1], _DOT_CHUNK):
+        acc += np.vecdot(a[..., k:k + _DOT_CHUNK], b[..., k:k + _DOT_CHUNK])
+    return acc
 
 
 def _rowwise(x, y, t: int, kernel):
-    """Per-row ``(inner(S, S'), inner(S, S), inner(S', S'))`` of two ``(..., T)`` batches.
+    """Per-row ``(gamma, var_x, var_y)`` of two ``(..., T)`` batches.
 
-    ``kernel(x, y, t)`` sees the whole ``(rows, T)`` batch once, to build its
-    weights and check its range, and returns ``series`` and ``inner``.
-    ``series(block, out)`` builds a block's series ``S`` around ``out``, a
-    reused ``(len(block), T)`` buffer; ``inner`` reduces two series per row.
+    ``kernel(paths, t)`` sees the whole ``(n, T)`` batch of each distinct
+    path (one when ``y is x``) once, to build its weights and check its
+    range, and returns ``reduce(rows, buf)``.  ``rows`` is the slice of one
+    row block and ``buf`` a reused ``(2, len(paths), rows, T)`` buffer:
+    ``buf[0]`` takes the block's series of every path, stacked, and
+    ``buf[1]`` is scratch (v1's anchor terms).  ``reduce`` returns the
+    block's gamma and its ``(len(paths), rows)`` variances.
     """
     same = y is x
     x = np.asarray(x, dtype=float)
@@ -199,19 +245,17 @@ def _rowwise(x, y, t: int, kernel):
         x, y = np.broadcast_arrays(x, y)
     lead, T = x.shape[:-1], x.shape[-1]
     t = check_index(t, T)
-    x = x.reshape(-1, T)
-    y = x if same else y.reshape(-1, T)
-    rows = _block_rows(T)
-    buf = np.empty((2, min(rows, len(x)), T))
-    out = np.empty((3, len(x)))
-    # out-of-range sums become inf or nan here and are rejected below
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        series, inner = kernel(x, y, t)
-        for i in range(0, len(x), rows):
-            xb, yb = x[i:i + rows], y[i:i + rows]
-            sx = series(xb, buf[0, :len(xb)])
-            sy = sx if same else series(yb, buf[1, :len(yb)])
-            out[:, i:i + rows] = inner(sx, sy), inner(sx, sx), inner(sy, sy)
+    paths = (x.reshape(-1, T),) if same else (x.reshape(-1, T), y.reshape(-1, T))
+    n, rows = len(paths[0]), _block_rows(T)
+    buf = np.empty((2, len(paths), min(rows, n), T))
+    out = np.empty((3, n))
+    # out-of-range sums, and the empty sum over 1/(T-1) at T = 1, become inf
+    # or nan here and are rejected below
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        reduce = kernel(paths, t)
+        for i in range(0, n, rows):
+            k = min(rows, n - i)
+            out[0, i:i + k], out[1:, i:i + k] = reduce(slice(i, i + k), buf[:, :, :k])
     if not np.isfinite(out).all():
         raise NumericRange(f"non-finite estimator component at time {t}: the paths "
                            "are not finite or too large for the weighted sums")
@@ -283,45 +327,41 @@ def _expected(profile, t: int, params: BmEstimatorParams, T: int):
     if T < 2:
         raise DomainError("T must be >= 2")
     t = check_index(t, T)
-    sigma_sq = _moment(_oracle_rows(None, T, params.q, params.p), t, T)
-    if profile is None:
-        return sigma_sq, sigma_sq
-    return _moment(_oracle_rows(profile, T, params.q, params.p), t, T), sigma_sq
+    rows, damp, g = _oracle_rows(profile, T, params.q, params.p)
+    lag = _lags(T)[T - t:2 * T - t] ** 2
+    sums = _rowdot(rows, lag).tolist()
+    tails = _rowdot(g[:, t:] - g[:, t - 1:t], damp[t:] * lag[t:]).tolist()
+    # python floats from here: the scalar tail costs no numpy dispatch
+    moments = [(g_t * K + A1 - 2 * A2 + 2 * A3) / (T - 1)
+               for g_t, (K, A1, A2), A3 in zip(g[:, t - 1].tolist(), sums, tails)]
+    return moments[0], moments[-1]
 
 
 @functools.lru_cache(maxsize=2)   # the rho = 1 build and a profile's
 def _oracle_rows(profile, T: int, q: float, p: float):
-    """Read-only t-independent terms of the moment: the rows ``(s^2q,
-    rho_s s^{1-2p}, rho_s s^{q-p+1})`` of K, A1 and A2, the tail weights
-    ``s^{q-p}`` and ``g_s = s rho_s``.  ``profile=None`` stands for rho = 1.
+    """Read-only t-independent terms of the moments, one group per correlation.
 
-    A profile's build scales the rho = 1 build's powers, and runs
+    Per correlation the ``(3, T)`` rows ``(s^2q, rho_s s^{1-2p}, rho_s
+    s^{q-p+1})`` of K, A1 and A2 and the row ``g_s = s rho_s``; the tail
+    weights ``s^{q-p}`` are shared.
+    ``profile=None`` stands for rho = 1 alone; a profile's build stacks its
+    own group on top of the rho = 1 group, so one call gives the covariance
+    and the variance.  It scales the rho = 1 build's powers, and runs
     ``profile.rho(T)``, with its validation, once rather than once per ``t``.
     """
     if profile is None:
         s = np.arange(1.0, T + 1.0)
-        terms = (np.stack([s ** (2 * q), s ** (1 - 2 * p), s ** (q - p + 1)]), s ** (q - p), s)
+        terms = (np.stack([[s ** (2 * q), s ** (1 - 2 * p), s ** (q - p + 1)]]),
+                 s ** (q - p), s[None])
     else:
-        rows, damp, s = _oracle_rows(None, T, q, p)
+        ones, damp, s = _oracle_rows(None, T, q, p)
         rho = profile.rho(T)
-        rows = rows.copy()
-        rows[1:] *= rho
-        terms = (rows, damp, s * rho)
+        rows = np.concatenate([ones, ones])
+        rows[0, 1:] *= rho
+        terms = (rows, damp, np.concatenate([s * rho, s]))
     for arr in terms:
         arr.setflags(write=False)
     return terms
-
-
-def _moment(terms, t: int, T: int) -> float:
-    """``(t rho_t K + A1 - 2 A2 + 2 A3) / (T-1)`` from one build of ``_oracle_rows``."""
-    rows, damp, g = terms
-    lag = _lags(T)[T - t:2 * T - t]
-    # einsum, not vecdot: vecdot is BLAS ddot, which OpenBLAS threads past
-    # n = 1e4; on 2 cores a call that woke the threads took ~40 ms at T = 1e5,
-    # against 0.5 ms single-threaded
-    K, A1, A2 = np.einsum("ij,j->i", rows, lag)
-    A3 = np.einsum("i,i,i->", damp[t:], g[t:] - g[t - 1], lag[t:])
-    return float((g[t - 1] * K + A1 - 2 * A2 + 2 * A3) / (T - 1))
 
 
 def expected_gamma_bm(

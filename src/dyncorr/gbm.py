@@ -11,10 +11,14 @@ has correlation ``r_t`` at time t, that target is
 The row-block driver ``bm._rowwise`` exponentiates each path once per block,
 as the v1 bracket ``e^{m_k} D_k - e^{m_t} D_t`` or the v2 deviation ``D_k``,
 and reduces gamma and both variances from those arrays row by row in one pass.
-The t-independent weights are cached.  The factor ``e^{-c sigma^2 T}`` is
-folded into each weight exponent ``m``, so nothing larger than a raw path
-exponential is formed; an exponent beyond the safe double range raises
-:class:`NumericRange` first, and so do sums that still overflow.  Weight tails
+Every per-row sum is ``bm._rowdot``, thread-free and independent of the batch
+shape (see ``dyncorr.bm``); v2 scales its deviations in place by
+``e^{m_step/2}``, so its weighted sum is a plain one rather than a
+three-operand ``einsum``.  The t-independent weights are cached.  The factor
+``e^{-c sigma^2 T}`` is folded into each weight exponent ``m``, so nothing
+larger than a raw path exponential is formed; a block whose exponents leave
+the safe double range raises :class:`NumericRange` before any of them is
+exponentiated, and so do sums that still overflow.  Weight tails
 that underflow are dropped (they are decaying positive factors).  An oracle
 call builds its weights once for the covariance and the variance.
 
@@ -33,7 +37,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .bm import _rowwise
+from .bm import _rowdot, _rowwise
 from .errors import (
     DegenerateVariance,
     DomainError,
@@ -89,43 +93,47 @@ class GbmEstimatorParams:
         """
         return _expected(profile.rho(T), t, self, T)
 
-    def _kernel(self, w, u, t: int):
-        """Range checks on the whole batch, then this variant's series and inner product."""
-        T = w.shape[-1]
+    def _kernel(self, paths, t: int):
+        """This variant's block reduction: a block's exponents are checked
+        before any of them is exponentiated."""
+        T = paths[0].shape[-1]
         sigma, s2 = self.sigma, self.sigma ** 2
-        paths = (w,) if u is w else (w, u)
-        # sigma > 0 and rounding is monotone: sigma * max(x) is max(sigma * x) exactly
         if self.variant == "v1":
             m_k, m_t, mean = _grid(T, self)
-            for x in paths:
-                _check_exponents(np.max(m_k) + sigma * np.max(x, initial=-np.inf),
-                                 np.max(m_t) + sigma * np.max(x[:, t - 1], initial=-np.inf),
-                                 np.max(m_t) + 0.5 * s2 * t)
+            top_k, top_t = np.max(m_k), np.max(m_t)
+            _check_exponents(top_t + 0.5 * s2 * t)
             anchor_mean = np.exp(m_t + 0.5 * s2 * t)
 
-            def series(x, d):
+            def reduce(rows, buf):
                 # e^{m_k + sW_k} - e^{m_k + s2 k/2} - e^{m_t + sW_t} + e^{m_t + s2 t/2}
-                np.exp(np.add(m_k, np.multiply(x, sigma, out=d), out=d), out=d)
+                d, anchor = buf
+                for x, out in zip(paths, d):
+                    np.multiply(x[rows], sigma, out=out)
+                _check_exponents(top_k + np.max(d), top_t + np.max(d[:, :, t - 1]))
+                np.exp(np.add(m_t, d[:, :, t - 1, None], out=anchor), out=anchor)
+                np.exp(np.add(d, m_k, out=d), out=d)
                 d -= mean
-                anchor = np.add(m_t, sigma * x[:, t - 1, None])
-                d -= np.exp(anchor, out=anchor)
+                d -= anchor
                 d += anchor_mean
-                return d
+                return _rowdot(d[0], d[-1]), _rowdot(d, d)
 
-            return series, np.vecdot
-        mean, step, anchor_weight = _grid(T, self)
-        _check_exponents(*(sigma * np.max(x, initial=-np.inf) for x in paths))
+            return reduce
+        mean, root_step, anchor_weight = _grid(T, self)
 
-        def series(x, d):
-            np.exp(np.multiply(x, sigma, out=d), out=d)
+        def reduce(rows, buf):
+            d = buf[0]
+            for x, out in zip(paths, d):
+                np.multiply(x[rows], sigma, out=out)
+            _check_exponents(np.max(d))
+            np.exp(d, out=d)
             d -= mean
-            return d
+            # D_t D'_t sum_k e^{m_anchor} - <E, E'>,  E = e^{m_step/2} D
+            anchor = d[:, :, t - 1]
+            cross, own = anchor[0] * anchor[-1] * anchor_weight, anchor * anchor * anchor_weight
+            d *= root_step
+            return cross - _rowdot(d[0], d[-1]), own - _rowdot(d, d)
 
-        def inner(x, y):
-            return (x[:, t - 1] * y[:, t - 1] * anchor_weight
-                    - np.einsum("ij,ij,j->i", x, y, step))
-
-        return series, inner
+        return reduce
 
 
 @dataclass(frozen=True)
@@ -153,7 +161,7 @@ def _grid(T: int, params: GbmEstimatorParams):
 
     v1: the step and anchor exponents ``m_k``, ``m_t`` (each carrying half
     the normalizer) and ``e^{m_k + s2 k/2}``; v2: ``e^{s2 k/2}``,
-    ``e^{m_step}`` and the scalar ``sum_k e^{m_anchor}``.
+    ``e^{m_step/2}`` and the scalar ``sum_k e^{m_anchor}``.
     """
     s2 = params.sigma ** 2
     k = np.arange(1.0, T + 1.0)
@@ -165,7 +173,7 @@ def _grid(T: int, params: GbmEstimatorParams):
     else:
         m_anchor = params.a * s2 * k - params.c * s2 * T
         _check_exponents(np.max(m_anchor), s2 * T)
-        grid = (np.exp(0.5 * s2 * k), np.exp(-params.b * s2 * k - params.c * s2 * T),
+        grid = (np.exp(0.5 * s2 * k), np.exp(-0.5 * (params.b * s2 * k + params.c * s2 * T)),
                 np.sum(np.exp(m_anchor)))
     for arr in grid:
         arr.setflags(write=False)   # a numpy scalar, v2's sum, takes it as a no-op

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bm, gbm
-from .errors import DomainError
+from .errors import DomainError, NumericRange
 from .profiles import CorrelationProfile, TimeGrid, build_profile
-from .simulate import replication_rng, simulate_bm_batch
+from .simulate import _MAX_EXPONENT, replication_rng, simulate_bm_batch
 
 # Estimator experiments: the params class each needs and the GBM variant it
 # requires (None: either).  The CLI reads this table to parse [params].
@@ -321,7 +321,9 @@ def check_exp_abs_bound(sigma_list, t_list, reps: int, seed: int) -> McReport:
 
     For every (sigma, t): the Monte Carlo mean must stay below the bound
     2 e^{sigma^2 t / 2} (1 + 3 relSE), and must match the exact value
-    2 e^{sigma^2 t / 2} (1 - Phi(-sigma sqrt(t))) within four SE.
+    2 e^{sigma^2 t / 2} (1 - Phi(-sigma sqrt(t))) within four SE.  An
+    exponent beyond the safe double range raises :class:`NumericRange` before
+    it is exponentiated.
     """
     if reps < 2:
         raise DomainError("reps must be >= 2")
@@ -333,9 +335,11 @@ def check_exp_abs_bound(sigma_list, t_list, reps: int, seed: int) -> McReport:
         for t in t_list:
             if t < 1:
                 raise DomainError(f"t must be >= 1, got {t!r}")
+            _check_exponent("sigma^2 t / 2", 0.5 * sigma * sigma * t, sigma, t)
             w = math.sqrt(t) * rng.standard_normal(reps)
-            sample = np.exp(sigma * np.abs(w))
-            mc = _stats(sample)
+            exponent = sigma * np.abs(w)
+            _check_exponent("max sigma |W_t|", float(np.max(exponent)), sigma, t)
+            mc = _stats(np.exp(exponent))
             bound = 2.0 * math.exp(0.5 * sigma * sigma * t)
             exact = bound * (1.0 - _phi(-sigma * math.sqrt(t)))
             rel_se = mc["se"] / mc["mean"]
@@ -350,6 +354,12 @@ def check_exp_abs_bound(sigma_list, t_list, reps: int, seed: int) -> McReport:
             ))
             checks.append(_se_check(f"exact_value_sigma{sigma}_t{t}", mc, exact))
     return McReport("exp_abs_bound", seed, tuple(cells), tuple(checks), 0.0, None)
+
+
+def _check_exponent(name: str, value: float, sigma, t) -> None:
+    if value > _MAX_EXPONENT:
+        raise NumericRange(f"{name} = {value:.1f} at sigma={sigma}, t={t} exceeds the "
+                           "safe exponent range; lower T")
 
 
 def check_product_moments(profile, t_list, reps: int, seed: int) -> McReport:

@@ -10,6 +10,7 @@ generator this is bitwise reproducible per platform.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,24 +53,40 @@ def replication_rng(master_seed: int, replication: int = 0) -> np.random.Generat
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _bm_into(r: np.ndarray, r_perp: np.ndarray, rng: np.random.Generator,
+@functools.lru_cache(maxsize=2)
+def _coupling(profile: CorrelationProfile, T: int):
+    """Read-only increment correlations ``r`` and ``sqrt(1 - r*r)`` of a profile.
+
+    Built once per ``(profile, T)``, so the harness's row blocks share a build.
+    """
+    r = profile.increments(T)
+    coupling = (r, np.sqrt(1.0 - r * r))
+    for arr in coupling:
+        arr.setflags(write=False)
+    return coupling
+
+
+def _bm_into(coupling, rng: np.random.Generator, z: np.ndarray,
              x: np.ndarray, y: np.ndarray) -> None:
-    """Write one pair into ``x`` and ``y``; ``r_perp`` is ``sqrt(1 - r*r)``."""
-    z = rng.standard_normal((2, len(r)))
-    dx = z[0]
-    # r = 1 gives dy identical to dx bitwise (sqrt(0) term vanishes exactly)
-    np.cumsum(dx, out=x)
-    np.cumsum(r * dx + r_perp * z[1], out=y)
+    """Write one pair into ``x`` and ``y``; its normals go into the ``(2, T)`` buffer ``z``."""
+    r, r_perp = coupling
+    rng.standard_normal(out=z)
+    np.cumsum(z[0], out=x)
+    # dy = r dx + r_perp z1; r = 1 gives dy identical to dx bitwise (the r_perp term is 0)
+    z[0] *= r
+    z[1] *= r_perp
+    z[1] += z[0]
+    np.cumsum(z[1], out=y)
 
 
 def simulate_bm_pair(
     profile: CorrelationProfile, grid: TimeGrid, seed: int, replication: int = 0
 ) -> BmPathPair:
     """Generate one correlated BM pair by increment coupling."""
-    r = profile.increments(grid.T)
     x = np.empty(grid.T)
     y = np.empty(grid.T)
-    _bm_into(r, np.sqrt(1.0 - r * r), replication_rng(seed, replication), x, y)
+    _bm_into(_coupling(profile, grid.T), replication_rng(seed, replication),
+             np.empty((2, grid.T)), x, y)
     x.setflags(write=False)
     y.setflags(write=False)
     return BmPathPair(grid=grid, x=x, y=y, profile=profile, seed=seed)
@@ -85,12 +102,12 @@ def simulate_bm_batch(
     rep_offset + i)``, whatever the batching, so chunked or parallel sweeps
     agree with serial ones.
     """
-    r = profile.increments(grid.T)
-    r_perp = np.sqrt(1.0 - r * r)
+    coupling = _coupling(profile, grid.T)
+    z = np.empty((2, grid.T))
     x = np.empty((reps, grid.T))
     y = np.empty((reps, grid.T))
     for i in range(reps):
-        _bm_into(r, r_perp, replication_rng(seed, rep_offset + i), x[i], y[i])
+        _bm_into(coupling, replication_rng(seed, rep_offset + i), z, x[i], y[i])
     return x, y
 
 

@@ -304,6 +304,16 @@ class TestExperimentRun:
             assert "chunk_size" not in manifest["config"]
         assert results["old"] == results["new"]
 
+    def test_exp_abs_bound_beyond_double_range_is_runtime_error(self, runner, tmp_path):
+        # e^{sigma^2 t / 2} at t = 20000 overflows a double: exit 1, no traceback
+        text = "[experiment]\nT_list = 200,20000\nt_eval = 5\nreps = 40\nseed = 5\n"
+        cfg = self.write_config(tmp_path, text)
+        result = runner.invoke(main, ["experiment", "run", "--name", "exp_abs_bound",
+                                      "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "exceeds the safe exponent range" in result.output
+
     def test_seed_flag_overrides_config(self, runner, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "run"

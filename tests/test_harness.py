@@ -10,6 +10,7 @@ from dyncorr import (
     DomainError,
     ExperimentConfig,
     GbmEstimatorParams,
+    NumericRange,
     TimeGrid,
     build_profile,
     check_exp_abs_bound,
@@ -228,6 +229,21 @@ class TestStandaloneChecks:
     def test_exp_abs_bound_rejects_bad_sigma(self):
         with pytest.raises(DomainError):
             check_exp_abs_bound((0.0,), (1,), 100, 0)
+
+    def test_exp_abs_bound_rejects_overflowing_bound(self):
+        # e^{sigma^2 t / 2} at sigma = 1, t = 1420 is beyond a double
+        with pytest.raises(NumericRange, match="sigma\\^2 t / 2"):
+            check_exp_abs_bound((1.0,), (1000, 1420), 100, 0)
+
+    def test_exp_abs_bound_rejects_overflowing_sample(self, monkeypatch):
+        # a draw of 30 standard deviations at t = 1000: sigma |W_t| = 949 > 700
+        class Far:
+            def standard_normal(self, n):
+                return np.full(n, 30.0)
+
+        monkeypatch.setattr(harness, "replication_rng", lambda seed, i: Far())
+        with pytest.raises(NumericRange, match="max sigma \\|W_t\\|"):
+            check_exp_abs_bound((1.0,), (1000,), 100, 0)
 
     def test_product_moment_targets(self):
         report = check_product_moments("constant:0.5", (10,), 30000, 3)
