@@ -33,8 +33,22 @@ The weights enter through their square roots: with ``e_c = a_v/|u-v|`` and
 ``e_d = d_v/|u-v|`` (0 at ``v = u``), ``w_c = e_c e_d``, ``w_d = e_d^2`` and
 ``A = <e_c, e_c>``.  So a block's series ``E = e_d D``, scaled in place, gives
 ``<w_d, D o D'> = <E, E'>`` with no weighted copy and no three-operand
-``einsum``.  The series of both paths sit stacked in one buffer, so both
-variances are one reduction and the cross term one more.
+``einsum``.
+
+Every estimator of the package, this one and both GBM variants, is the one
+form
+
+    gamma = a a' A + a <c, E'> + a' <c, E> +- <E, E'>
+
+of each path's series ``E``, its anchor ``a``, the cross weights ``c`` and
+a scalar anchor weight ``A``; here ``E = e_d (X_u - X)``, ``a = X_u``,
+``c = e_c`` and the sign is +.  The one row-block driver, ``_rowwise``,
+reduces it: a family's kernel supplies only ``(series, c, A, combine)``,
+and the driver forms ``h = a A/2 + <c, E>``, then
+``gamma = combine(a h' + a' h, <E, E'>)`` and ``var = combine(2 a h, <E, E>)``.
+The series of both paths sit stacked in one ``(2, rows, T)`` buffer, so both
+variances are one reduction and the cross term one more, and the driver
+raises :class:`NumericRange` on a non-finite component.
 
 What converges: at fixed ``u`` the ``X_u Y_u A`` term dominates, because ``A``
 grows like ``log T`` at ``q = 1/2`` (like ``T^(2q-1)`` above it) while the other
@@ -50,11 +64,6 @@ stacked ``(a_v, d_v)``, built once per ``(T, q, p)``, times the slice
 ``[T-u:2T-u]`` of one read-only lag table ``1/|d|``, built once per ``T``:
 ``(e_c, e_d)`` is one multiply and ``A`` one reduction, so a call along a curve
 pays only its own O(T) products and sums.
-
-Both estimator families share one row-block driver, ``_rowwise``: it builds
-each path's series (here ``D``) once per block, reduces gamma and both
-variances in that one pass, and raises :class:`NumericRange` on a
-non-finite component.
 
 The expectation formulas below are exact under increment coupling
 (``Cov(X_s, Y_t) = min(s, t) * rho_{min(s, t)}``), which is precisely how
@@ -114,25 +123,19 @@ class BmEstimatorParams:
         return _expected(profile, t, self, T)
 
     def _kernel(self, paths, t: int):
-        """The block reduction of the centred form, with this ``t``'s weights."""
+        """The centred form's terms at ``t`` for ``_rowwise``: the series
+        ``E = e_d (X_u - X)``, anchors ``X_u``, cross weights ``e_c`` and ``A``."""
         T = paths[0].shape[-1]
         A, (e_c, e_d) = _weights(T, t, self.q, self.p)
-        anchors = np.array([p[:, t - 1] for p in paths])   # X_u of every row
 
-        def reduce(rows, buf):
-            # the scaled series E = e_d (X_u - X) of each path, stacked
-            d, xu = buf[0], anchors[:, rows]
-            for p, out, u in zip(paths, d, xu):
-                np.subtract(u[:, None], p[rows], out=out)
-            d *= e_d
-            # (T-1) gamma_hat = X_u Y_u A + X_u <w_c, D'> + Y_u <w_c, D> + <w_d, D o D'>
-            #                 = X_u h' + Y_u h + <E, E'>,  h = X_u A/2 + <e_c, E>
-            # (A and the weights carry the 1/(T-1))
-            h = xu * (0.5 * A) + _rowdot(d, e_c)
-            return (xu[0] * h[-1] + xu[-1] * h[0] + _rowdot(d[0], d[-1]),
-                    2.0 * xu * h + _rowdot(d, d))
+        def series(rows, out):
+            anchors = np.array([p[rows, t - 1] for p in paths])
+            for p, o, u in zip(paths, out, anchors):
+                np.subtract(u[:, None], p[rows], out=o)
+            out *= e_d
+            return anchors
 
-        return reduce
+        return series, e_c, A, np.add
 
 
 @dataclass(frozen=True)
@@ -230,13 +233,17 @@ def _rowdot(a, b):
 def _rowwise(x, y, t: int, kernel):
     """Per-row ``(gamma, var_x, var_y)`` of two ``(..., T)`` batches.
 
-    ``kernel(paths, t)`` sees the whole ``(n, T)`` batch of each distinct
-    path (one when ``y is x``) once, to build its weights and check its
-    range, and returns ``reduce(rows, buf)``.  ``rows`` is the slice of one
-    row block and ``buf`` a reused ``(2, len(paths), rows, T)`` buffer:
-    ``buf[0]`` takes the block's series of every path, stacked, and
-    ``buf[1]`` is scratch (v1's anchor terms).  ``reduce`` returns the
-    block's gamma and its ``(len(paths), rows)`` variances.
+    The one reduction of every estimator.  ``kernel(paths, t)`` sees the
+    whole ``(n, T)`` batch of each distinct path (one when ``y is x``) once,
+    to build its weights and check its range, and returns ``(series, c, A,
+    combine)``.  ``series(rows, out)`` writes each path's series ``E`` of the
+    row block ``rows`` into ``out``, a reused ``(len(paths), rows, T)``
+    buffer, and returns their ``(len(paths), rows)`` anchors ``a``; ``c`` is
+    the cross-weight vector or None, ``A`` the scalar anchor weight and
+    ``combine`` ``np.add`` or ``np.subtract``.  Per row, with
+    ``h = a A/2 + <c, E>``,
+
+        gamma = combine(a h' + a' h, <E, E'>),   var = combine(2 a h, <E, E>).
     """
     same = y is x
     x = np.asarray(x, dtype=float)
@@ -247,15 +254,21 @@ def _rowwise(x, y, t: int, kernel):
     t = check_index(t, T)
     paths = (x.reshape(-1, T),) if same else (x.reshape(-1, T), y.reshape(-1, T))
     n, rows = len(paths[0]), _block_rows(T)
-    buf = np.empty((2, len(paths), min(rows, n), T))
+    buf = np.empty((len(paths), min(rows, n), T))
     out = np.empty((3, n))
     # out-of-range sums, and the empty sum over 1/(T-1) at T = 1, become inf
     # or nan here and are rejected below
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        reduce = kernel(paths, t)
+        series, c, A, combine = kernel(paths, t)
         for i in range(0, n, rows):
             k = min(rows, n - i)
-            out[0, i:i + k], out[1:, i:i + k] = reduce(slice(i, i + k), buf[:, :, :k])
+            E = buf[:, :k]
+            a = series(slice(i, i + k), E)
+            h = a * (0.5 * A)
+            if c is not None:
+                h += _rowdot(E, c)
+            combine(a[0] * h[-1] + a[-1] * h[0], _rowdot(E[0], E[-1]), out=out[0, i:i + k])
+            combine(2.0 * a * h, _rowdot(E, E), out=out[1:, i:i + k])
     if not np.isfinite(out).all():
         raise NumericRange(f"non-finite estimator component at time {t}: the paths "
                            "are not finite or too large for the weighted sums")

@@ -61,6 +61,12 @@ class CorrelationProfile:
         # tuples keep the profile hashable: the BM oracle caches its build per profile
         object.__setattr__(self, "params", tuple(self.params))
         object.__setattr__(self, "table", tuple(self.table))
+        # hashed once: a cache lookup would otherwise walk the whole table.
+        # Numbers hash the same in every process, so a pickled copy stays valid.
+        object.__setattr__(self, "_hash", hash((self.params, self.table)))
+
+    def __hash__(self):
+        return self._hash
 
     def rho(self, T: int) -> np.ndarray:
         """Correlation values rho_1..rho_T (validated)."""

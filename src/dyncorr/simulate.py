@@ -15,11 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IndexOutOfRange, PathOverflow
+from .errors import DomainError, IndexOutOfRange, NumericRange, PathOverflow
 from .profiles import CorrelationProfile, TimeGrid
 
 # exp() overflows just above 709; leave headroom for products of two paths.
 _MAX_EXPONENT = 700.0
+
+
+def check_exponent(what: str, *values, error=NumericRange) -> None:
+    """Raise ``error`` on the first of ``values`` above ``_MAX_EXPONENT``.
+
+    The one guard for every exponent the package exponentiates: path
+    transforms, estimator weights and series, oracles and harness checks.
+    """
+    for value in values:
+        if value > _MAX_EXPONENT:
+            raise error(f"{what} = {float(value):.1f} exceeds the safe exponent range")
 
 
 @dataclass(frozen=True)
@@ -125,12 +136,8 @@ def simulate_gbm_pair(bm: BmPathPair, sigma: float) -> GbmPathPair:
 def gbm_transform(w: np.ndarray, u: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     if sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
-    peak = sigma * max(np.abs(w).max(), np.abs(u).max())
-    if peak > _MAX_EXPONENT:
-        raise PathOverflow(
-            f"max |sigma*W_t| = {peak:.1f} exceeds the safe exponent range; "
-            "lower sigma or T"
-        )
+    check_exponent("max |sigma*W_t|", sigma * max(np.abs(w).max(), np.abs(u).max()),
+                   error=PathOverflow)
     return np.exp(sigma * w), np.exp(sigma * u)
 
 

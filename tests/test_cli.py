@@ -1,7 +1,8 @@
 """Command-line interface: grammar, round trips, exit codes, manifests."""
 
-import json
 import hashlib
+import json
+import math
 
 import numpy as np
 import pytest
@@ -313,6 +314,33 @@ class TestExperimentRun:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "exceeds the safe exponent range" in result.output
+
+    def test_estimator_error_names_the_grid_length(self, runner, tmp_path):
+        # sigma^2 T = 20000 leaves the exponent range only on the second grid
+        text = ("[experiment]\nprofile = constant:0.5\nT_list = 10,20000\nt_eval = 5\n"
+                "reps = 4\nseed = 7\n\n"
+                "[params]\na = 1\nb = 16\nc = 2\nsigma = 1\nvariant = v2\n")
+        cfg = self.write_config(tmp_path, text)
+        result = runner.invoke(main, ["experiment", "run", "--name", "gbm_consistency_v2",
+                                      "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "T=20000: intermediate exponent" in result.output
+
+    def test_nan_statistic_is_written_as_nan(self, runner, tmp_path):
+        # at t = 1 the v2 expected variance is not positive: the expected
+        # ratio is NaN, written as the bare JSON token NaN
+        text = ("[experiment]\nprofile = constant:0.5\nT_list = 10,40\nt_eval = 1\n"
+                "reps = 20\nseed = 7\n\n"
+                "[params]\na = 1\nb = 16\nc = 2\nsigma = 0.02\nvariant = v2\n")
+        cfg = self.write_config(tmp_path, text)
+        out = tmp_path / "run"
+        runner.invoke(main, ["experiment", "run", "--name", "gbm_consistency_v2",
+                             "--config", str(cfg), "--out", str(out)])
+        text = (out / "report.json").read_text()
+        assert '"expected_ratio": NaN' in text
+        report = json.loads(text)
+        assert any(math.isnan(cell["oracle"]["expected_ratio"]) for cell in report["cells"])
 
     def test_seed_flag_overrides_config(self, runner, tmp_path):
         cfg = self.write_config(tmp_path)

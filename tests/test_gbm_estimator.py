@@ -13,6 +13,7 @@ against their direct bracket and masked sums.
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -106,6 +107,53 @@ def direct_sum(w, u, t, params, variant):
             values.append(math.fsum(terms))
             scales.append(math.fsum(np.abs(terms)))
     return np.array(values), np.array(scales)
+
+
+def mp_direct(w, u, t, params, variant):
+    """``(value, term scale)`` of the defining sum at 50 digits, per component.
+
+    The components are ``(gamma, sigma_w_sq, sigma_u_sq)`` of one pair of
+    paths, from the unexpanded sums of ``direct_sum``.  The term scale is the
+    same sum with every deviation ``D_k`` replaced by
+    ``e^{sigma W_k} + e^{s2 k/2}`` and every sign by +: the size of the
+    terms before anything cancels, including inside ``D_k``.
+    """
+    with mp.workdps(50):
+        a, b, c, sigma = (mp.mpf(v) for v in (params.a, params.b, params.c, params.sigma))
+        s2, T = sigma ** 2, len(w)
+        mean = [mp.exp(s2 * k / 2) for k in range(1, T + 1)]
+        dev, mag = [], []
+        for path in (w, u):
+            e = [mp.exp(sigma * mp.mpf(float(v))) for v in path]
+            dev.append([x - m for x, m in zip(e, mean)])
+            mag.append([x + m for x, m in zip(e, mean)])
+        if variant == "v1":
+            step = [mp.exp(-b * s2 * k / 2 - c * s2 * T / 2) for k in range(1, T + 1)]
+            anchor = [mp.exp(a * s2 * k / 2 - c * s2 * T / 2) for k in range(1, T + 1)]
+            brackets = [[s * d - q * d_[t - 1] for s, q, d in zip(step, anchor, d_)]
+                        for d_ in dev]
+            sizes = [[s * m + q * m_[t - 1] for s, q, m in zip(step, anchor, m_)]
+                     for m_ in mag]
+
+            def pair(i, j):
+                return (mp.fdot(brackets[i], brackets[j]), mp.fdot(sizes[i], sizes[j]))
+        else:
+            norm = mp.exp(-c * s2 * T)
+            weight = mp.fsum(mp.exp(a * s2 * k) for k in range(1, T + 1))
+            step = [mp.exp(-b * s2 * k) for k in range(1, T + 1)]
+
+            def pair(i, j):
+                cross = [s * x for s, x in zip(step, dev[i])]
+                size = [s * x for s, x in zip(step, mag[i])]
+                return (norm * (dev[i][t - 1] * dev[j][t - 1] * weight - mp.fdot(cross, dev[j])),
+                        norm * (mag[i][t - 1] * mag[j][t - 1] * weight + mp.fdot(size, mag[j])))
+        return [pair(0, 1), pair(0, 0), pair(1, 1)]
+
+
+def assert_within_term_scale(got, reference, rtol=1e-12):
+    """Each component within ``rtol`` of ``max(term scale, 2.2e-308)``."""
+    for value, (exact, scale) in zip(got, reference):
+        assert abs(mp.mpf(float(value)) - exact) <= rtol * max(scale, mp.mpf(2.2e-308))
 
 
 class TestParams:
@@ -339,6 +387,53 @@ class TestPointEstimators:
         paths[path, k] = spike
         with pytest.raises(NumericRange):
             params.components(*paths, 5)
+
+    def test_v2_anchor_term_survives_underflowing_weight(self):
+        # sum_k e^{m_anchor} = e^{-760} (1 + ...) underflows on its own, and
+        # D_5 D'_5 = e^{800} overflows on its own; their product is finite
+        params = GbmEstimatorParams(1.0, 16.0, 20.0, 1.0, "v2")
+        w, u = np.zeros((2, 40))
+        w[4] = u[4] = 400.0
+        got = params.components(w, u, 5)
+        assert got[0] == pytest.approx(3.7237400927638656e17, rel=1e-12)
+        assert_within_term_scale(got, mp_direct(w, u, 5, params, "v2"))
+
+    def test_v2_anchor_term_keeps_its_sign(self):
+        # the anchor term is ~1e-70, the step terms ~1e-122: a dropped anchor
+        # weight would leave three negative components
+        params = GbmEstimatorParams(1.0, 16.0, 20.0, 1.0, "v2")
+        w, u = np.zeros((2, 40))
+        w[4], u[4] = 300.0, 299.0
+        got = params.components(w, u, 5)
+        assert got == pytest.approx((1.8957824486e-70, 5.1532709808e-70, 6.9741938779e-71),
+                                    rel=1e-10)
+        assert_within_term_scale(got, mp_direct(w, u, 5, params, "v2"))
+        assert rho_hat_gbm(w, u, t=5, params=params) == pytest.approx(1.0, rel=1e-12)
+
+    def test_extreme_inputs_match_mpmath(self):
+        # short grids, spiked paths and wide (a, b, c, sigma): every finite
+        # component is within 1e-12 of the term scale of the defining sum
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        for _ in range(200):
+            variant = ("v1", "v2")[rng.integers(2)]
+            params = GbmEstimatorParams(rng.uniform(-2, 20), rng.uniform(0, 40),
+                                        rng.uniform(0, 40), 10 ** rng.uniform(-2, 0.5), variant)
+            T = int(rng.integers(2, 41))
+            t = int(rng.integers(1, T + 1))
+            w, u = np.cumsum(rng.standard_normal((2, T)), axis=1)
+            for _ in range(int(rng.integers(0, 4))):
+                j = t - 1 if rng.random() < 0.5 else int(rng.integers(T))
+                spike = 10 ** rng.uniform(0, 3) * rng.choice([-1.0, 1.0])
+                w[j] += spike
+                u[j] += spike * (1 - rng.uniform(0, 1) * 10 ** rng.uniform(-6, 0))
+            try:
+                got = params.components(w, u, t)
+            except NumericRange:
+                continue
+            assert_within_term_scale(got, mp_direct(w, u, t, params, variant))
+            checked += 1
+        assert checked >= 150
 
     def test_sigma_mismatch_rejected(self):
         pair = simulate_gbm_pair(simulate_bm_pair(CONST_HALF, TimeGrid(30), 1), 0.1)

@@ -116,3 +116,27 @@ class TestBuildProfile:
     def test_building_validates_feasibility(self):
         with pytest.raises(IncrementInfeasible):
             build_profile("table:0.0,0.95", TimeGrid(2))
+
+
+class TestHashing:
+    def test_table_is_hashed_once(self):
+        # cache lookups hash the profile; a table's values must not be
+        # hashed again on every lookup
+        calls = []
+
+        class Counted(float):
+            def __hash__(self):
+                calls.append(self)
+                return float.__hash__(self)
+
+        profile = CorrelationProfile("table", table=tuple(Counted(0.5) for _ in range(50)))
+        first = hash(profile)
+        before = len(calls)
+        assert hash(profile) == first
+        assert len(calls) == before
+
+    def test_equal_profiles_hash_equal(self):
+        a = CorrelationProfile("table", table=(0.5, 0.25, 0.1))
+        b = build_profile("table:0.5,0.25,0.1", TimeGrid(3))
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
