@@ -68,16 +68,19 @@ pays only its own O(T) products and sums.
 The expectation formulas below are exact under increment coupling
 (``Cov(X_s, Y_t) = min(s, t) * rho_{min(s, t)}``), which is precisely how
 ``dyncorr.simulate`` generates pairs, so they serve as deterministic
-oracles for Monte Carlo runs.  Their t-independent rows are built once per
-``(profile, T, q, p)``, so ``profile.rho(T)`` runs once per curve.  A build
-stacks the profile's rows on the rows at correlation 1, whose moment is the
-expected variance: at ``t`` one ``_rowdot`` with the squared lag slice gives all
-six sums, one more both tails, and the rest is Python float arithmetic.
+oracles for Monte Carlo runs.  Each is the expectation of the estimator's
+own form, from the same ``(a_v, d_v)``: its t-independent rows are built once
+per ``(profile, T, q, p)``, so ``profile.rho(T)`` runs once per curve.  A
+build stacks the profile's rows on the rows at correlation 1, whose moment is
+the expected variance: at ``t`` one ``_rowdot`` with the squared lag slice
+before ``t`` and one after it give every sum, and the rest is Python float
+arithmetic.  A non-finite expectation raises :class:`NumericRange`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -217,7 +220,7 @@ _DOT_CHUNK = 8192
 def _rowdot(a, b):
     """Per-row ``sum(a * b)`` over the last axis, ``b`` broadcast against ``a``.
 
-    The one reduction of both estimator families and the Brownian oracle.
+    The one reduction of both estimator families and both oracles.
     Each row is ``np.vecdot`` (one BLAS ``ddot``) of column chunks of at most
     ``_DOT_CHUNK``, added left to right, so a row's value is bitwise the same
     in a batch of any shape and under any BLAS thread count.
@@ -328,50 +331,57 @@ def _coerce_pair(pair_or_x, y):
 def _expected(profile, t: int, params: BmEstimatorParams, T: int):
     """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` at time ``t``; ``profile=None`` means rho = 1.
 
-    Each is the four-group rearrangement
+    The expectation of the estimator's own form at ``u = t``.  With
+    ``g_s = s rho_s``, ``Cov(X_u, Y_v) = g_min(u,v)``, so ``E[a a'] = g_u``,
+    ``E[a E'_v] = e_d (g_u - g_v)`` for ``v < u`` and 0 for ``v > u``, and
+    ``E[E_v E'_v] = e_d^2 (g_u - g_v) sign(u - v)``.  Collected on each side
+    of ``u`` with ``L = 1/(u-v)^2``,
 
-        (T-1) E[gamma_hat] = t*rho_t*K + A1 - 2*A2 + 2*A3
+        E = g_u (sum_{v<u} (a+d)^2 L + sum_{v>u} (a^2-d^2) L)
+            - sum_{v<u} d (2a+d) g_v L + sum_{v>u} d^2 g_v L,
 
-    with K the diverging weight sum, A1/A2 the damped correlation sums and
-    A3 the tail correction sum_{s>t} s^{q-p} (s*rho_s - t*rho_t)/(s-t)^2, taken
-    from one cached build of ``_oracle_rows``; the variance is the same moment
-    at rho = 1.
+    one ``_rowdot`` of the cached head rows and one of the tail rows.
     """
     if T < 2:
         raise DomainError("T must be >= 2")
     t = check_index(t, T)
-    rows, damp, g = _oracle_rows(profile, T, params.q, params.p)
+    head, tail, g = _oracle_rows(profile, T, params.q, params.p)
     lag = _lags(T)[T - t:2 * T - t] ** 2
-    sums = _rowdot(rows, lag).tolist()
-    tails = _rowdot(g[:, t:] - g[:, t - 1:t], damp[t:] * lag[t:]).tolist()
-    # python floats from here: the scalar tail costs no numpy dispatch
-    moments = [(g_t * K + A1 - 2 * A2 + 2 * A3) / (T - 1)
-               for g_t, (K, A1, A2), A3 in zip(g[:, t - 1].tolist(), sums, tails)]
+    # the head is v < t and the tail v > t (the lag is 0 at v = t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K, *before = _rowdot(head[:, :t - 1], lag[:t - 1]).tolist()
+        R, *after = _rowdot(tail[:, t:], lag[t:]).tolist()
+    # python floats from here: each moment costs no numpy dispatch
+    return _finite_moments([g_t * (K + R) - b + f for g_t, b, f
+                            in zip(g[:, t - 1].tolist(), before, after)], t)
+
+
+def _finite_moments(moments: list, t: int):
+    """``(E[gamma_hat], E[sigma_sq_hat])``, the first and last of either
+    family's ``moments``; :class:`NumericRange` if one is not finite."""
+    if not all(map(math.isfinite, moments)):
+        raise NumericRange(f"non-finite expectation {moments} at time {t}: the "
+                           "weighted sums are too large for a double")
     return moments[0], moments[-1]
 
 
 @functools.lru_cache(maxsize=2)   # the rho = 1 build and a profile's
 def _oracle_rows(profile, T: int, q: float, p: float):
-    """Read-only t-independent terms of the moments, one group per correlation.
+    """Read-only t-independent ``(head, tail, g)`` of the moments.
 
-    Per correlation the ``(3, T)`` rows ``(s^2q, rho_s s^{1-2p}, rho_s
-    s^{q-p+1})`` of K, A1 and A2 and the row ``g_s = s rho_s``; the tail
-    weights ``s^{q-p}`` are shared.
-    ``profile=None`` stands for rho = 1 alone; a profile's build stacks its
-    own group on top of the rho = 1 group, so one call gives the covariance
-    and the variance.  It scales the rho = 1 build's powers, and runs
-    ``profile.rho(T)``, with its validation, once rather than once per ``t``.
+    ``g`` stacks ``g_s = s rho_s`` of the profile on the row at rho = 1, so one
+    call gives the covariance and the variance; ``profile=None`` stands for
+    rho = 1 alone.  From the estimator's ``(a, d) = _products(T, q, p)``,
+    ``head = ((a+d)^2, d (2a+d) g...)`` and ``tail = (a^2-d^2, d^2 g...)``.
+    ``profile.rho(T)``, with its validation, runs once rather than once per
+    ``t``.
     """
-    if profile is None:
-        s = np.arange(1.0, T + 1.0)
-        terms = (np.stack([[s ** (2 * q), s ** (1 - 2 * p), s ** (q - p + 1)]]),
-                 s ** (q - p), s[None])
-    else:
-        ones, damp, s = _oracle_rows(None, T, q, p)
-        rho = profile.rho(T)
-        rows = np.concatenate([ones, ones])
-        rows[0, 1:] *= rho
-        terms = (rows, damp, np.concatenate([s * rho, s]))
+    s = np.arange(1.0, T + 1.0)
+    g = s[None] if profile is None else np.stack([s * profile.rho(T), s])
+    with np.errstate(over="ignore", invalid="ignore"):   # raised per call
+        a, d = _products(T, q, p)
+        terms = (np.concatenate([[(a + d) ** 2], d * (2 * a + d) * g]),
+                 np.concatenate([[(a - d) * (a + d)], d * d * g]), g)
     for arr in terms:
         arr.setflags(write=False)
     return terms
@@ -399,6 +409,11 @@ def expected_ratio_q(
     carries the same factor rho as its variance analogue); the deterministic
     convergence trend is only visible for time-varying profiles.
     """
+    return _expected_ratio(profile, t, params, T)
+
+
+def _expected_ratio(profile, t: int, params, T: int) -> float:
+    """``E[gamma_hat] / E[sigma_sq_hat]`` of either family's ``params.oracle``."""
     num, den = params.oracle(profile, t, T)
     if den <= 0.0:
         raise DegenerateVariance(f"expected variance {den!r} not positive")

@@ -71,16 +71,9 @@ def _load_profile(spec: str, grid: TimeGrid) -> CorrelationProfile:
     return build_profile(spec, grid)
 
 
-def _nonnegative(ctx, param, value):
-    if value is not None and value < 0:
-        raise click.BadParameter(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive(ctx, param, value):
-    if value is not None and value <= 0:
-        raise click.BadParameter(f"must be > 0, got {value}")
-    return value
+# estimator exponents and volatilities out of range are usage errors (exit 2)
+_NONNEGATIVE = click.FloatRange(min=0)
+_POSITIVE = click.FloatRange(min=0, min_open=True)
 
 
 seed_option = click.option(
@@ -123,8 +116,7 @@ def simulate_bm_cmd(profile, T, seed, replication, out):
 @simulate.command("gbm")
 @click.option("--profile", required=True, help="Profile spec of the driving pair.")
 @click.option("--T", "T", type=int, required=True, help="Grid length.")
-@click.option("--sigma", type=float, required=True, callback=_positive,
-              help="Volatility.")
+@click.option("--sigma", type=_POSITIVE, required=True, help="Volatility.")
 @seed_option
 @click.option("--replication", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
@@ -174,10 +166,8 @@ def estimate():
 
 
 @estimate.command("bm")
-@click.option("--q", type=float, required=True, callback=_nonnegative,
-              help="Amplification exponent.")
-@click.option("--p", type=float, required=True, callback=_nonnegative,
-              help="Damping exponent.")
+@click.option("--q", type=_NONNEGATIVE, required=True, help="Amplification exponent.")
+@click.option("--p", type=_NONNEGATIVE, required=True, help="Damping exponent.")
 @click.option("--u", "u_list", type=int, required=True, multiple=True,
               help="Evaluation time (repeatable).")
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False),
@@ -209,7 +199,7 @@ def estimate_bm_cmd(q, p, u_list, in_path, out):
 @click.option("--a", type=float, required=True)
 @click.option("--b", type=float, required=True)
 @click.option("--c", type=float, required=True)
-@click.option("--sigma", type=float, required=True, callback=_positive)
+@click.option("--sigma", type=_POSITIVE, required=True)
 @click.option("--t", "t_list", type=int, required=True, multiple=True,
               help="Evaluation time (repeatable).")
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False),
@@ -249,8 +239,8 @@ def oracle():
 
 @oracle.command("bm")
 @click.option("--profile", required=True)
-@click.option("--q", type=float, required=True)
-@click.option("--p", type=float, required=True)
+@click.option("--q", type=_NONNEGATIVE, required=True)
+@click.option("--p", type=_NONNEGATIVE, required=True)
 @click.option("--t", type=int, required=True)
 @click.option("--T", "T", type=int, required=True)
 @_runtime_errors
@@ -266,7 +256,7 @@ def oracle_bm_cmd(profile, q, p, t, T):
 @click.option("--a", type=float, required=True)
 @click.option("--b", type=float, required=True)
 @click.option("--c", type=float, required=True)
-@click.option("--sigma", type=float, required=True)
+@click.option("--sigma", type=_POSITIVE, required=True)
 @click.option("--t", type=int, required=True)
 @click.option("--T", "T", type=int, required=True)
 @_runtime_errors
@@ -357,13 +347,14 @@ def _parse_experiment_config(name: str, path: str, seed: int | None) -> Experime
         raise click.ClickException(f"{path}: bad [experiment] section: {exc}") from exc
     if name in ESTIMATOR_EXPERIMENTS:
         # required fields are numbers; a field with a default (the GBM
-        # variant) keeps its text and its default
-        cls = ESTIMATOR_EXPERIMENTS[name][0]
+        # variant) keeps its text, and falls back to the variant the
+        # experiment names, if any, before its default
+        cls, variant = ESTIMATOR_EXPERIMENTS[name]
         params_sec = parser["params"] if "params" in parser else {}
         try:
             kwargs["params"] = cls(**{
                 f.name: (float(params_sec[f.name]) if f.default is dataclasses.MISSING
-                         else params_sec.get(f.name, f.default))
+                         else params_sec.get(f.name, variant or f.default))
                 for f in dataclasses.fields(cls)
             })
         except KeyError as exc:

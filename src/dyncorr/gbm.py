@@ -36,8 +36,11 @@ with its scale inside the exponent, so it neither overflows nor underflows
 before the product.  A block whose exponents leave the safe double range
 raises :class:`NumericRange` before any of them is exponentiated, and so do
 sums that still overflow.  Weight tails that underflow are dropped (they are
-decaying positive factors).  An oracle call builds its weights once for the
-covariance and the variance.
+decaying positive factors).
+
+The oracle is the expectation of the same form, read from the same cached
+terms (see ``_expected``): one call gives the covariance and the variance,
+and a non-finite one raises :class:`NumericRange`.
 
 No limit law of ``rho_hat`` is derived here (for the Brownian estimator see
 ``dyncorr.bm``).  Measured: v1 with ``(a, b, c, sigma) = (1, 12, 2, 0.1)`` on a
@@ -54,7 +57,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .bm import _rowdot, _rowwise
+from .bm import _expected_ratio, _finite_moments, _rowdot, _rowwise
 from .errors import DegenerateVariance, DomainError, NegativeVarianceEstimate
 from .profiles import CorrelationProfile
 from .simulate import GbmPathPair, check_exponent, check_index
@@ -275,37 +278,41 @@ def rho_from_r(r_t: float, sigma: float, t: float) -> float:
 
 def _expected(r, t: int, params: GbmEstimatorParams, T: int):
     """``(E[gamma_hat], E[sigma_sq_hat])`` of ``params.variant`` for BM-level
-    correlations ``r_1..r_T`` (or a scalar), from one build of the weights."""
+    correlations ``r_1..r_T`` (or a scalar), from the kernel's own ``_grid``.
+
+    The expectation of the one form: a centred lognormal pair has
+    ``E[(e^X - Ee^X)(e^Y - Ee^Y)] = Ee^X Ee^Y (e^{Cov(X, Y)} - 1)``, and the
+    series ``E_k`` has mean part ``scale_k mean_k`` and the anchor
+    ``m_a = e^{shift + sigma^2 t/2}``, so with ``x_k = expm1(sigma^2 k r_k)``
+
+        E[gamma] = combine(A m_a^2 x_t + 2 m_a <c mean, x_min(k,t)>,
+                           <(scale mean)^2, x>).
+    """
     s2 = params.sigma ** 2
     t = check_index(t, T)
-    norm = params.c * s2 * T
-    check_exponent("oracle exponent c sigma^2 T", norm)
+    check_exponent("oracle exponent c sigma^2 T", params.c * s2 * T)
     check_exponent("oracle exponent a sigma^2 T", params.a * s2 * T)
     if params.variant == "v2" and params.b <= 2:
         warnings.warn(f"b = {params.b} <= 2: the step-product expectation series "
                       "grows with T instead of converging",
                       NonconvergentSeriesWarning, stacklevel=3)
-    # anchor-anchor products carry the geometric weight sum sum_k e^{a s2 k}
-    tail = float(np.exp(params.a * s2) * np.expm1(params.a * s2 * T) / np.expm1(params.a * s2))
-    k = np.arange(1.0, T + 1.0)
-    step = np.exp((1 - params.b) * s2 * k)
-    if params.variant == "v1":
-        # cross products: Cov(W_k, U_t) is k r_k before the anchor time, t r_t from it on
-        w = np.exp(0.5 * (params.a - params.b) * s2 * k + 0.5 * s2 * (k + t))
-        head = k < t
-
-    def moment(r):
-        r = np.broadcast_to(r, k.shape)
-        # step-step products: e^{(1-b) s2 k} (e^{r_k s2 k} - 1)
-        a_sum = np.sum(step * np.expm1(r * s2 * k))
-        d_rho = np.exp(s2 * t) * np.expm1(r[t - 1] * s2 * t) * tail
-        if params.variant == "v2":
-            return float(np.exp(-norm) * (d_rho - a_sum))
-        b_sum = np.sum(w[head] * (np.exp(r[head] * s2 * k[head]) - np.exp(r[head] * s2 * t)))
-        c_sum = np.sum(w * np.expm1(np.where(head, r, r[t - 1]) * s2 * t))
-        return float(np.exp(-norm) * (a_sum + d_rho - 2 * b_sum - 2 * c_sum))
-
-    return moment(r), moment(1.0)
+    # one row per correlation: the profile's, then 1 for the variance
+    rows = np.ones((2, T))
+    rows[0] = r
+    with np.errstate(over="ignore", invalid="ignore"):   # raised below
+        _, _, mean, scale, shift, c, A, combine = _grid(T, params)
+        x = np.expm1(s2 * np.arange(1.0, T + 1.0) * rows)
+        m_a = np.exp(shift + 0.5 * s2 * t)
+        if scale is not None:
+            mean = mean * scale
+        moments = A * m_a * m_a * x[:, t - 1]
+        if c is not None:
+            # Cov(W_k, U_t) = min(k, t) r_min(k, t): x_t from the anchor time on
+            cross = x.copy()
+            cross[:, t:] = x[:, t - 1:t]
+            moments += 2 * m_a * _rowdot(cross, c * mean)
+        moments = combine(moments, _rowdot(x * mean, mean))
+    return _finite_moments(moments.tolist(), t)
 
 
 def expected_gamma_gbm_v1(
@@ -336,8 +343,5 @@ def expected_ratio_gbm(
     Converges to the GBM correlation rho_t = rho_from_r(r_t, sigma, t) as T
     grows, in the respective consistency ranges.
     """
-    num, den = params.oracle(profile, t, T)
-    if den <= 0.0:
-        raise DegenerateVariance(f"expected variance {den!r} not positive")
-    return num / den
+    return _expected_ratio(profile, t, params, T)
 

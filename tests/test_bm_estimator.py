@@ -3,7 +3,7 @@
 The expectation formulas are cross-checked against a direct double-loop
 evaluation of the weighted-moment sum under the coupling covariance model
 Cov(X_s, Y_t) = min(s, t) * rho_{min(s, t)}, written independently of the
-grouped rearrangement used in the implementation.
+expectation of the centred form used in the implementation.
 """
 
 import math
@@ -261,6 +261,34 @@ class TestExpectationFormulas:
                     terms = brute_force_expected_terms(rho, t, q, p, T)
                     want, scale = math.fsum(terms), math.fsum(map(abs, terms))
                     assert abs(got - want / (T - 1)) <= 1e-12 * scale / (T - 1)
+
+    @pytest.mark.parametrize("q,p", [(0.5, 1.0), (0.0, 0.0), (0.3, 0.8), (1.0, 2.0)])
+    @pytest.mark.parametrize("profile", [
+        CONST_HALF,
+        CorrelationProfile("capped", (0.5, 10.0)),
+        CorrelationProfile("linear", (0.05, 2e-5)),
+    ], ids=["constant", "capped", "linear"])
+    def test_oracle_matches_sub_term_sum_on_a_long_grid(self, q, p, profile):
+        # every sub-term of the direct sum, v^2q g_u - 2 v^{q-p} g_min(u,v)
+        # + v^-2p g_v over (u-v)^2, in one exact fsum
+        T = 20000
+        v = np.arange(1.0, T + 1.0)
+        params = BmEstimatorParams(q, p)
+        for u in (1, 10, T // 3, T):
+            vo = v[v != u]
+            lag = 1.0 / ((u - vo) ** 2 * (T - 1))
+            first = np.minimum(vo, u).astype(int) - 1
+            for got, rho in zip(params.oracle(profile, u, T), (profile.rho(T), np.ones(T))):
+                g = v * rho
+                sub = np.concatenate([vo ** (2 * q) * g[u - 1] * lag,
+                                      -2 * vo ** (q - p) * g[first] * lag,
+                                      vo ** (-2 * p) * g[vo.astype(int) - 1] * lag])
+                assert abs(got - math.fsum(sub)) <= 1e-14 * math.fsum(np.abs(sub))
+
+    def test_non_finite_expectation_raises(self):
+        # v^{2q} leaves the double range at q = 100; the sums were once NaN
+        with pytest.raises(NumericRange, match="non-finite expectation"):
+            BmEstimatorParams(100.0, 0.0).oracle(CONST_HALF, 10, 10000)
 
     def test_mc_mean_matches_oracle(self):
         profile = CorrelationProfile("capped", (0.4, 8.0))

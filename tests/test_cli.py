@@ -162,6 +162,16 @@ class TestEstimate:
                                       "--out", str(tmp_path / "e.csv")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["oracle", "bm", "--profile", "constant:0.5", "--q", "-1", "--p", "1",
+         "--t", "5", "--T", "30"],
+        ["oracle", "gbm", "--profile", "constant:0.5", "--a", "1", "--b", "16",
+         "--c", "2", "--sigma", "0", "--t", "5", "--T", "30"],
+    ], ids=["bm-negative-q", "gbm-zero-sigma"])
+    def test_oracle_out_of_range_option_is_usage_error(self, runner, args):
+        # the same options exit 2 on estimate and oracle commands alike
+        assert runner.invoke(main, args).exit_code == 2
+
     def test_bm_out_of_range_warns_on_stderr(self, runner, tmp_path):
         paths = tmp_path / "p.csv"
         invoke(runner, ["simulate", "bm", "--profile", "constant:0.5",
@@ -237,6 +247,29 @@ class TestOracleAndVg:
         assert isinstance(result.exception, SystemExit)
 
 
+class TestOracleRange:
+    def test_bm_non_finite_expectation_exits_1(self, runner):
+        # v^{2q} overflows for q = 100: an error, not "expected_gamma nan"
+        result = runner.invoke(main, ["oracle", "bm", "--profile", "constant:0.5",
+                                      "--q", "100", "--p", "0", "--t", "10",
+                                      "--T", "10000"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "non-finite expectation" in result.output
+
+    @pytest.mark.parametrize("variant", ["v1", "v2"])
+    def test_gbm_large_expected_variance_is_finite(self, runner, variant):
+        # both variants: 1.1431322185623711e87 from a 60-digit mpmath sum;
+        # the grouped sum once overflowed here and printed inf and a ratio of 0
+        result = invoke(runner, ["oracle", "gbm", "--variant", variant,
+                                 "--profile", "constant:0.5", "--a", "1", "--b", "16",
+                                 "--c", "1.5", "--sigma", "1", "--t", "200", "--T", "400"])
+        lines = dict(line.split() for line in result.output.strip().splitlines())
+        assert float(lines["expected_sigma_sq"]) == pytest.approx(1.1431322185623711e87,
+                                                                  rel=1e-13)
+        assert float(lines["expected_ratio"]) == pytest.approx(3.72e-44, rel=1e-3)
+
+
 class TestExperimentRun:
     CONFIG = (
         "[experiment]\n"
@@ -304,6 +337,30 @@ class TestExperimentRun:
             manifest = json.loads((out / "manifest.json").read_text())
             assert "chunk_size" not in manifest["config"]
         assert results["old"] == results["new"]
+
+    def test_variant_defaults_to_the_experiments(self, runner, tmp_path):
+        # gbm_consistency_v2 without a variant key runs v2, as with the key
+        text = ("[experiment]\nprofile = constant:0.5\nT_list = 20,40\nt_eval = 5\n"
+                "reps = 8\nseed = 3\n\n[params]\na = 1\nb = 16\nc = 2\nsigma = 0.1\n")
+        reports = []
+        for label, body in (("bare", text), ("keyed", text + "variant = v2\n")):
+            cfg = tmp_path / f"{label}.ini"
+            cfg.write_text(body)
+            out = tmp_path / label
+            result = runner.invoke(main, ["experiment", "run", "--name", "gbm_consistency_v2",
+                                          "--config", str(cfg), "--out", str(out)])
+            assert result.exit_code in (0, 3), result.output
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_explicit_wrong_variant_is_runtime_error(self, runner, tmp_path):
+        text = ("[experiment]\nprofile = constant:0.5\nT_list = 20,40\nt_eval = 5\n"
+                "reps = 8\n\n[params]\na = 1\nb = 16\nc = 2\nsigma = 0.1\nvariant = v1\n")
+        cfg = self.write_config(tmp_path, text)
+        result = runner.invoke(main, ["experiment", "run", "--name", "gbm_consistency_v2",
+                                      "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 1
+        assert "requires variant 'v2'" in result.output
 
     def test_exp_abs_bound_beyond_double_range_is_runtime_error(self, runner, tmp_path):
         # e^{sigma^2 t / 2} at t = 20000 overflows a double: exit 1, no traceback

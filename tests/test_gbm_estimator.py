@@ -5,7 +5,7 @@ moment evaluation using only the lognormal cross-moment
 E[(e^{sW_s} - e^{s^2 s/2})(e^{sU_v} - e^{s^2 v/2})]
   = e^{(s+v)s^2/2}(e^{s^2 m rho_m} - 1),   m = min(s, v),
 where m rho_m = Cov(W_s, U_v) under increment coupling.  It is written
-independently of the grouped series in the implementation and holds for
+independently of the one-form expectation in the implementation; it holds for
 constant and time-varying profiles alike.  The point estimators are checked
 against their direct bracket and masked sums.
 """
@@ -150,6 +150,32 @@ def mp_direct(w, u, t, params, variant):
         return [pair(0, 1), pair(0, 0), pair(1, 1)]
 
 
+def mp_expected(rho, t, params, T):
+    """``(E[gamma_hat], term scale)`` of the per-step moment sum at 30 digits.
+
+    The terms are those of ``brute_force_v1``/``brute_force_v2``; the scale
+    is the sum of their absolute values.
+    """
+    with mp.workdps(30):
+        a, b, c, sigma = (mp.mpf(v) for v in (params.a, params.b, params.c, params.sigma))
+        s2 = sigma ** 2
+        mean = [mp.exp(s2 * k / 2) for k in range(1, T + 1)]
+        x = [mp.expm1(s2 * k * mp.mpf(float(r))) for k, r in enumerate(rho, 1)]
+        anchor_dev = mean[t - 1] ** 2 * x[t - 1]
+        terms = []
+        for k in range(1, T + 1):
+            step_dev = mean[k - 1] ** 2 * x[k - 1]
+            if params.variant == "v1":
+                step, anchor = mp.exp(-b * s2 * k / 2), mp.exp(a * s2 * k / 2)
+                cross = mean[k - 1] * mean[t - 1] * x[min(k, t) - 1]
+                terms += [step * step * step_dev, -2 * step * anchor * cross,
+                          anchor * anchor * anchor_dev]
+            else:
+                terms += [mp.exp(a * s2 * k) * anchor_dev, -mp.exp(-b * s2 * k) * step_dev]
+        norm = mp.exp(-c * s2 * T)
+        return norm * mp.fsum(terms), norm * mp.fsum(abs(v) for v in terms)
+
+
 def assert_within_term_scale(got, reference, rtol=1e-12):
     """Each component within ``rtol`` of ``max(term scale, 2.2e-308)``."""
     for value, (exact, scale) in zip(got, reference):
@@ -262,6 +288,38 @@ class TestExpectationFormulas:
                     for T in (50, 100, 200, 400)]
             assert all(x > y for x, y in zip(gaps, gaps[1:]))
             assert gaps[-1] < 1e-4
+
+    @pytest.mark.parametrize("variant", ["v1", "v2"])
+    def test_large_expected_variance_matches_mpmath(self, variant):
+        # the grouped sum once overflowed here to an expected variance of inf
+        params = GbmEstimatorParams(1.0, 16.0, 1.5, 1.0, variant)
+        T, t = 400, 200
+        got = params.oracle(CONST_HALF, t, T)
+        reference = [mp_expected(rho, t, params, T) for rho in (np.full(T, 0.5), np.ones(T))]
+        assert_within_term_scale(got, reference, rtol=1e-13)
+        assert got[1] == pytest.approx(1.1431322185623711e87, rel=1e-13)
+
+    def test_seeded_sweep_matches_mpmath(self):
+        # wide (a, b, c, sigma), short grids, time-varying profiles of both signs
+        rng = np.random.default_rng(2026)
+        for i in range(200):
+            T = int(rng.integers(2, 61))
+            t = int(rng.integers(1, T + 1))
+            params = GbmEstimatorParams(
+                float(rng.uniform(0, 3)), float(rng.uniform(2.5, 30)),
+                float(rng.uniform(0, 4)), float(10 ** rng.uniform(-1.5, 0.2)),
+                ("v1", "v2")[i % 2])
+            profile = (
+                CorrelationProfile("capped", (float(rng.uniform(-0.9, 0.9)),
+                                              float(rng.integers(1, T + 1)))),
+                CorrelationProfile("linear", (float(rng.uniform(-0.5, 0.5)),
+                                              float(rng.uniform(-0.4, 0.4) / T))),
+                CorrelationProfile("table", table=tuple(
+                    np.cumsum(rng.uniform(-1, 1, T)) / np.arange(1, T + 1))),
+            )[i % 3]
+            got = params.oracle(profile, t, T)
+            reference = [mp_expected(rho, t, params, T) for rho in (profile.rho(T), np.ones(T))]
+            assert_within_term_scale(got, reference)
 
     def test_nonconvergent_series_warns(self):
         params = GbmEstimatorParams(1.0, 2.0, 2.0, 0.1, "v2")
