@@ -176,7 +176,7 @@ def _lags(T: int):
 
     ``_lags(T)[T-u:2T-u]`` is ``1/|v-u|`` over ``v = 1..T`` (0 at ``v = u``):
     every weight at time ``u`` is a u-independent row times this slice (the
-    estimator's) or its square (the oracle's).
+    estimator's) or its square (the oracle's, :func:`_inverse_square_lags`).
     """
     d = np.arange(1.0 - T, float(T))
     lags = np.zeros_like(d)
@@ -184,6 +184,14 @@ def _lags(T: int):
     lags[off] = 1.0 / np.abs(d[off])
     lags.setflags(write=False)
     return lags
+
+
+@functools.lru_cache(maxsize=2)
+def _inverse_square_lags(T: int):
+    """Read-only ``_lags(T) ** 2``: the oracle's ``1/d^2``, sliced like ``_lags``."""
+    squares = _lags(T) ** 2
+    squares.setflags(write=False)
+    return squares
 
 
 @functools.lru_cache(maxsize=2)
@@ -346,7 +354,7 @@ def _expected(profile, t: int, params: BmEstimatorParams, T: int):
         raise DomainError("T must be >= 2")
     t = check_index(t, T)
     head, tail, g = _oracle_rows(profile, T, params.q, params.p)
-    lag = _lags(T)[T - t:2 * T - t] ** 2
+    lag = _inverse_square_lags(T)[T - t:2 * T - t]
     # the head is v < t and the tail v > t (the lag is 0 at v = t)
     with np.errstate(over="ignore", invalid="ignore"):
         K, *before = _rowdot(head[:, :t - 1], lag[:t - 1]).tolist()

@@ -280,9 +280,9 @@ def vg():
 
 
 _vg_options = [
-    click.option("--r", type=float, required=True, help="Shape parameter."),
+    click.option("--r", type=_POSITIVE, required=True, help="Shape parameter."),
     click.option("--theta", type=float, required=True, help="Asymmetry."),
-    click.option("--sigma", type=float, required=True, help="Scale."),
+    click.option("--sigma", type=_NONNEGATIVE, required=True, help="Scale."),
     click.option("--mu", type=float, required=True, help="Location."),
 ]
 

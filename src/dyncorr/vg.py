@@ -10,10 +10,17 @@ structure that the estimator modules rely on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
-from .bessel import bessel_k, scaled_k_terms
+# bessel_k is not called here; bench/spans.py traces dyncorr.vg.bessel_k
+from .bessel import bessel_k, scaled_k_terms  # noqa: F401
 from .errors import DomainError, NumericRange
+
+_LN2 = math.log(2.0)
+_TINY = sys.float_info.min   # the smallest normal double
+_SUBNORMAL_SHIFT = 128       # even, and 2^-1074 2^128 is a normal double
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,20 @@ class VgParams:
     def degenerate(self) -> bool:
         return self.sigma == 0.0
 
+    @cached_property
+    def _density_terms(self) -> tuple[float, float, float, float]:
+        """``(nu, root / sigma^2, theta / sigma^2, log c)``, where ``root =
+        sqrt(theta^2 + sigma^2)``, ``z = root |x - mu| / sigma^2`` and the density
+        away from mu is ``c z^nu e^{theta (x - mu) / sigma^2} K_nu(z)``; built once
+        per parameter set, not per point."""
+        r, theta, sigma = self.r, self.theta, self.sigma
+        nu = 0.5 * (r - 1.0)
+        root = math.sqrt(theta * theta + sigma * sigma)
+        # (dev / 2 root)^nu = z^nu (sigma^2 / 2 root^2)^nu, over sigma sqrt(pi) Gamma(r/2)
+        log_norm = (-math.log(sigma * math.sqrt(math.pi)) - math.lgamma(0.5 * r)
+                    + nu * (2.0 * (math.log(sigma) - math.log(root)) - _LN2))
+        return nu, root / (sigma * sigma), theta / (sigma * sigma), log_norm
+
 
 def vg_pdf(x: float, params: VgParams) -> float:
     """Density of VG(r, theta, sigma, mu) at x."""
@@ -50,17 +71,15 @@ def vg_pdf(x: float, params: VgParams) -> float:
     if math.isnan(x):
         raise DomainError("density undefined at x = nan")
     r, theta, sigma, mu = params.r, params.theta, params.sigma, params.mu
-    nu = 0.5 * (r - 1.0)
+    nu, scale, tilt_scale, log_norm = params._density_terms
     dev = abs(x - mu)
-    root = math.sqrt(theta * theta + sigma * sigma)
-    z = root * dev / (sigma * sigma)
+    z = scale * dev
     if z == math.inf:   # x = +-inf, or a tail too far out to form the tilt
         return 0.0
-    tilt = theta * (x - mu) / (sigma * sigma)
-    # at mu (z = 0, also where root * dev / sigma^2 underflows), and wherever the
-    # O(z^2) correction to the tilted x = mu limit is below rounding: there
-    # nu log(dev) and log K_nu(z) cancel to ~nu |log z| ulps
-    if z == 0.0 or z * z < 1e-16 * (nu - 1.0):
+    tilt = tilt_scale * (x - mu)
+    # at mu, and wherever the O(z^2) correction to the tilted x = mu limit is
+    # below rounding: there nu log(dev) and log K_nu(z) cancel to ~nu |log z| ulps
+    if dev == 0.0 or z * z < 1e-16 * (nu - 1.0):
         if r <= 1.0:
             raise DomainError(
                 f"density is singular at x = mu for r = {r} <= 1"
@@ -70,21 +89,16 @@ def vg_pdf(x: float, params: VgParams) -> float:
             tilt + math.lgamma(nu) - math.lgamma(0.5 * r)
             + nu * math.log(sigma * sigma / (theta * theta + sigma * sigma))
         ) / (2.0 * sigma * math.sqrt(math.pi))
-    # near mu for large r, K overflows before (dev / 2 root)^nu cancels it
-    k = bessel_k(abs(nu), z, scaled=True)
-    m, s = (0.0, k) if k < math.inf else scaled_k_terms(abs(nu), z)
-    # log-space evaluation: the tilt e^{theta dev / sigma^2} and the Bessel
+    # below the normal range z keeps only a few bits: the sum and nu log z take
+    # it 2^128 larger, formed from dev exactly
+    shift = _SUBNORMAL_SHIFT if z < _TINY else 0
+    z_scaled = scale * math.ldexp(dev, shift)
+    # next to mu for large r, K overflows before (dev / 2 root)^nu cancels it, so
+    # e^z K_nu(z) stays e^m s; the tilt e^{theta dev / sigma^2} and the Bessel
     # decay e^{-root dev / sigma^2} cancel in the tails but overflow alone
-    log_value = (
-        tilt
-        - z
-        - math.log(sigma * math.sqrt(math.pi)) - math.lgamma(0.5 * r)
-        # nu log(dev / 2 root) through z: at a subnormal dev, z keeps only a few
-        # bits, and this takes both factors at that rounded z (dev / 2 root itself
-        # underflows to 0 there); K_nu(z) z^nu is flat next to mu for nu > 0
-        + nu * (math.log(z) - math.log(2.0) + 2.0 * (math.log(sigma) - math.log(root)))
-        + m + math.log(s)
-    )
+    m, s = scaled_k_terms(abs(nu), z_scaled, shift)
+    log_value = (tilt - z + log_norm
+                 + nu * (math.log(z_scaled) - shift * _LN2) + m + math.log(s))
     if log_value <= -745.0:
         return 0.0
     try:

@@ -246,6 +246,34 @@ class TestOracleAndVg:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("command", [["pdf", "--x", "1"], ["moments"]])
+    @pytest.mark.parametrize("option", [("--r", "0"), ("--r", "-1"), ("--sigma", "-1")])
+    def test_vg_out_of_range_option_is_usage_error(self, runner, command, option):
+        # the last of a repeated option wins
+        result = runner.invoke(main, ["vg", *command, "--r", "1", "--theta", "0",
+                                      "--sigma", "1", "--mu", "0", *option])
+        assert result.exit_code == 2
+        assert option[0] in result.output
+
+    def test_vg_zero_scale_parses_and_pdf_is_runtime_error(self, runner):
+        base = ["--r", "1", "--theta", "0.5", "--sigma", "0", "--mu", "0"]
+        assert invoke(runner, ["vg", "moments", *base]).exit_code == 0
+        result = runner.invoke(main, ["vg", "pdf", *base, "--x", "1"])
+        assert result.exit_code == 1
+        assert "sigma = 0" in result.output
+
+    def test_vg_pdf_at_subnormal_distance(self, runner):
+        # the console-script line of CI: the tabulated sum and the subnormal distance
+        result = invoke(runner, ["vg", "pdf", "--r", "1", "--theta", "0.3", "--sigma", "1",
+                                 "--mu", "0", "--x", "5e-324", "--x", "1", "--x", "40"])
+        root = math.sqrt(1.09)
+        k0 = -(math.log(root) + math.log(5e-324) - math.log(2.0) + np.euler_gamma)
+        values = [float(v) for v in result.output.split()]
+        assert values[0] == pytest.approx(k0 / math.pi, rel=1e-12)
+        # e^{0.3 x} K_0(sqrt(1.09) x) / pi, by mpmath at 40 digits
+        assert values[1:] == [pytest.approx(v, rel=1e-13) for v in (
+            0.16992850657617492, 7.313115960296517e-15)]
+
 
 class TestOracleRange:
     def test_bm_non_finite_expectation_exits_1(self, runner):

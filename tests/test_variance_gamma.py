@@ -1,7 +1,9 @@
 """Variance-gamma density, moments and the product-of-normals map."""
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -123,10 +125,38 @@ class TestDensity:
             with pytest.raises(NumericRange):
                 vg_pdf(x, params)
             return
-        # a subnormal z keeps ~1 bit, 4% off here; the density is taken at that z,
-        # which r > 1 does not feel, but the log-singular r = 1 does, by 6e-5
-        rel = 1e-4 if r == 1.0 and x < np.finfo(float).tiny else 1e-12
-        assert vg_pdf(x, params) == pytest.approx(math.exp(log_want), rel=rel)
+        # z = root x / sigma^2 would keep ~1 bit here, 4% off; the density takes it
+        # from x exactly, which the log-singular r = 1 feels (6e-5 off otherwise)
+        assert vg_pdf(x, params) == pytest.approx(math.exp(log_want), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [1.0, 1.002, 2.0, 3.0])
+    def test_distance_whose_z_underflows(self, r):
+        # root x / sigma^2 = 5e-324 / 4 rounds to 0, yet x is not mu: the density
+        # is mpmath's, not the r <= 1 singularity error or the x = mu limit
+        x, params = 5e-324, VgParams(r, 0.0, 4.0, 0.0)
+        nu = 0.5 * (r - 1.0)
+        with mpmath.workdps(30):
+            dev = mpmath.mpf(x)
+            want = (mpmath.besselk(nu, dev / 4) * (dev / 8) ** nu
+                    / (4 * mpmath.sqrt(mpmath.pi) * mpmath.gamma(0.5 * r)))
+        assert vg_pdf(x, params) == pytest.approx(float(want), rel=1e-12)
+
+    def test_density_terms_are_built_once_per_parameter_set(self, monkeypatch):
+        built = []
+        terms = VgParams._density_terms.func
+
+        def counted(self):
+            built.append(self)
+            return terms(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(VgParams, "_density_terms")
+        monkeypatch.setattr(VgParams, "_density_terms", prop)
+        first, second = VgParams(1.0, 0.3, 1.0, 0.0), VgParams(2.5, -0.2, 0.7, 1.0)
+        for params in (first, second, first, second):
+            for x in (-3.0, 0.5, 2.0, 40.0):
+                vg_pdf(x, params)
+        assert built == [first, second]
 
 
 class TestMoments:
