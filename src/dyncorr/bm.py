@@ -43,7 +43,9 @@ form
 of each path's series ``E``, its anchor ``a``, the cross weights ``c`` and
 a scalar anchor weight ``A``; here ``E = e_d (X_u - X)``, ``a = X_u``,
 ``c = e_c`` and the sign is +.  The one row-block driver, ``_rowwise``,
-reduces it: a family's kernel supplies only ``(series, c, A, sign)``,
+reduces it for two paths or batches of one shape (it raises
+:class:`DomainError` on two shapes): a family's kernel supplies only
+``(series, c, A, sign)``,
 and the driver forms ``h = a A/2 + <c, E>``, then
 ``gamma = a h' + a' h + sign <E, E'>`` and ``var = 2 a h + sign <E, E>``.
 The series of both paths sit stacked in one ``(2, rows, T)`` buffer, so both
@@ -94,7 +96,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DegenerateVariance, DomainError, NumericRange
-from .profiles import CorrelationProfile, TimeGrid
+from .profiles import CorrelationProfile
 from .simulate import BmPathPair, check_index
 
 
@@ -123,8 +125,9 @@ class BmEstimatorParams:
     def components(self, x, y, t: int):
         """``(gamma_hat, sigma_x_sq_hat, sigma_y_sq_hat)`` at time ``t``.
 
-        ``x`` and ``y`` are arrays shaped ``(..., T)``; each component keeps
-        the leading axes, so a ``(reps, T)`` batch gives ``(reps,)`` arrays.
+        ``x`` and ``y`` are arrays of the same shape ``(..., T)``; each
+        component keeps the leading axes, so a ``(reps, T)`` batch gives
+        ``(reps,)`` arrays.
         """
         return _rowwise(x, y, t, self._kernel)
 
@@ -151,8 +154,6 @@ class BmEstimatorParams:
 class EstimateSeries:
     """One estimator evaluation: components and the correlation ratio."""
 
-    grid: TimeGrid
-    u: int
     gamma_hat: float
     sigma_x_sq_hat: float
     sigma_y_sq_hat: float
@@ -256,7 +257,8 @@ _quiet = np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ig
 
 @_quiet
 def _rowwise(x, y, t: int, kernel):
-    """Per-row ``(gamma, var_x, var_y)`` of two ``(..., T)`` batches.
+    """Per-row ``(gamma, var_x, var_y)`` of two ``(..., T)`` batches of one
+    shape; batches of different shapes raise :class:`DomainError`.
 
     The one reduction of every estimator.  ``kernel(paths, t)`` sees the
     whole ``(n, T)`` batch of each distinct path (one when ``y is x``) once,
@@ -276,7 +278,7 @@ def _rowwise(x, y, t: int, kernel):
     x = np.asarray(x, dtype=float)
     y = x if same else np.asarray(y, dtype=float)
     if x.shape != y.shape:
-        x, y = np.broadcast_arrays(x, y)
+        raise DomainError(f"the two paths must have the same shape, got {x.shape} and {y.shape}")
     lead, T = x.shape[:-1], x.shape[-1]
     t = check_index(t, T)
     paths = (x.reshape(-1, T),) if same else (x.reshape(-1, T), y.reshape(-1, T))
@@ -330,8 +332,8 @@ def _epilogue(a, ce, ee, cross, A: float, sign: float):
 def gamma_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams) -> float:
     """Covariance component of the estimator at time ``u``.
 
-    Accepts a :class:`BmPathPair` or two arrays shaped ``(..., T)``; with a
-    batch the leading axes are preserved.
+    Accepts a :class:`BmPathPair` or two arrays of the same shape
+    ``(..., T)``; with a batch the leading axes are preserved.
     """
     return params.components(*_coerce_pair(pair_or_x, y), u)[0]
 
@@ -360,10 +362,7 @@ def estimate_bm(pair: BmPathPair, u: int, params: BmEstimatorParams) -> Estimate
     if sx <= 0.0 or sy <= 0.0:
         label = params.LABELS[0] if sx <= 0.0 else params.LABELS[1]
         raise DegenerateVariance(f"series {label} has a zero variance estimate at u={u}")
-    return EstimateSeries(
-        grid=pair.grid, u=u, gamma_hat=g, sigma_x_sq_hat=sx,
-        sigma_y_sq_hat=sy, rho_hat=g / math.sqrt(sx * sy),
-    )
+    return EstimateSeries(g, sx, sy, g / math.sqrt(sx * sy))
 
 
 def _coerce_pair(pair_or_x, y):
@@ -371,7 +370,7 @@ def _coerce_pair(pair_or_x, y):
         return pair_or_x.x, pair_or_x.y
     if y is None:
         raise DomainError("need either a BmPathPair or two arrays")
-    return np.asarray(pair_or_x, dtype=float), np.asarray(y, dtype=float)
+    return pair_or_x, y
 
 
 # ---------------------------------------------------------------------------

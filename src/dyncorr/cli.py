@@ -181,8 +181,7 @@ def estimate_bm_cmd(q, p, u_list, in_path, out):
     params = bm.BmEstimatorParams(q, p)
     if not params.in_consistency_range():
         click.echo(f"note: (q={q}, p={p}) lies outside the consistency range", err=True)
-    pair = BmPathPair(TimeGrid(cols["x"].size), cols["x"], cols["y"],
-                      profile=None, seed=None)
+    pair = BmPathPair(cols["x"], cols["y"])
     lines = ["u,gamma_hat,sigma_x_sq,sigma_y_sq,rho_hat"]
     for u in u_list:
         e = bm.estimate_bm(pair, u, params)
@@ -217,8 +216,7 @@ def estimate_gbm_cmd(variant, a, b, c, sigma, t_list, in_path, out):
             f"note: (a={a}, b={b}, c={c}) lies outside the {variant} consistency range",
             err=True,
         )
-    pair = simulate_gbm_pair(BmPathPair(TimeGrid(cols["w"].size), cols["w"], cols["u"],
-                                        profile=None, seed=None), sigma)
+    pair = simulate_gbm_pair(BmPathPair(cols["w"], cols["u"]), sigma)
     lines = ["t,gamma_hat,sigma_w_sq,sigma_u_sq,rho_hat,flags"]
     for t in t_list:
         e = gbm.estimate_gbm(pair, t, params)
@@ -418,6 +416,18 @@ def _curves_rows(cells) -> list:
     return rows
 
 
+def _config_entries(config: ExperimentConfig) -> dict:
+    """Every field of ``config`` but the experiment, in field order: the
+    profile as its spec string and the params as their fields."""
+    forms = {"profile": CorrelationProfile.spec_string, "params": vars}
+    entries = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        entries[f.name] = forms[f.name](value) if f.name in forms and value is not None else value
+    del entries["experiment"]   # a key of the manifest itself
+    return entries
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -460,16 +470,7 @@ def experiment_run_cmd(ctx, name, config_path, out_dir, seed):
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "runtime_s": runtime_s,
         "experiment": name,
-        "config": {
-            "file": os.path.basename(config_path),
-            "profile": (config.profile.spec_string() if config.profile else None),
-            "T_list": list(config.T_list),
-            "t_eval": config.t_eval,
-            "reps": config.reps,
-            "params": (vars(config.params) if config.params is not None else None),
-            "master_seed": config.master_seed,
-            "n_jobs": config.n_jobs,
-        },
+        "config": {"file": os.path.basename(config_path), **_config_entries(config)},
         "seeds": {"master_seed": config.master_seed,
                   "replications": [0, config.reps - 1]},
         "files": {

@@ -146,10 +146,14 @@ class McReport:
 
 
 def _stats(values: np.ndarray) -> dict:
+    """Sample mean, variance and standard error; below two samples the mean
+    is NaN and both spreads 0."""
     values = np.asarray(values, dtype=float)
     n = values.size
+    if n < 2:
+        return {"mean": float("nan"), "var": 0.0, "se": 0.0, "n": n}
     mean = float(values.mean())
-    var = float(values.var(ddof=1)) if n > 1 else 0.0
+    var = float(values.var(ddof=1))
     return {"mean": mean, "var": var, "se": math.sqrt(var / n), "n": n}
 
 
@@ -253,9 +257,7 @@ def _run_estimator(config: ExperimentConfig) -> McReport:
             "gamma_hat": _stats(g),
             f"sigma_{a}_sq_hat": _stats(sa),
             f"sigma_{b}_sq_hat": _stats(sb),
-            "rho_hat": _stats(rho) if rho.size > 1 else {"mean": float("nan"),
-                                                         "var": 0.0, "se": 0.0,
-                                                         "n": int(rho.size)},
+            "rho_hat": _stats(rho),
             "rho_hat_iqr": (float(np.subtract(*np.percentile(rho, [75, 25])))
                             if rho.size > 1 else float("nan")),
             "n_invalid_variance": int(np.sum(~valid)),

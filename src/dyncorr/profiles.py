@@ -9,6 +9,10 @@ coupling: step ``i`` uses a Gaussian increment pair with correlation
 so that the cumulative cross-covariance is ``Cov(X_s, Y_t) =
 min(s, t) * rho_{min(s, t)}`` exactly.  A profile is only usable when every
 ``r_i`` lies in [-1, 1]; anything else is rejected at construction.
+
+:func:`build_profile` takes a profile or its text form, ``kind:v1,v2,...``
+as :meth:`CorrelationProfile.spec_string` writes it, and validates it
+against a grid.
 """
 
 from __future__ import annotations
@@ -121,23 +125,14 @@ def _validate(rho: np.ndarray) -> None:
         raise ProfileOutOfRange(i + 1, float(rho[i]))
 
 
-def build_profile(spec, grid: TimeGrid) -> CorrelationProfile:
+def build_profile(spec: CorrelationProfile | str, grid: TimeGrid) -> CorrelationProfile:
     """Construct and validate a profile against a grid.
 
-    ``spec`` is either a profile string (``"constant:0.5"``,
-    ``"linear:0.1,0.02"``, ``"capped:0.5,10"``, ``"table:v1,v2,..."``) or a
-    tuple like ``("constant", 0.5)`` / ``("table", [v1, ...])``.
+    ``spec`` is a :class:`CorrelationProfile` or its text form
+    (``"constant:0.5"``, ``"linear:0.1,0.02"``, ``"capped:0.5,10"``,
+    ``"table:v1,v2,..."``); a table must have one value per grid point.
     """
-    if isinstance(spec, CorrelationProfile):
-        profile = spec
-    elif isinstance(spec, str):
-        profile = _parse_spec_string(spec)
-    else:
-        kind = spec[0]
-        if kind == "table":
-            profile = CorrelationProfile("table", table=tuple(float(v) for v in spec[1]))
-        else:
-            profile = CorrelationProfile(kind, tuple(float(v) for v in spec[1:]))
+    profile = spec if isinstance(spec, CorrelationProfile) else _parse_spec_string(spec)
     if profile.kind == "table" and len(profile.table) != grid.T:
         raise DomainError(
             f"table length {len(profile.table)} does not match grid T={grid.T}"

@@ -35,27 +35,21 @@ def check_exponent(what: str, *values, error=NumericRange) -> None:
 
 @dataclass(frozen=True)
 class BmPathPair:
-    """Sampled correlated Brownian pair X_1..X_T, Y_1..Y_T."""
+    """Correlated Brownian pair X_1..X_T, Y_1..Y_T, sampled or read from a file."""
 
-    grid: TimeGrid
     x: np.ndarray
     y: np.ndarray
-    profile: CorrelationProfile | None   # None for a pair read from a file
-    seed: int | None
 
 
 @dataclass(frozen=True)
 class GbmPathPair:
     """Geometric pair R = exp(sigma*W), S = exp(sigma*U) with its driving BM."""
 
-    grid: TimeGrid
     r_path: np.ndarray
     s_path: np.ndarray
     w: np.ndarray
     u: np.ndarray
     sigma: float
-    profile: CorrelationProfile | None   # None for a pair read from a file
-    seed: int | None
 
 
 def replication_rng(master_seed: int, replication: int = 0) -> np.random.Generator:
@@ -77,48 +71,40 @@ def _coupling(profile: CorrelationProfile, T: int):
     return coupling
 
 
-def _bm_into(coupling, rng: np.random.Generator, z: np.ndarray,
-             x: np.ndarray, y: np.ndarray) -> None:
-    """Write one pair into ``x`` and ``y``; its normals go into the ``(2, T)`` buffer ``z``."""
-    r, r_perp = coupling
-    rng.standard_normal(out=z)
-    np.cumsum(z[0], out=x)
-    # dy = r dx + r_perp z1; r = 1 gives dy identical to dx bitwise (the r_perp term is 0)
-    z[0] *= r
-    z[1] *= r_perp
-    z[1] += z[0]
-    np.cumsum(z[1], out=y)
-
-
 def simulate_bm_pair(
     profile: CorrelationProfile, grid: TimeGrid, seed: int, replication: int = 0
 ) -> BmPathPair:
-    """Generate one correlated BM pair by increment coupling."""
-    x = np.empty(grid.T)
-    y = np.empty(grid.T)
-    _bm_into(_coupling(profile, grid.T), replication_rng(seed, replication),
-             np.empty((2, grid.T)), x, y)
+    """Generate one correlated BM pair: the one row of a one-row
+    :func:`simulate_bm_batch` at ``replication``, made read-only."""
+    x, y = (batch[0] for batch in simulate_bm_batch(profile, grid, seed, 1, replication))
     x.setflags(write=False)
     y.setflags(write=False)
-    return BmPathPair(grid=grid, x=x, y=y, profile=profile, seed=seed)
+    return BmPathPair(x, y)
 
 
 def simulate_bm_batch(
     profile: CorrelationProfile, grid: TimeGrid, seed: int, reps: int,
     rep_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack ``reps`` independent pairs into (reps, T) arrays.
+    """Stack ``reps`` independent pairs into (reps, T) arrays by increment coupling.
 
-    Row ``i`` is bitwise identical to ``simulate_bm_pair(..., replication=
-    rep_offset + i)``, whatever the batching, so chunked or parallel sweeps
-    agree with serial ones.
+    Row ``i`` draws only from ``replication_rng(seed, rep_offset + i)``, so it
+    is bitwise the same in a batch of any size or offset: chunked and parallel
+    sweeps agree with serial ones, and :func:`simulate_bm_pair` is a one-row
+    batch.
     """
-    coupling = _coupling(profile, grid.T)
-    z = np.empty((2, grid.T))
+    r, r_perp = _coupling(profile, grid.T)
+    z = np.empty((2, grid.T))   # one row's normals, reused
     x = np.empty((reps, grid.T))
     y = np.empty((reps, grid.T))
     for i in range(reps):
-        _bm_into(coupling, replication_rng(seed, rep_offset + i), z, x[i], y[i])
+        replication_rng(seed, rep_offset + i).standard_normal(out=z)
+        np.cumsum(z[0], out=x[i])
+        # dy = r dx + r_perp z1; r = 1 gives dy identical to dx bitwise (the r_perp term is 0)
+        z[0] *= r
+        z[1] *= r_perp
+        z[1] += z[0]
+        np.cumsum(z[1], out=y[i])
     return x, y
 
 
@@ -127,10 +113,7 @@ def simulate_gbm_pair(bm: BmPathPair, sigma: float) -> GbmPathPair:
     r_path, s_path = gbm_transform(bm.x, bm.y, sigma)
     r_path.setflags(write=False)
     s_path.setflags(write=False)
-    return GbmPathPair(
-        grid=bm.grid, r_path=r_path, s_path=s_path, w=bm.x, u=bm.y,
-        sigma=float(sigma), profile=bm.profile, seed=bm.seed,
-    )
+    return GbmPathPair(r_path, s_path, bm.x, bm.y, float(sigma))
 
 
 def gbm_transform(w: np.ndarray, u: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,7 @@ Cov(X_s, Y_t) = min(s, t) * rho_{min(s, t)}, written independently of the
 expectation of the centred form used in the implementation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -197,6 +198,27 @@ class TestPointEstimator:
             series.gamma_hat / np.sqrt(series.sigma_x_sq_hat * series.sigma_y_sq_hat)
         )
 
+    def test_estimate_bm_holds_only_its_values(self):
+        series = estimate_bm(simulate_bm_pair(CONST_HALF, TimeGrid(30), 6), 8,
+                             BmEstimatorParams(0.5, 1.0))
+        assert [f.name for f in dataclasses.fields(series)] == [
+            "gamma_hat", "sigma_x_sq_hat", "sigma_y_sq_hat", "rho_hat"]
+
+    def test_one_array_without_a_second_is_rejected(self):
+        with pytest.raises(DomainError, match="two arrays"):
+            gamma_hat_bm(np.linspace(0.0, 1.0, 10), u=2, params=BmEstimatorParams(0.5, 1.0))
+
+    @pytest.mark.parametrize("x_shape, y_shape", [((3, 20), (20,)), ((20,), (2, 20)),
+                                                  ((20,), (21,)), ((2, 20), (3, 20))])
+    def test_paths_of_two_shapes_are_rejected(self, x_shape, y_shape):
+        params = BmEstimatorParams(0.5, 1.0)
+        x = np.cumsum(np.ones(x_shape), axis=-1)
+        y = np.cumsum(np.ones(y_shape), axis=-1)
+        with pytest.raises(DomainError, match="same shape"):
+            params.components(x, y, 4)
+        with pytest.raises(DomainError, match="same shape"):
+            rho_hat_bm(x, y, u=4, params=params)
+
 
 class TestExpectationFormulas:
     @pytest.mark.parametrize("q,p", [(0.5, 1.0), (0.0, 0.0), (0.3, 0.8), (1.0, 2.0)])
@@ -223,6 +245,10 @@ class TestExpectationFormulas:
         assert expected_sigma_sq_bm(1, BmEstimatorParams(0.0, 0.0), 2) == (
             pytest.approx(1.0)
         )
+
+    def test_grid_shorter_than_two_is_rejected(self):
+        with pytest.raises(DomainError, match="T must be >= 2"):
+            expected_sigma_sq_bm(1, BmEstimatorParams(0.5, 1.0), 1)
 
     def test_sigma_sq_equals_gamma_at_full_correlation(self):
         ones = CorrelationProfile("constant", (1.0,))

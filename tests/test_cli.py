@@ -18,7 +18,7 @@ from dyncorr import (
     simulate_bm_pair,
     simulate_gbm_pair,
 )
-from dyncorr.cli import main
+from dyncorr.cli import _json_text, main
 
 
 @pytest.fixture
@@ -194,6 +194,30 @@ class TestEstimate:
         assert result.exit_code == 0
         header = est.read_text().splitlines()[0]
         assert header == "t,gamma_hat,sigma_w_sq,sigma_u_sq,rho_hat,flags"
+
+    def test_gbm_out_of_range_notes_on_stderr(self, runner, tmp_path):
+        paths = tmp_path / "g.csv"
+        invoke(runner, ["simulate", "gbm", "--profile", "constant:0.5", "--T", "40",
+                        "--sigma", "0.1", "--out", str(paths)])
+        result = invoke(runner, ["estimate", "gbm", "--a", "1", "--b", "10", "--c", "2",
+                                 "--sigma", "0.1", "--t", "5", "--in", str(paths),
+                                 "--out", str(tmp_path / "e.csv")])
+        assert result.exit_code == 0
+        assert "note: (a=1.0, b=10.0, c=2.0) lies outside the v1 consistency range" \
+            in result.output
+
+    def test_gbm_rho_beyond_one_is_flagged(self, runner, tmp_path):
+        # v2 at T = 1000: rho_hat exceeds 1 in magnitude, kept and flagged
+        paths, est = tmp_path / "g.csv", tmp_path / "e.csv"
+        invoke(runner, ["simulate", "gbm", "--profile", "capped:0.5,10", "--T", "1000",
+                        "--sigma", "0.1", "--seed", "1", "--out", str(paths)])
+        invoke(runner, ["estimate", "gbm", "--variant", "v2", "--a", "1", "--b", "16",
+                        "--c", "2", "--sigma", "0.1", "--t", "1", "--t", "10",
+                        "--in", str(paths), "--out", str(est)])
+        for line in est.read_text().splitlines()[1:]:
+            *values, flags = line.split(",")
+            assert abs(float(values[4])) > 1.0 + 1e-12
+            assert flags == "rho_out_of_range"
 
     def test_missing_column_is_clear_error(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -464,6 +488,45 @@ class TestExperimentRun:
                                       "bm_consistency", "--config", str(cfg),
                                       "--out", str(tmp_path / "run")])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("T_list = 100,200", "T_list = 100,two", "bad [experiment] section"),
+        ("reps = 60", "reps = many", "bad [experiment] section"),
+        ("p = 1\n", "", "missing [params] key 'p'"),
+    ], ids=["T_list", "reps", "params-p"])
+    def test_bad_config_value_is_runtime_error(self, runner, tmp_path, old, new, message):
+        cfg = self.write_config(tmp_path, self.CONFIG.replace(old, new))
+        result = runner.invoke(main, ["experiment", "run", "--name", "bm_consistency",
+                                      "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+
+    def test_manifest_config_lists_every_run_setting(self, runner, tmp_path):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "run"
+        invoke(runner, ["experiment", "run", "--name", "bm_consistency",
+                        "--config", str(cfg), "--out", str(out)])
+        text = (out / "manifest.json").read_text()
+        config = text[text.index('"config": '):text.index(', "seeds"')]
+        assert config == (
+            '"config": {"file": "cfg.ini", "profile": "capped:0.5,10.0", '
+            '"T_list": [100, 200], "t_eval": 10, "reps": 60, '
+            '"params": {"q": 0.5, "p": 1}, "master_seed": 7, "n_jobs": 1}')
+
+    def test_manifest_config_without_profile_or_params(self, runner, tmp_path):
+        text = "[experiment]\nT_list = 2,4\nt_eval = 1\nreps = 20\nseed = 5\n"
+        cfg = self.write_config(tmp_path, text)
+        out = tmp_path / "run"
+        runner.invoke(main, ["experiment", "run", "--name", "exp_abs_bound",
+                             "--config", str(cfg), "--out", str(out)])
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["profile"] is None and config["params"] is None
+        assert "experiment" not in config
+
+    def test_json_text_writes_non_finite_floats_as_tokens(self):
+        assert _json_text({"a": -math.inf, "b": [math.inf, math.nan, 0.1], "c": None}) == (
+            '{"a": -Infinity, "b": [Infinity, NaN, 0.10000000000000001], "c": null}')
 
     def test_unknown_name_is_usage_error(self, runner, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -10,6 +10,7 @@ constant and time-varying profiles alike.  The point estimators are checked
 against their direct bracket and masked sums.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -19,12 +20,14 @@ import pytest
 
 from dyncorr import (
     CorrelationProfile,
+    DegenerateVariance,
     DomainError,
     GbmEstimatorParams,
     NegativeVarianceEstimate,
     NonconvergentSeriesWarning,
     NumericRange,
     TimeGrid,
+    build_profile,
     estimate_gbm,
     expected_gamma_gbm_v1,
     expected_gamma_gbm_v2,
@@ -216,6 +219,12 @@ class TestCorrelationTransform:
         with pytest.raises(DomainError):
             r_from_rho(-1.0, 1.0, 10)
 
+    @pytest.mark.parametrize("fn", [r_from_rho, rho_from_r])
+    @pytest.mark.parametrize("sigma, t", [(0.0, 5), (-0.1, 5), (0.1, 0), (0.1, -2)])
+    def test_nonpositive_sigma_or_time_rejected(self, fn, sigma, t):
+        with pytest.raises(DomainError, match="must be positive"):
+            fn(0.5, sigma, t)
+
 
 class TestExpectationFormulas:
     CASES = [
@@ -326,6 +335,13 @@ class TestExpectationFormulas:
         with pytest.warns(NonconvergentSeriesWarning):
             expected_sigma_sq_gbm_v2(5, params, 100)
 
+    def test_ratio_with_nonpositive_expected_variance_raises(self):
+        # v2's expected variance is a difference: at t = 1 of T = 10 it is not positive
+        params = GbmEstimatorParams(1.0, 16.0, 2.0, 0.02, "v2")
+        assert params.oracle(CONST_HALF, 1, 10)[1] <= 0.0
+        with pytest.raises(DegenerateVariance, match="not positive"):
+            expected_ratio_gbm(CONST_HALF, 1, params, 10)
+
     def test_oracle_guards_exponent_range(self):
         params = GbmEstimatorParams(1.0, 16.0, 2.0, 1.0, "v2")
         with pytest.raises(NumericRange):
@@ -382,6 +398,53 @@ class TestPointEstimators:
                 assert math.isnan(series.rho_hat)
                 flagged += 1
         assert flagged > 0
+
+    def test_zero_variance_raises_in_ratio_and_is_flagged(self, monkeypatch):
+        params = GbmEstimatorParams(1.0, 12.0, 2.0, 0.1, "v1")
+        pair = simulate_gbm_pair(simulate_bm_pair(CONST_HALF, TimeGrid(20), 1), 0.1)
+        monkeypatch.setattr(GbmEstimatorParams, "components",
+                            lambda self, w, u, t: (0.0, 0.0, 1.0))
+        with pytest.raises(DegenerateVariance, match="zero variance"):
+            rho_hat_gbm(pair, t=5, params=params)
+        series = estimate_gbm(pair, 5, params)
+        assert series.flags == ("degenerate_variance",)
+        assert math.isnan(series.rho_hat)
+
+    @staticmethod
+    def _curve(variant, b, spec, T, seeds=range(1, 6), times=range(1, 201)):
+        params = GbmEstimatorParams(1.0, b, 2.0, 0.1, variant)
+        profile = build_profile(spec, TimeGrid(T))
+        return [estimate_gbm(simulate_gbm_pair(simulate_bm_pair(profile, TimeGrid(T), seed),
+                                               0.1), t, params)
+                for seed in seeds for t in times]
+
+    def test_v2_rho_beyond_one_is_flagged_and_kept(self):
+        # v2's variances are differences, so Cauchy-Schwarz does not bound its ratio
+        series = self._curve("v2", 16.0, "capped:0.5,10", 1000, seeds=(1,))
+        assert all(e.flags == ("rho_out_of_range",) for e in series)
+        for e in series:
+            assert abs(e.rho_hat) > 1.0 + 1e-12
+            assert e.rho_hat == e.gamma_hat / math.sqrt(e.sigma_w_sq_hat * e.sigma_u_sq_hat)
+
+    @pytest.mark.parametrize("variant, b, spec", [("v1", 12.0, "constant:0.5"),
+                                                  ("v2", 16.0, "capped:0.5,10")])
+    def test_rho_beyond_one_by_rounding_is_not_flagged(self, variant, b, spec):
+        series = self._curve(variant, b, spec, 5000)
+        over = [e for e in series if abs(e.rho_hat) > 1.0]
+        assert over   # the tolerance is exercised: some ratios round past 1
+        assert max(abs(e.rho_hat) for e in over) <= 1.0 + 1e-15
+        assert not any(e.flags for e in series)
+
+    def test_one_array_without_a_second_is_rejected(self):
+        with pytest.raises(DomainError, match="two driving-BM arrays"):
+            gamma_hat_gbm_v1(np.linspace(0.0, 1.0, 10), t=2,
+                             params=GbmEstimatorParams(1.0, 12.0, 2.0, 0.1))
+
+    def test_estimate_holds_only_its_values(self):
+        pair = simulate_gbm_pair(simulate_bm_pair(CONST_HALF, TimeGrid(20), 1), 0.1)
+        series = estimate_gbm(pair, 5, GbmEstimatorParams(1.0, 12.0, 2.0, 0.1))
+        assert [f.name for f in dataclasses.fields(series)] == [
+            "gamma_hat", "sigma_w_sq_hat", "sigma_u_sq_hat", "rho_hat", "flags"]
 
     @pytest.mark.parametrize("variant,b", [("v1", 12.0), ("v2", 16.0)])
     @pytest.mark.parametrize("T", [50, 1000, 10000])

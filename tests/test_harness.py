@@ -1,6 +1,7 @@
 """Experiment orchestration: validation, determinism, check logic."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -71,6 +72,10 @@ class TestConfigValidation:
     def test_reps_minimum(self):
         with pytest.raises(DomainError):
             small_config(reps=1)
+
+    def test_n_jobs_minimum(self):
+        with pytest.raises(DomainError, match="n_jobs"):
+            small_config(n_jobs=0)
 
     def test_profile_specs_are_materialized(self):
         config = small_config(profile="constant:0.5")
@@ -217,6 +222,15 @@ class TestExperiments:
         assert report.cells[0]["n_invalid_variance"] > 0
 
 
+class TestStats:
+    @pytest.mark.parametrize("values", [[], [0.25]])
+    def test_below_two_samples_the_mean_is_nan(self, values):
+        stats = harness._stats(np.array(values))
+        assert list(stats) == ["mean", "var", "se", "n"]
+        assert math.isnan(stats["mean"])
+        assert (stats["var"], stats["se"], stats["n"]) == (0.0, 0.0, len(values))
+
+
 class TestStandaloneChecks:
     def test_exp_abs_bound_small(self):
         report = check_exp_abs_bound((0.5, 1.0), (1, 4), 20000, 3)
@@ -229,6 +243,19 @@ class TestStandaloneChecks:
     def test_exp_abs_bound_rejects_bad_sigma(self):
         with pytest.raises(DomainError):
             check_exp_abs_bound((0.0,), (1,), 100, 0)
+
+    @pytest.mark.parametrize("reps, t_list, message", [(1, (1,), "reps"),
+                                                       (100, (1, 0), "t must be >= 1")])
+    def test_exp_abs_bound_rejects_bad_arguments(self, reps, t_list, message):
+        with pytest.raises(DomainError, match=message):
+            check_exp_abs_bound((0.5,), t_list, reps, 0)
+
+    @pytest.mark.parametrize("reps, t_list, message", [(1, (5,), "reps"),
+                                                       (100, (), "t_list"),
+                                                       (100, (3, 0), "t_list")])
+    def test_product_moments_rejects_bad_arguments(self, reps, t_list, message):
+        with pytest.raises(DomainError, match=message):
+            check_product_moments("constant:0.5", t_list, reps, 0)
 
     def test_exp_abs_bound_rejects_overflowing_bound(self):
         # e^{sigma^2 t / 2} at sigma = 1, t = 1420 is beyond a double

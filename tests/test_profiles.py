@@ -55,6 +55,15 @@ class TestProfileValues:
             prof.rho(5)
         assert info.value.index == 3  # 0.5 + 0.2*3 = 1.1
 
+    def test_table_needs_two_values(self):
+        with pytest.raises(DomainError, match="at least 2 values"):
+            CorrelationProfile("table", table=(0.5,))
+
+    def test_nan_table_value_reports_index(self):
+        with pytest.raises(ProfileOutOfRange) as info:
+            build_profile("table:0.1,nan,0.2", TimeGrid(3))
+        assert info.value.index == 2
+
 
 class TestIncrements:
     def test_constant_one_gives_unit_increments(self):
@@ -92,16 +101,14 @@ class TestBuildProfile:
         grid = TimeGrid(3)
         assert build_profile(spec, grid).kind == kind
 
-    def test_tuple_spec(self):
-        prof = build_profile(("constant", 0.25), TimeGrid(4))
-        assert prof.rho(4)[0] == 0.25
-
     def test_spec_string_round_trips(self):
         grid = TimeGrid(10)
-        for spec in ("constant:0.5", "linear:0.01,0.005", "capped:0.5,4.0"):
+        table = "table:" + ",".join(["0.25", "0.3"] * 5)
+        for spec in ("constant:0.5", "linear:0.01,0.005", "capped:0.5,4.0", table):
             prof = build_profile(spec, grid)
             again = build_profile(prof.spec_string(), grid)
             assert np.array_equal(prof.rho(10), again.rho(10))
+        assert prof.spec_string() == table
 
     def test_table_length_must_match_grid(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,7 @@
 """Path generation: covariance structure, reproducibility, transforms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,8 +45,17 @@ class TestReproducibility:
 
     def test_paths_are_read_only(self):
         pair = simulate_bm_pair(CONST_HALF, TimeGrid(10), 1)
-        with pytest.raises(ValueError):
-            pair.x[0] = 0.0
+        for path in (pair.x, pair.y):
+            with pytest.raises(ValueError):
+                path[0] = 0.0
+
+    def test_pairs_hold_only_their_paths(self):
+        pair = simulate_bm_pair(CONST_HALF, TimeGrid(10), 1)
+        gpair = simulate_gbm_pair(pair, 0.2)
+        assert [f.name for f in dataclasses.fields(pair)] == ["x", "y"]
+        assert [f.name for f in dataclasses.fields(gpair)] == [
+            "r_path", "s_path", "w", "u", "sigma"]
+        assert gpair.w is pair.x and gpair.u is pair.y and gpair.sigma == 0.2
 
 
 class TestCovarianceStructure:

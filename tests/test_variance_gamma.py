@@ -74,6 +74,10 @@ class TestDensity:
         with pytest.raises(DomainError):
             vg_pdf(0.0, VgParams(1.0, 0.5, 0.0, 0.0))
 
+    def test_negative_scale_rejected(self):
+        with pytest.raises(DomainError, match="scale sigma must be >= 0"):
+            VgParams(1.0, 0.0, -0.5, 0.0)
+
     @pytest.mark.parametrize("r", [0.0, math.nan])
     def test_invalid_shape_rejected(self, r):
         with pytest.raises(DomainError):
