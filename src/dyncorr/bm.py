@@ -61,18 +61,24 @@ at ``u = 10``, ``(q, p) = (1/2, 1)``, ``Var(rho_hat)`` measured 0.90 / 0.88 / 0.
 at T = 1e3 / 1e4 / 1e5, against the sign law's
 ``1 - ((2/pi) arcsin rho_u)^2 = 0.889``.
 
-Nothing that depends on ``u`` is cached.  The weights at ``u`` are the read-only
-stacked ``(a_v, d_v)``, built once per ``(T, q, p)``, times the slice
-``[T-u:2T-u]`` of one read-only lag table ``1/|d|``, built once per ``T``:
-``(e_c, e_d)`` is one multiply and ``A`` one reduction, so a call along a curve
-pays only its own O(T) products and sums.  A one-row call finishes on Python
-floats: ``estimate_bm`` makes eight numpy calls (the weights, ``A``, two
-differences, the scaling and three reductions) and no small-array ones.
-Per call along the curves of the ``path_curve`` benchmark (numpy 2.4.6, one
-BLAS thread, 2-core VM, best of 31 interleaved rounds), against the same
-driver finishing each row on ``(2, 1)`` arrays: ``estimate_bm`` at T = 2000
-took 27 us (36 before), ``estimate_gbm`` v2 at T = 1000 24 us (34),
-``expected_ratio_q`` at T = 2000 7.8 us (8.4) and ``vg_pdf`` 5.0 us (5.7).
+``components`` caches nothing that depends on ``u``.  The weights at ``u`` are
+the read-only stacked ``(a_v, d_v)``, built once per ``(T, q, p)``, times the
+slice ``[T-u:2T-u]`` of one read-only lag table ``1/|d|``, built once per
+``T``: ``(e_c, e_d)`` is one multiply and ``A`` one reduction, so a call pays
+only its own O(T) products and sums, and a one-row call finishes on Python
+floats, in eight numpy calls and no small-array ones.
+
+The estimates of a pair, ``estimate_bm`` and ``gbm.estimate_gbm``, read the
+pair's whole curve instead (:meth:`BmEstimatorParams.curve`, O(T log T) by
+FFT; ``GbmEstimatorParams.curve``, O(T)), built once per ``(params, pair)``
+and cached: each point is then a row lookup.  A point whose curve entry is
+not finite comes from ``components``.  The BM curve is within 2e-12 /
+2e-11 / 1e-10 of the term-magnitude sum at T = 2e3 / 2e4 / 2e5, worst at
+``q = 1``; the GBM one is bitwise ``components``.  One point of a fresh
+pair costs the whole curve, against one ``components`` call: 0.35 ms
+against 0.15 at T = 2000, 3.7 against 0.2 ms at 1e4 and 50 against 1.4 ms
+at 1e5 (numpy 2.4.6, one BLAS thread, 2-core VM).  So one ``u`` over many
+pairs belongs in a batch ``components`` call, as the harness makes.
 
 The expectation formulas below are exact under increment coupling
 (``Cov(X_s, Y_t) = min(s, t) * rho_{min(s, t)}``), which is precisely how
@@ -98,6 +104,13 @@ import numpy as np
 from .errors import DegenerateVariance, DomainError, NumericRange
 from .profiles import CorrelationProfile
 from .simulate import BmPathPair, check_index
+
+
+# Out-of-range sums, and the empty sum over 1/(T-1) at T = 1, become inf or
+# nan under this state and are rejected by the caller.  A decorator is built
+# once, where ``with np.errstate(...)`` builds one per call; since numpy 2.0
+# it keeps each call's state token local, so the harness's threads share it.
+_quiet = np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore")
 
 
 @dataclass(frozen=True)
@@ -134,6 +147,46 @@ class BmEstimatorParams:
     def oracle(self, profile: CorrelationProfile, t: int, T: int):
         """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` at time ``t`` of a length-``T`` grid."""
         return _expected(profile, t, self, T)
+
+    @_quiet   # a non-finite entry is the view's to resolve (see _curve_point)
+    def curve(self, x, y):
+        """``(gamma_hat, sigma_x_sq_hat, sigma_y_sq_hat)`` at every time ``1..T``.
+
+        Shape rules as in :meth:`components`, with a last axis over the time:
+        ``(..., T)`` paths give three ``(..., T)`` arrays.  The kernel is
+        expanded into convolutions with the lag kernel ``1/d^2``,
+
+            (T-1) gamma(u) = X_u Y_u C[v^2q] - X_u C[v^(q-p) Y] - Y_u C[v^(q-p) X] + C[v^-2p X Y]
+
+        with ``C[f](u) = sum_{v != u} f_v/(u-v)^2``, and the same with one
+        path for each variance.  ``C[v^2q]`` is cached per ``(T, q, p)``; the
+        five path-dependent convolutions are one zero-padded FFT batch, so
+        the whole curve costs ``O(T log T)``.  The expansion cancels where
+        the centred form of :meth:`components` does not: measured on
+        seeded pairs over ``(q, p)`` in (1/2, 1), (1/2, 3/4), (1/4, 1),
+        (1, 2), (0, 1/2), the error stays within ``2e-12`` / ``2e-11`` /
+        ``1e-10`` of the term-magnitude sum at T = 2e3 / 2e4 / 2e5, worst at
+        ``q = 1`` and growing like ``T``.  So a variance within
+        ``1e-8`` of its terms is not resolved, and is NaN here, as is any
+        entry the sums make non-finite: :func:`estimate_bm` takes those
+        points from :meth:`components`.
+        """
+        x, y = _same_shape(x, y)
+        T = x.shape[-1]
+        a, d = _products(T, self.q, self.p)
+        cross = (a + d) * d                     # v^(q-p) / (T-1)
+        square = d * d                          # v^-2p / (T-1)
+        cx, cy, cxx, cxy, cyy = _convolve_lags(
+            np.stack([cross * x, cross * y, square * x * x, square * x * y, square * y * y]), T)
+        anchor = _anchor_sums(T, self.q, self.p)
+        gamma = x * (y * anchor - cy) - y * cx + cxy
+        variances = []
+        for path, c, cc in ((x, cx, cxx), (y, cy, cyy)):
+            var = path * (path * anchor - 2.0 * c) + cc
+            # X_u^2 C[v^2q] + C[v^-2p X^2] is half a bound on the terms' magnitudes
+            var[~(var > _CURVE_RTOL * (path * path * anchor + cc))] = np.nan
+            variances.append(var)
+        return gamma, *variances
 
     def _kernel(self, paths, t: int):
         """The centred form's terms at ``t`` for ``_rowwise``: the series
@@ -202,6 +255,42 @@ def _inverse_square_lags(T: int):
 
 
 @functools.lru_cache(maxsize=2)
+def _lag_spectrum(T: int):
+    """``(n, rfft of _inverse_square_lags(T) zero-padded to n)``, read-only.
+
+    ``n``, a power of two of at least ``2T - 1``, is long enough that the
+    circular convolution of a length-``T`` row with the ``2T - 1`` lags
+    wraps nothing onto the outputs ``T-1..2T-2``, which are ``u = 1..T``.
+    """
+    n = 1 << (2 * T - 2).bit_length()
+    spectrum = np.fft.rfft(_inverse_square_lags(T), n)
+    spectrum.setflags(write=False)
+    return n, spectrum
+
+
+def _convolve_lags(f, T: int):
+    """``C[f](u) = sum_{v != u} f_v/(u-v)^2`` over ``u = 1..T`` for each row of
+    ``f``, by one zero-padded FFT of the whole stack."""
+    n, spectrum = _lag_spectrum(T)
+    return np.fft.irfft(np.fft.rfft(f, n) * spectrum, n)[..., T - 1:2 * T - 1]
+
+
+@functools.lru_cache(maxsize=2)
+def _anchor_sums(T: int, q: float, p: float):
+    """Read-only ``C[v^2q] / (T-1)``: the path-independent convolution of
+    :meth:`BmEstimatorParams.curve`."""
+    a, d = _products(T, q, p)
+    sums = _convolve_lags((a + d) ** 2, T)
+    sums.setflags(write=False)
+    return sums
+
+
+# A curve variance within this fraction of its terms' magnitudes is rounding
+# of the expansion (see ``BmEstimatorParams.curve``), left to ``components``.
+_CURVE_RTOL = 1e-8
+
+
+@functools.lru_cache(maxsize=2)
 def _products(T: int, q: float, p: float):
     """Read-only stacked ``(a_v, d_v)`` over ``v = 1..T``, over ``sqrt(T - 1)``.
 
@@ -248,13 +337,6 @@ def _rowdot(a, b):
     return acc
 
 
-# Out-of-range sums, and the empty sum over 1/(T-1) at T = 1, become inf or
-# nan under this state and are rejected by the caller.  A decorator is built
-# once, where ``with np.errstate(...)`` builds one per call; since numpy 2.0
-# it keeps each call's state token local, so the harness's threads share it.
-_quiet = np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore")
-
-
 @_quiet
 def _rowwise(x, y, t: int, kernel):
     """Per-row ``(gamma, var_x, var_y)`` of two ``(..., T)`` batches of one
@@ -275,10 +357,7 @@ def _rowwise(x, y, t: int, kernel):
     A non-finite component raises :class:`NumericRange`.
     """
     same = y is x
-    x = np.asarray(x, dtype=float)
-    y = x if same else np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DomainError(f"the two paths must have the same shape, got {x.shape} and {y.shape}")
+    x, y = _same_shape(x, y)
     lead, T = x.shape[:-1], x.shape[-1]
     t = check_index(t, T)
     paths = (x.reshape(-1, T),) if same else (x.reshape(-1, T), y.reshape(-1, T))
@@ -309,6 +388,16 @@ def _rowwise(x, y, t: int, kernel):
         raise NumericRange(f"non-finite estimator component at time {t}: the paths "
                            "are not finite or too large for the weighted sums")
     return tuple(v.reshape(lead) for v in out) if lead else out
+
+
+def _same_shape(x, y):
+    """``x`` and ``y`` as float arrays of one shape (``y`` stays ``x`` when it
+    is); two shapes raise :class:`DomainError`."""
+    x = np.asarray(x, dtype=float)
+    y = x if y is x else np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise DomainError(f"the two paths must have the same shape, got {x.shape} and {y.shape}")
+    return x, y
 
 
 def _epilogue(a, ce, ee, cross, A: float, sign: float):
@@ -358,16 +447,47 @@ def rho_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams):
 
 
 def estimate_bm(pair: BmPathPair, u: int, params: BmEstimatorParams) -> EstimateSeries:
-    g, sx, sy = params.components(pair.x, pair.y, u)
+    """The components and ``rho_hat`` of ``pair`` at ``u``, read from the pair's
+    curve (see :func:`_curve_point`); a zero variance raises
+    :class:`DegenerateVariance`."""
+    g, sx, sy = _curve_point(params, pair, u)
     if sx <= 0.0 or sy <= 0.0:
         label = params.LABELS[0] if sx <= 0.0 else params.LABELS[1]
         raise DegenerateVariance(f"series {label} has a zero variance estimate at u={u}")
     return EstimateSeries(g, sx, sy, g / math.sqrt(sx * sy))
 
 
+@functools.lru_cache(maxsize=2)
+def _pair_curve(params, pair):
+    """Read-only ``(T, 3)`` rows of ``params.curve`` over the pair's paths.
+
+    Built once per ``(params, pair)``: pairs hash by identity and hold
+    read-only arrays, so an entry cannot go stale.
+    """
+    points = np.column_stack(params.curve(*pair.paths))
+    points.setflags(write=False)
+    return points
+
+
+def _curve_point(params, pair, t: int) -> list:
+    """``(gamma, var_a, var_b)`` of ``pair`` at ``t`` as Python floats: the
+    pair's cached curve, or ``params.components`` where the curve is not
+    finite, which returns the value or raises :class:`NumericRange`.
+
+    The estimate views of both families.  One point of a fresh pair costs
+    its whole curve; single-point work over many pairs belongs in a batch
+    :meth:`components` call.
+    """
+    t = check_index(t, pair.paths[0].shape[-1])
+    point = _pair_curve(params, pair)[t - 1].tolist()
+    if all(map(math.isfinite, point)):
+        return point
+    return params.components(*pair.paths, t)
+
+
 def _coerce_pair(pair_or_x, y):
     if isinstance(pair_or_x, BmPathPair):
-        return pair_or_x.x, pair_or_x.y
+        return pair_or_x.paths
     if y is None:
         raise DomainError("need either a BmPathPair or two arrays")
     return pair_or_x, y

@@ -160,6 +160,29 @@ def _read_csv_columns(path, expected: tuple) -> dict:
     return cols
 
 
+class _Time(click.ParamType):
+    """An evaluation time: an integer, or ``all`` for every time of the input."""
+
+    name = "time"
+
+    def convert(self, value, param, ctx):
+        return value if value == "all" else click.INT.convert(value, param, ctx)
+
+
+def _times(values, T: int) -> list:
+    """The requested times in order, ``all`` standing for ``1..T``."""
+    return [t for v in values for t in (range(1, T + 1) if v == "all" else (v,))]
+
+
+def _write_estimates(out, header: str, rows: list) -> None:
+    """The header and one CSV line per row of fields."""
+    Path(out).write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+    click.echo(f"wrote {out} ({len(rows)} row(s))")
+
+
+_TIME_HELP = "Evaluation time, or 'all' for every time of the input (repeatable)."
+
+
 @main.group()
 def estimate():
     """Run the estimators on path CSV files."""
@@ -168,8 +191,7 @@ def estimate():
 @estimate.command("bm")
 @click.option("--q", type=_NONNEGATIVE, required=True, help="Amplification exponent.")
 @click.option("--p", type=_NONNEGATIVE, required=True, help="Damping exponent.")
-@click.option("--u", "u_list", type=int, required=True, multiple=True,
-              help="Evaluation time (repeatable).")
+@click.option("--u", "u_list", type=_Time(), required=True, multiple=True, help=_TIME_HELP)
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
@@ -182,14 +204,12 @@ def estimate_bm_cmd(q, p, u_list, in_path, out):
     if not params.in_consistency_range():
         click.echo(f"note: (q={q}, p={p}) lies outside the consistency range", err=True)
     pair = BmPathPair(cols["x"], cols["y"])
-    lines = ["u,gamma_hat,sigma_x_sq,sigma_y_sq,rho_hat"]
-    for u in u_list:
+    rows = []
+    for u in _times(u_list, len(pair.x)):
         e = bm.estimate_bm(pair, u, params)
-        lines.append(",".join([str(u)] + [
-            _fmt(v) for v in (e.gamma_hat, e.sigma_x_sq_hat, e.sigma_y_sq_hat, e.rho_hat)
-        ]))
-    Path(out).write_text("\n".join(lines) + "\n")
-    click.echo(f"wrote {out} ({len(u_list)} row(s))")
+        rows.append([str(u), *map(_fmt, (e.gamma_hat, e.sigma_x_sq_hat, e.sigma_y_sq_hat,
+                                         e.rho_hat))])
+    _write_estimates(out, "u,gamma_hat,sigma_x_sq,sigma_y_sq,rho_hat", rows)
 
 
 @estimate.command("gbm")
@@ -199,8 +219,7 @@ def estimate_bm_cmd(q, p, u_list, in_path, out):
 @click.option("--b", type=float, required=True)
 @click.option("--c", type=float, required=True)
 @click.option("--sigma", type=_POSITIVE, required=True)
-@click.option("--t", "t_list", type=int, required=True, multiple=True,
-              help="Evaluation time (repeatable).")
+@click.option("--t", "t_list", type=_Time(), required=True, multiple=True, help=_TIME_HELP)
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
@@ -217,14 +236,12 @@ def estimate_gbm_cmd(variant, a, b, c, sigma, t_list, in_path, out):
             err=True,
         )
     pair = simulate_gbm_pair(BmPathPair(cols["w"], cols["u"]), sigma)
-    lines = ["t,gamma_hat,sigma_w_sq,sigma_u_sq,rho_hat,flags"]
-    for t in t_list:
+    rows = []
+    for t in _times(t_list, len(pair.w)):
         e = gbm.estimate_gbm(pair, t, params)
-        lines.append(",".join([str(t)] + [
-            _fmt(v) for v in (e.gamma_hat, e.sigma_w_sq_hat, e.sigma_u_sq_hat, e.rho_hat)
-        ] + [";".join(e.flags)]))
-    Path(out).write_text("\n".join(lines) + "\n")
-    click.echo(f"wrote {out} ({len(t_list)} row(s))")
+        rows.append([str(t), *map(_fmt, (e.gamma_hat, e.sigma_w_sq_hat, e.sigma_u_sq_hat,
+                                         e.rho_hat)), ";".join(e.flags)])
+    _write_estimates(out, "t,gamma_hat,sigma_w_sq,sigma_u_sq,rho_hat,flags", rows)
 
 
 # ---------------------------------------------------------------------------

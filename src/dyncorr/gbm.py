@@ -31,7 +31,11 @@ so nothing larger than a raw path exponential is formed:
   unscaled, so it cannot overflow.
 
 ``E``, ``c`` and ``A`` do not depend on ``t``; they are built once per
-``(T, params)`` and cached read-only.  Each anchor is exponentiated per row
+``(T, params)`` and cached read-only.  So a whole curve,
+:meth:`GbmEstimatorParams.curve`, is three sums per path and the anchors of
+every ``t``, O(T) and bitwise equal to ``components`` at each ``t``;
+:func:`estimate_gbm` reads the pair's cached curve, as ``bm.estimate_bm``
+does (see ``dyncorr.bm``).  Each anchor is exponentiated per row
 with its scale inside the exponent, so it neither overflows nor underflows
 before the product.  A block whose exponents leave the safe double range
 raises :class:`NumericRange` before any of them is exponentiated, and so do
@@ -66,10 +70,19 @@ from typing import ClassVar
 
 import numpy as np
 
-from .bm import _expected_ratio, _finite_moments, _rowdot, _rowwise
+from .bm import (
+    _curve_point,
+    _epilogue,
+    _expected_ratio,
+    _finite_moments,
+    _quiet,
+    _rowdot,
+    _rowwise,
+    _same_shape,
+)
 from .errors import DegenerateVariance, DomainError, NegativeVarianceEstimate
 from .profiles import CorrelationProfile
-from .simulate import GbmPathPair, check_exponent, check_index
+from .simulate import _MAX_EXPONENT, GbmPathPair, check_exponent, check_index
 
 
 class NonconvergentSeriesWarning(UserWarning):
@@ -117,6 +130,36 @@ class GbmEstimatorParams:
         """
         return _expected(profile.rho(T), t, self, T)
 
+    @_quiet   # a non-finite entry is the view's to resolve (see bm._curve_point)
+    def curve(self, w, u):
+        """``(gamma_hat, sigma_w_sq_hat, sigma_u_sq_hat)`` of this variant at
+        every time ``1..T``.
+
+        Shape rules as in :meth:`components`, with a last axis over the time.
+        ``E``, ``c`` and ``A`` do not depend on ``t``, so the curve is three
+        sums per path, the anchors of every ``t`` from one exponential over
+        the paths, and ``bm._epilogue`` broadcast over ``t``: ``O(T)``, and
+        bitwise equal to :meth:`components` at every ``t``.  Series
+        exponents beyond the safe range raise :class:`NumericRange`, as
+        ``components`` does at every ``t``; where only an anchor's exponent
+        leaves it, and so ``components`` raises at that ``t``, the entries
+        are NaN.
+        """
+        paths = np.stack(_same_shape(w, u))
+        T, sigma = paths.shape[-1], self.sigma
+        m_top, m, mean, scale, shift, c, A, sign = _grid(T, self)
+        E = paths * sigma
+        check_exponent("intermediate exponent", m_top + E.max())
+        # each anchor e^{shift} D_t as the one-t kernel forms it
+        top = E + shift
+        mean_top = shift + 0.5 * sigma ** 2 * np.arange(1.0, T + 1.0)
+        anchors = np.exp(top) - np.exp(mean_top)
+        anchors[np.maximum(top, mean_top) > _MAX_EXPONENT] = np.nan
+        _finish_series(E, m, mean, scale)
+        sums = (None if c is None else _rowdot(E, c)[..., None], _rowdot(E, E)[..., None],
+                _rowdot(E[0], E[-1])[..., None])
+        return _epilogue(anchors, *sums, A, sign)
+
     def _kernel(self, paths, t: int):
         """This variant's terms at ``t`` for ``bm._rowwise``; a block's
         exponents are checked before any of them is exponentiated."""
@@ -135,13 +178,7 @@ class GbmEstimatorParams:
             # anchors e^{shift} D_t, with the shift inside the exponent: one
             # scalar per path for one row
             anchors = [np.exp(x[rows, t - 1] * sigma + shift) - anchor_mean for x in paths]
-            # E = e^{m_k} D_k (v1: e^{m_k} inside the exponent) or e^{m_step/2} D_k (v2)
-            if m is not None:
-                out += m
-            np.exp(out, out=out)
-            out -= mean
-            if scale is not None:
-                out *= scale
+            _finish_series(out, m, mean, scale)
             return anchors
 
         return series, c, A, sign
@@ -156,6 +193,18 @@ class GbmEstimateSeries:
     sigma_u_sq_hat: float
     rho_hat: float
     flags: tuple = ()
+
+
+def _finish_series(out, m, mean, scale):
+    """``E = (e^{m + out} - mean) scale`` in place, from ``out = sigma W``:
+    ``e^{m_k} D_k`` (v1, ``e^{m_k}`` inside the exponent) or
+    ``e^{m_step/2} D_k`` (v2)."""
+    if m is not None:
+        out += m
+    np.exp(out, out=out)
+    out -= mean
+    if scale is not None:
+        out *= scale
 
 
 @functools.lru_cache(maxsize=2)
@@ -227,15 +276,23 @@ def rho_hat_gbm(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
     return g / np.sqrt(s_w * s_u)
 
 
+# |rho_hat| beyond this is out of range, not rounding: estimate_gbm's flag
+# and the harness's count
+RHO_LIMIT = 1.0 + 1e-12
+
+
 def estimate_gbm(pair: GbmPathPair, t: int, params: GbmEstimatorParams) -> GbmEstimateSeries:
     """The components and ``rho_hat`` at ``t``, with what is wrong with them as flags.
 
-    A negative or zero variance gives ``rho_hat = NaN`` and the flag
-    ``negative_variance`` or ``degenerate_variance``.  A ``rho_hat`` beyond
-    ``1 + 1e-12`` in magnitude, possible for v2 whose variances are
-    differences, keeps its value and is flagged ``rho_out_of_range``.
+    The components are read from the pair's curve (see
+    ``bm._curve_point``).  A negative or zero variance gives
+    ``rho_hat = NaN`` and the flag ``negative_variance`` or
+    ``degenerate_variance``.  A ``rho_hat`` beyond ``RHO_LIMIT`` in
+    magnitude, possible for v2 whose variances are differences, keeps its
+    value and is flagged ``rho_out_of_range``.
     """
-    g, s_w, s_u = params.components(*_coerce(pair, None, params), t)
+    _coerce(pair, None, params)   # the sigma check
+    g, s_w, s_u = _curve_point(params, pair, t)
     flags = ()
     if s_w < 0 or s_u < 0:
         flags, rho = ("negative_variance",), float("nan")
@@ -243,7 +300,7 @@ def estimate_gbm(pair: GbmPathPair, t: int, params: GbmEstimatorParams) -> GbmEs
         flags, rho = ("degenerate_variance",), float("nan")
     else:
         rho = g / math.sqrt(s_w * s_u)
-        if abs(rho) > 1.0 + 1e-12:   # rounding aside
+        if abs(rho) > RHO_LIMIT:
             flags = ("rho_out_of_range",)
     return GbmEstimateSeries(g, s_w, s_u, rho, flags)
 
@@ -252,7 +309,7 @@ def _coerce(pair_or_w, u, params):
     if isinstance(pair_or_w, GbmPathPair):
         if abs(pair_or_w.sigma - params.sigma) > 1e-12:
             raise DomainError("params.sigma does not match pair.sigma")
-        return pair_or_w.w, pair_or_w.u
+        return pair_or_w.paths
     if u is None:
         raise DomainError("need either a GbmPathPair or two driving-BM arrays")
     return pair_or_w, u

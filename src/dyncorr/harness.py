@@ -261,6 +261,9 @@ def _run_estimator(config: ExperimentConfig) -> McReport:
             "rho_hat_iqr": (float(np.subtract(*np.percentile(rho, [75, 25])))
                             if rho.size > 1 else float("nan")),
             "n_invalid_variance": int(np.sum(~valid)),
+            # v2's variances are differences, so its |rho_hat| can exceed 1
+            **({"n_rho_out_of_range": int(np.sum(np.abs(rho) > gbm.RHO_LIMIT))}
+               if isinstance(params, gbm.GbmEstimatorParams) else {}),
             "oracle": oracle,
         }
         cells.append(cell)

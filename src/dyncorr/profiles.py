@@ -145,13 +145,15 @@ def build_profile(spec: CorrelationProfile | str, grid: TimeGrid) -> Correlation
 def _parse_spec_string(text: str) -> CorrelationProfile:
     kind, _, rest = text.partition(":")
     kind = kind.strip()
-    if kind == "table":
-        values = tuple(float(v) for v in rest.split(","))
-        return CorrelationProfile("table", table=values)
     try:
         params = tuple(float(v) for v in rest.split(",")) if rest else ()
     except ValueError as exc:
         raise DomainError(f"cannot parse profile spec {text!r}: {exc}") from None
+    if kind == "table":
+        if len(params) < 2:
+            raise DomainError(f"profile spec {text!r}: a table takes at least 2 values, "
+                              f"got {len(params)}")
+        return CorrelationProfile("table", table=params)
     expected = {"constant": 1, "linear": 2, "capped": 2}.get(kind)
     if expected is None:
         raise DomainError(f"unknown profile kind {kind!r}")

@@ -33,23 +33,63 @@ def check_exponent(what: str, *values, error=NumericRange) -> None:
             raise error(f"{what} = {float(value):.1f} exceeds the safe exponent range")
 
 
-@dataclass(frozen=True)
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float array: itself if it already is one that
+    owns its memory, else a copy, so that no later write by the caller
+    reaches it (a read-only view can share a writable array's memory)."""
+    arr = np.asarray(values, dtype=float)
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
+# A pair hashes by identity (eq=False) and holds read-only arrays, so the
+# estimator curve cached per pair (``bm._pair_curve``) cannot go stale.
+
+@dataclass(frozen=True, eq=False)
 class BmPathPair:
-    """Correlated Brownian pair X_1..X_T, Y_1..Y_T, sampled or read from a file."""
+    """Correlated Brownian pair X_1..X_T, Y_1..Y_T, sampled or read from a file.
+
+    The paths are stored read-only; an input array that is writable, or a
+    view, is copied.
+    """
 
     x: np.ndarray
     y: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "x", _read_only(self.x))
+        object.__setattr__(self, "y", _read_only(self.y))
 
-@dataclass(frozen=True)
+    @property
+    def paths(self) -> tuple:
+        """The two paths the estimators read: ``(x, y)``."""
+        return self.x, self.y
+
+
+@dataclass(frozen=True, eq=False)
 class GbmPathPair:
-    """Geometric pair R = exp(sigma*W), S = exp(sigma*U) with its driving BM."""
+    """Geometric pair R = exp(sigma*W), S = exp(sigma*U) with its driving BM.
+
+    The paths are stored read-only; an input array that is writable, or a
+    view, is copied.
+    """
 
     r_path: np.ndarray
     s_path: np.ndarray
     w: np.ndarray
     u: np.ndarray
     sigma: float
+
+    def __post_init__(self):
+        for name in ("r_path", "s_path", "w", "u"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
+    @property
+    def paths(self) -> tuple:
+        """The two driving paths the estimators read: ``(w, u)``."""
+        return self.w, self.u
 
 
 def replication_rng(master_seed: int, replication: int = 0) -> np.random.Generator:
@@ -75,11 +115,9 @@ def simulate_bm_pair(
     profile: CorrelationProfile, grid: TimeGrid, seed: int, replication: int = 0
 ) -> BmPathPair:
     """Generate one correlated BM pair: the one row of a one-row
-    :func:`simulate_bm_batch` at ``replication``, made read-only."""
-    x, y = (batch[0] for batch in simulate_bm_batch(profile, grid, seed, 1, replication))
-    x.setflags(write=False)
-    y.setflags(write=False)
-    return BmPathPair(x, y)
+    :func:`simulate_bm_batch` at ``replication``."""
+    x, y = simulate_bm_batch(profile, grid, seed, 1, replication)
+    return BmPathPair(x[0], y[0])
 
 
 def simulate_bm_batch(
@@ -110,10 +148,7 @@ def simulate_bm_batch(
 
 def simulate_gbm_pair(bm: BmPathPair, sigma: float) -> GbmPathPair:
     """Exponentiate a BM pair into a GBM pair, keeping the driving paths."""
-    r_path, s_path = gbm_transform(bm.x, bm.y, sigma)
-    r_path.setflags(write=False)
-    s_path.setflags(write=False)
-    return GbmPathPair(r_path, s_path, bm.x, bm.y, float(sigma))
+    return GbmPathPair(*gbm_transform(bm.x, bm.y, sigma), bm.x, bm.y, float(sigma))
 
 
 def gbm_transform(w: np.ndarray, u: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:

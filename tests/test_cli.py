@@ -1,5 +1,6 @@
 """Command-line interface: grammar, round trips, exit codes, manifests."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -70,6 +71,16 @@ class TestSimulate:
         ])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("spec", ["table:0.1,abc", "table:"])
+    def test_unparsable_table_names_the_spec(self, runner, tmp_path, spec):
+        result = runner.invoke(main, [
+            "simulate", "bm", "--profile", spec, "--T", "2",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"profile spec {spec!r}" in result.output
+
     def test_table_profile_from_file(self, runner, tmp_path):
         table = tmp_path / "rho.csv"
         table.write_text("rho\n0.1\n0.2\n0.3\n")
@@ -137,6 +148,67 @@ class TestEstimate:
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
         assert str(bad) in result.output
+
+    @pytest.mark.parametrize("kind, params", [
+        ("bm", BmEstimatorParams(0.5, 1.0)),
+        ("gbm", GbmEstimatorParams(1.0, 12.0, 2.0, 0.1, "v1")),
+        ("gbm", GbmEstimatorParams(1.0, 16.0, 2.0, 0.1, "v2")),
+    ], ids=["bm", "gbm-v1", "gbm-v2"])
+    def test_all_times_write_every_point(self, runner, tmp_path, kind, params):
+        T = 60
+        paths, est = tmp_path / "p.csv", tmp_path / "e.csv"
+        pair = simulate_bm_pair(build_profile("capped:0.5,10", TimeGrid(T)), TimeGrid(T), 2)
+        if kind == "bm":
+            sim_opts, est_opts = [], ["--q", "0.5", "--p", "1", "--u", "all"]
+            expected = [estimate_bm(pair, u, params) for u in range(1, T + 1)]
+        else:
+            sim_opts = ["--sigma", "0.1"]
+            est_opts = ["--variant", params.variant, "--a", "1", "--b", str(params.b),
+                        "--c", "2", "--sigma", "0.1", "--t", "all"]
+            gpair = simulate_gbm_pair(pair, 0.1)
+            expected = [estimate_gbm(gpair, t, params) for t in range(1, T + 1)]
+        invoke(runner, ["simulate", kind, "--profile", "capped:0.5,10", "--T", str(T),
+                        "--seed", "2", *sim_opts, "--out", str(paths)])
+        result = invoke(runner, ["estimate", kind, *est_opts, "--in", str(paths),
+                                 "--out", str(est)])
+        assert result.exit_code == 0
+        assert f"({T} row(s))" in result.output
+        lines = est.read_text().splitlines()
+        assert len(lines) == T + 1
+        for t, (line, e) in enumerate(zip(lines[1:], expected), start=1):
+            fields = line.split(",")
+            values = [getattr(e, f.name) for f in dataclasses.fields(e)]
+            assert int(fields[0]) == t
+            assert np.array_equal([float(v) for v in fields[1:5]], values[:4], equal_nan=True)
+            assert fields[5:] == ([] if kind == "bm" else [";".join(e.flags)])
+
+    def test_all_times_follow_the_requested_order(self, runner, tmp_path):
+        paths, est = tmp_path / "p.csv", tmp_path / "e.csv"
+        invoke(runner, ["simulate", "bm", "--profile", "constant:0.5", "--T", "5",
+                        "--out", str(paths)])
+        invoke(runner, ["estimate", "bm", "--q", "0.5", "--p", "1", "--u", "3", "--u", "all",
+                        "--in", str(paths), "--out", str(est)])
+        assert [line.split(",")[0] for line in est.read_text().splitlines()[1:]] == \
+            ["3", "1", "2", "3", "4", "5"]
+
+    def test_flat_path_at_all_times_is_runtime_error(self, runner, tmp_path):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("t,x,y\n1,0,0.5\n2,0,0.7\n3,0,0.2\n")
+        result = runner.invoke(main, ["estimate", "bm", "--q", "0.5", "--p", "1",
+                                      "--u", "all", "--in", str(flat),
+                                      "--out", str(tmp_path / "e.csv")])
+        assert result.exit_code == 1
+        assert "series x has a zero variance" in result.output
+
+    @pytest.mark.parametrize("value", ["al", "1.5", ""])
+    def test_time_neither_integer_nor_all_is_usage_error(self, runner, tmp_path, value):
+        paths = tmp_path / "p.csv"
+        invoke(runner, ["simulate", "bm", "--profile", "constant:0.5", "--T", "5",
+                        "--out", str(paths)])
+        result = runner.invoke(main, ["estimate", "bm", "--q", "0.5", "--p", "1",
+                                      "--u", value, "--in", str(paths),
+                                      "--out", str(tmp_path / "e.csv")])
+        assert result.exit_code == 2
 
     def test_gbm_reads_only_the_driving_paths(self, runner, tmp_path):
         full, bare = tmp_path / "full.csv", tmp_path / "bare.csv"

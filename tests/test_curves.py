@@ -1,0 +1,227 @@
+"""Whole curves of both estimator families, and the estimate views that read them.
+
+``BmEstimatorParams.curve`` expands the kernel into FFT convolutions, so it is
+held to the per-point ``components`` within 1e-10 of the term-magnitude sum;
+``GbmEstimatorParams.curve`` reduces the same series as ``components`` and is
+held to it bitwise.  ``estimate_bm`` and ``estimate_gbm`` read a pair's cached
+curve and take a point whose entry is not finite from ``components``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dyncorr import (
+    BmEstimatorParams,
+    BmPathPair,
+    CorrelationProfile,
+    DegenerateVariance,
+    GbmEstimatorParams,
+    GbmPathPair,
+    IndexOutOfRange,
+    NumericRange,
+    TimeGrid,
+    estimate_bm,
+    estimate_gbm,
+    simulate_bm_batch,
+    simulate_bm_pair,
+    simulate_gbm_pair,
+)
+from dyncorr import bm
+
+PROFILE = CorrelationProfile("capped", (0.5, 10.0))
+QP = [(0.5, 1.0), (0.5, 0.75), (0.25, 1.0), (1.0, 2.0), (0.0, 0.5)]
+GBM = {"v1": GbmEstimatorParams(1.0, 12.0, 2.0, 0.1, "v1"),
+       "v2": GbmEstimatorParams(1.0, 16.0, 2.0, 0.1, "v2")}
+
+
+def term_scales(x, y, u, q, p):
+    """Term-magnitude sums of gamma and both variances at ``u``, each over T-1."""
+    T = x.shape[-1]
+    v = np.arange(1.0, T + 1.0)
+    lag = np.zeros(T)
+    lag[v != u] = 1.0 / ((u - v[v != u]) ** 2 * (T - 1))
+    dx = v ** q * x[u - 1] - v ** -p * x
+    dy = v ** q * y[u - 1] - v ** -p * y
+    return [float(np.sum(np.abs(a * b) * lag)) for a, b in ((dx, dy), (dx, dx), (dy, dy))]
+
+
+class TestBmCurve:
+    @pytest.mark.parametrize("q, p", QP)
+    @pytest.mark.parametrize("T", [2, 3, 50, 2000, 20000])
+    def test_matches_components(self, T, q, p):
+        # every u up to T = 2000; at 2e4 every u would take minutes of direct
+        # sums, so the ends and a seeded sample of 200 interior points
+        pair = simulate_bm_pair(PROFILE, TimeGrid(T), 11)
+        params = BmEstimatorParams(q, p)
+        curve = params.curve(pair.x, pair.y)
+        assert [c.shape for c in curve] == [(T,)] * 3
+        times = range(1, T + 1)
+        if T > 2000:
+            rng = np.random.default_rng(T)
+            times = sorted({1, 2, T - 1, T, *rng.integers(1, T + 1, 200).tolist()})
+        for u in times:
+            want = params.components(pair.x, pair.y, u)
+            for got, ref, scale in zip((c[u - 1] for c in curve), want,
+                                       term_scales(pair.x, pair.y, u, q, p)):
+                assert abs(got - ref) <= 1e-10 * scale
+
+    def test_batch_rows_are_their_own_curves(self):
+        x, y = simulate_bm_batch(PROFILE, TimeGrid(300), 4, reps=5)
+        params = BmEstimatorParams(0.5, 1.0)
+        batch = params.curve(x.reshape(5, 1, 300), y.reshape(5, 1, 300))
+        assert [c.shape for c in batch] == [(5, 1, 300)] * 3
+        for i in range(5):
+            for got, row in zip(batch, params.curve(x[i], y[i])):
+                np.testing.assert_allclose(got[i, 0], row, rtol=0, atol=1e-12)
+
+    def test_cached_terms_are_read_only(self):
+        n, spectrum = bm._lag_spectrum(50)
+        assert n >= 2 * 50 - 1
+        for arr in (spectrum, bm._anchor_sums(50, 0.5, 1.0)):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+
+class TestGbmCurve:
+    @pytest.mark.parametrize("variant", list(GBM))
+    @pytest.mark.parametrize("T", [2, 3, 50, 1000])
+    def test_bitwise_equal_to_components(self, variant, T):
+        params = GBM[variant]
+        pair = simulate_gbm_pair(simulate_bm_pair(PROFILE, TimeGrid(T), 5), params.sigma)
+        curve = np.column_stack(params.curve(pair.w, pair.u))
+        for t in range(1, T + 1):
+            want = params.components(pair.w, pair.u, t)
+            assert np.array_equal(curve[t - 1], want)
+            got = estimate_gbm(pair, t, params)
+            g, s_w, s_u = want
+            ratio = g / math.sqrt(s_w * s_u) if s_w > 0 and s_u > 0 else float("nan")
+            assert np.array_equal([got.gamma_hat, got.sigma_w_sq_hat, got.sigma_u_sq_hat,
+                                   got.rho_hat], [*want, ratio], equal_nan=True)
+
+    def test_batch_rows_are_their_own_curves(self):
+        w, u = simulate_bm_batch(PROFILE, TimeGrid(60), 2, reps=4)
+        for params in GBM.values():
+            batch = params.curve(w, u)
+            for i in range(4):
+                for got, row in zip(batch, params.curve(w[i], u[i])):
+                    assert np.array_equal(got[i], row)
+
+
+def _pairs(T=40):
+    bm_pair = simulate_bm_pair(PROFILE, TimeGrid(T), 2)
+    return [(estimate_bm, bm_pair, BmEstimatorParams(0.5, 1.0))] + [
+        (estimate_gbm, simulate_gbm_pair(bm_pair, params.sigma), params)
+        for params in GBM.values()]
+
+
+class TestViews:
+    @pytest.mark.parametrize("case", range(3), ids=["bm", "v1", "v2"])
+    @pytest.mark.parametrize("t", [0, -1, -40, 41])
+    def test_index_outside_the_grid_raises(self, case, t):
+        estimate, pair, params = _pairs()[case]
+        with pytest.raises(IndexOutOfRange):
+            estimate(pair, t, params)
+
+    # the out-of-range paths of test_reductions: a value per family that
+    # passes every exponent check but overflows a sum, a NaN and an inf
+    _OVERFLOW = {"bm": (0, slice(None), 1e200), "v1": (0, 19, 690.0), "v2": (1, 20, 650.0)}
+    _FAMILIES = {"bm": BmEstimatorParams(0.5, 1.0),
+                 "v1": GbmEstimatorParams(17.0, 12.0, 2.0, 1.0, "v1"),
+                 "v2": GbmEstimatorParams(1.0, 16.0, 2.0, 1.0, "v2")}
+
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
+    def test_raise_where_components_raises(self, family, bad):
+        params, T = self._FAMILIES[family], 40
+        paths = np.zeros((2, T))
+        paths[:] = np.linspace(0.0, 1.0, T)
+        path, k, value = self._OVERFLOW[family] if bad == "overflow" else (0, 7, float(bad))
+        paths[path, k] = value
+        if family == "bm":
+            estimate, pair = estimate_bm, BmPathPair(*paths)
+        else:   # the estimators read only the driving paths
+            estimate, pair = estimate_gbm, GbmPathPair(*paths, *paths, params.sigma)
+        raised = 0
+        for t in range(1, T + 1):
+            try:
+                want = params.components(*paths, t)
+            except NumericRange:
+                raised += 1
+                with pytest.raises(NumericRange):
+                    estimate(pair, t, params)
+                continue
+            got = estimate(pair, t, params)
+            assert np.array_equal(list(vars(got).values())[:3], want)
+        assert raised
+
+    def test_non_finite_entry_defers_to_components(self, monkeypatch):
+        pair = simulate_bm_pair(PROFILE, TimeGrid(30), 3)
+        params = BmEstimatorParams(0.5, 1.0)
+        real = BmEstimatorParams.curve
+
+        def holed(self, x, y):
+            curve = real(self, x, y)
+            for c, u in zip(curve, (4, 9, 17)):
+                c[u - 1] = (np.nan, np.inf, -np.inf)[u % 3]
+            return curve
+
+        monkeypatch.setattr(BmEstimatorParams, "curve", holed)
+        for u in (4, 9, 17):
+            got = estimate_bm(pair, u, params)
+            assert (got.gamma_hat, got.sigma_x_sq_hat, got.sigma_y_sq_hat) == \
+                params.components(pair.x, pair.y, u)
+
+    def test_unresolved_variance_defers_to_components(self):
+        # at q = p = 0 a constant path has an exactly zero variance, which the
+        # expanded curve only reaches up to rounding: it is left to components
+        x = np.full(50, 3.0)
+        y = simulate_bm_pair(PROFILE, TimeGrid(50), 1).y
+        params = BmEstimatorParams(0.0, 0.0)
+        assert np.isnan(params.curve(x, y)[1]).all()
+        for u in (1, 25, 50):
+            assert params.components(x, y, u)[1] == 0.0
+            with pytest.raises(DegenerateVariance, match="series x"):
+                estimate_bm(BmPathPair(x, y), u, params)
+
+    def test_estimates_read_one_cached_curve_per_pair(self, monkeypatch):
+        calls = []
+        for cls in (BmEstimatorParams, GbmEstimatorParams):
+            real = cls.curve
+            monkeypatch.setattr(cls, "curve", lambda self, a, b, real=real:
+                                calls.append(self) or real(self, a, b))
+        bm._pair_curve.cache_clear()
+        for estimate, pair, params in _pairs()[:2]:
+            for t in range(1, 41):
+                estimate(pair, t, params)
+        assert len(calls) == 2
+
+    def test_writes_to_the_callers_arrays_do_not_reach_the_pair(self):
+        x, y = (np.array(p) for p in simulate_bm_pair(PROFILE, TimeGrid(40), 8).paths)
+        bm_pair = BmPathPair(x, y)
+        gbm_pair = GbmPathPair(np.exp(0.1 * x), np.exp(0.1 * y), x, y, 0.1)
+        cases = [(estimate_bm, bm_pair, BmEstimatorParams(0.5, 1.0))] + [
+            (estimate_gbm, gbm_pair, params) for params in GBM.values()]
+        before = [estimate(pair, 12, params) for estimate, pair, params in cases]
+        x[:] = 0.0
+        y[:] = 5.0
+        for (estimate, pair, params), old in zip(cases, before):
+            assert estimate(pair, 12, params) == old
+            assert not any(np.shares_memory(a, x) or np.shares_memory(a, y)
+                           for a in pair.paths)
+        fresh = [estimate(BmPathPair(*pair.paths) if estimate is estimate_bm else
+                          GbmPathPair(pair.r_path, pair.s_path, *pair.paths, 0.1), 12, params)
+                 for estimate, pair, params in cases]
+        assert fresh == before
+
+    def test_a_read_only_view_of_writable_memory_is_copied(self):
+        base = np.array(simulate_bm_pair(PROFILE, TimeGrid(40), 8).x)
+        view = base[:]
+        view.flags.writeable = False
+        pair = BmPathPair(view, base[::-1].copy())
+        params = BmEstimatorParams(0.5, 1.0)
+        before = estimate_bm(pair, 12, params)
+        base[:] = 0.0
+        assert not np.shares_memory(pair.x, base)
+        assert estimate_bm(pair, 12, params) == before

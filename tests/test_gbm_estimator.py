@@ -406,6 +406,9 @@ class TestPointEstimators:
                             lambda self, w, u, t: (0.0, 0.0, 1.0))
         with pytest.raises(DegenerateVariance, match="zero variance"):
             rho_hat_gbm(pair, t=5, params=params)
+        # estimate_gbm reads the pair's curve
+        monkeypatch.setattr(GbmEstimatorParams, "curve",
+                            lambda self, w, u: (np.zeros(20), np.zeros(20), np.ones(20)))
         series = estimate_gbm(pair, 5, params)
         assert series.flags == ("degenerate_variance",)
         assert math.isnan(series.rho_hat)

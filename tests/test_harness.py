@@ -221,6 +221,21 @@ class TestExperiments:
         report = run_experiment(config)
         assert report.cells[0]["n_invalid_variance"] > 0
 
+    def test_gbm_counts_rho_out_of_range(self):
+        # v2's variances are differences: at these sizes every valid
+        # replication has |rho_hat| beyond 1, and each cell counts them
+        config = ExperimentConfig("gbm_consistency_v2", "capped:0.5,10", (200, 1000), 5, 40,
+                                  GbmEstimatorParams(1, 16, 2, 0.1, "v2"), 5)
+        report = run_experiment(config)
+        counts = [(c["n_invalid_variance"], c["n_rho_out_of_range"]) for c in report.cells]
+        assert counts == [(4, 36), (0, 40)]
+        for cell in report.cells:
+            keys = list(cell)
+            assert keys[keys.index("n_invalid_variance") + 1] == "n_rho_out_of_range"
+        assert report_key(run_experiment(config)) == report_key(report)
+        # BM's ratios are bounded by Cauchy-Schwarz: its cells carry no count
+        assert all("n_rho_out_of_range" not in c for c in run_experiment(small_config()).cells)
+
 
 class TestStats:
     @pytest.mark.parametrize("values", [[], [0.25]])

@@ -120,6 +120,16 @@ class TestBuildProfile:
         with pytest.raises(DomainError):
             build_profile(spec, TimeGrid(3))
 
+    @pytest.mark.parametrize("spec, message", [
+        ("table:0.1,abc", "cannot parse"),
+        ("table:", "at least 2 values, got 0"),
+        ("table:0.5", "at least 2 values, got 1"),
+    ])
+    def test_malformed_table_names_the_spec(self, spec, message):
+        with pytest.raises(DomainError, match=message) as info:
+            build_profile(spec, TimeGrid(2))
+        assert repr(spec) in str(info.value)
+
     def test_building_validates_feasibility(self):
         with pytest.raises(IncrementInfeasible):
             build_profile("table:0.0,0.95", TimeGrid(2))
