@@ -71,13 +71,15 @@ def _load_profile(spec: str, grid: TimeGrid) -> CorrelationProfile:
     return build_profile(spec, grid)
 
 
-# estimator exponents and volatilities out of range are usage errors (exit 2)
+# estimator exponents and volatilities out of range, and negative seeds and
+# replications, are usage errors (exit 2)
 _NONNEGATIVE = click.FloatRange(min=0)
 _POSITIVE = click.FloatRange(min=0, min_open=True)
+_NONNEGATIVE_INT = click.IntRange(min=0)
 
 
 seed_option = click.option(
-    "--seed", type=int, default=0, envvar="DYNCORR_SEED", show_default=True,
+    "--seed", type=_NONNEGATIVE_INT, default=0, envvar="DYNCORR_SEED", show_default=True,
     help="Master seed (env DYNCORR_SEED).",
 )
 
@@ -100,7 +102,7 @@ def simulate():
 @click.option("--profile", required=True, help="Profile spec, e.g. constant:0.5.")
 @click.option("--T", "T", type=int, required=True, help="Grid length.")
 @seed_option
-@click.option("--replication", type=int, default=0, show_default=True)
+@click.option("--replication", type=_NONNEGATIVE_INT, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
 @_runtime_errors
 def simulate_bm_cmd(profile, T, seed, replication, out):
@@ -118,7 +120,7 @@ def simulate_bm_cmd(profile, T, seed, replication, out):
 @click.option("--T", "T", type=int, required=True, help="Grid length.")
 @click.option("--sigma", type=_POSITIVE, required=True, help="Volatility.")
 @seed_option
-@click.option("--replication", type=int, default=0, show_default=True)
+@click.option("--replication", type=_NONNEGATIVE_INT, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
 @_runtime_errors
 def simulate_gbm_cmd(profile, T, sigma, seed, replication, out):
@@ -454,7 +456,7 @@ def _sha256(path: Path) -> str:
 @click.option("--config", "config_path",
               type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-@click.option("--seed", type=int, default=None, envvar="DYNCORR_SEED",
+@click.option("--seed", type=_NONNEGATIVE_INT, default=None, envvar="DYNCORR_SEED",
               help="Master seed override (env DYNCORR_SEED).")
 @click.pass_context
 @_runtime_errors

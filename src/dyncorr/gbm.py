@@ -75,6 +75,7 @@ from .bm import (
     _epilogue,
     _expected_ratio,
     _finite_moments,
+    _form_sums,
     _quiet,
     _rowdot,
     _rowwise,
@@ -82,7 +83,7 @@ from .bm import (
 )
 from .errors import DegenerateVariance, DomainError, NegativeVarianceEstimate
 from .profiles import CorrelationProfile
-from .simulate import _MAX_EXPONENT, GbmPathPair, check_exponent, check_index
+from .simulate import _MAX_EXPONENT, GbmPathPair, check_exponent, check_finite, check_index
 
 
 class NonconvergentSeriesWarning(UserWarning):
@@ -103,6 +104,7 @@ class GbmEstimatorParams:
     variant: str = "v1"
 
     def __post_init__(self):
+        check_finite(a=self.a, b=self.b, c=self.c, sigma=self.sigma)
         if self.sigma <= 0:
             raise DomainError(f"sigma must be positive, got {self.sigma!r}")
         if self.variant not in ("v1", "v2"):
@@ -156,8 +158,7 @@ class GbmEstimatorParams:
         anchors = np.exp(top) - np.exp(mean_top)
         anchors[np.maximum(top, mean_top) > _MAX_EXPONENT] = np.nan
         _finish_series(E, m, mean, scale)
-        sums = (None if c is None else _rowdot(E, c)[..., None], _rowdot(E, E)[..., None],
-                _rowdot(E[0], E[-1])[..., None])
+        sums = [s if s is None else s[..., None] for s in _form_sums(E, c)]
         return _epilogue(anchors, *sums, A, sign)
 
     def _kernel(self, paths, t: int):
@@ -175,8 +176,7 @@ class GbmEstimatorParams:
                 np.multiply(x[rows], sigma, out=o)
             check_exponent("intermediate exponent", m_top + out.max(),
                            shift + out[..., t - 1].max())
-            # anchors e^{shift} D_t, with the shift inside the exponent: one
-            # scalar per path for one row
+            # anchors e^{shift} D_t, with the shift inside the exponent
             anchors = [np.exp(x[rows, t - 1] * sigma + shift) - anchor_mean for x in paths]
             _finish_series(out, m, mean, scale)
             return anchors

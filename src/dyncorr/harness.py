@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bm, gbm
-from .errors import DomainError
+from .errors import DomainError, IndexOutOfRange
 from .profiles import CorrelationProfile, TimeGrid, build_profile
-from .simulate import check_exponent, replication_rng, simulate_bm_batch
+from .simulate import check_exponent, check_index, replication_rng, simulate_bm_batch
 
 # Estimator experiments: the params class each needs and the GBM variant it
 # requires (None: either).  The CLI reads this table to parse [params].
@@ -86,10 +86,11 @@ class ExperimentConfig:
         if not t_list or any(a >= c for a, c in zip(t_list, t_list[1:])):
             raise DomainError("T_list must be nonempty and strictly ascending")
         object.__setattr__(self, "T_list", t_list)
-        if not 1 <= self.t_eval <= t_list[0]:
-            raise DomainError(
-                f"t_eval={self.t_eval} must lie in 1..min(T_list)={t_list[0]}"
-            )
+        try:
+            object.__setattr__(self, "t_eval", check_index(self.t_eval, t_list[0]))
+        except IndexOutOfRange:
+            raise DomainError(f"t_eval={self.t_eval!r} must be an integer in "
+                              f"1..min(T_list)={t_list[0]}") from None
         if self.reps < 2:
             raise DomainError("reps must be >= 2")
         if self.n_jobs < 1:

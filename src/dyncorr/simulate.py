@@ -11,6 +11,8 @@ generator this is bitwise reproducible per platform.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,15 @@ def check_exponent(what: str, *values, error=NumericRange) -> None:
     for value in values:
         if value > _MAX_EXPONENT:
             raise error(f"{what} = {float(value):.1f} exceeds the safe exponent range")
+
+
+def check_finite(**values) -> None:
+    """Raise :class:`DomainError` naming the first of ``values`` that is not
+    finite: the parameter guard of both estimator families and the GBM
+    transform, where a NaN or an infinity can pass a range check."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def _read_only(values) -> np.ndarray:
@@ -94,6 +105,9 @@ class GbmPathPair:
 
 def replication_rng(master_seed: int, replication: int = 0) -> np.random.Generator:
     """Deterministic per-replication generator (see module docstring)."""
+    if master_seed < 0 or replication < 0:
+        raise DomainError("seed and replication must be >= 0, got "
+                          f"seed={master_seed!r}, replication={replication!r}")
     ss = np.random.SeedSequence(master_seed, spawn_key=(replication,))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -152,6 +166,7 @@ def simulate_gbm_pair(bm: BmPathPair, sigma: float) -> GbmPathPair:
 
 
 def gbm_transform(w: np.ndarray, u: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    check_finite(sigma=sigma)
     if sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
     check_exponent("max |sigma*W_t|", sigma * max(np.abs(w).max(), np.abs(u).max()),
@@ -160,6 +175,12 @@ def gbm_transform(w: np.ndarray, u: np.ndarray, sigma: float) -> tuple[np.ndarra
 
 
 def check_index(u: int, T: int) -> int:
-    if not 1 <= u <= T:
-        raise IndexOutOfRange(f"time index {u} outside grid 1..{T}")
-    return int(u)
+    """``u`` as a Python int; a time that is not a Python or numpy integer,
+    or lies outside ``1..T``, raises :class:`IndexOutOfRange`."""
+    try:
+        t = operator.index(u)
+    except TypeError:
+        raise IndexOutOfRange(f"time index {u!r} is not an integer") from None
+    if not 1 <= t <= T:
+        raise IndexOutOfRange(f"time index {t} outside grid 1..{T}")
+    return t

@@ -87,15 +87,17 @@ class TestParams:
         with pytest.raises(DomainError):
             BmEstimatorParams(0.5, -1.0)
 
+    @pytest.mark.parametrize("name", ["q", "p"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_exponents_rejected(self, name, value):
+        kwargs = {"q": 0.5, "p": 1.0, name: value}
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            BmEstimatorParams(**kwargs)
+
     def test_consistency_range(self):
         assert BmEstimatorParams(0.5, 1.0).in_consistency_range()
         assert not BmEstimatorParams(0.5, 0.5).in_consistency_range()
         assert not BmEstimatorParams(0.0, 1.0).in_consistency_range()
-
-    def test_variance_decay_range(self):
-        assert BmEstimatorParams(0.25, 0.75).in_variance_decay_range()
-        assert not BmEstimatorParams(0.0, 0.75).in_variance_decay_range()
-        assert not BmEstimatorParams(0.25, 0.5).in_variance_decay_range()
 
 
 class TestPointEstimator:

@@ -64,6 +64,29 @@ class TestSimulate:
                         "--T", "20", "--seed", "99", "--out", str(out2)])
         assert out1.read_text() == out2.read_text()
 
+    @pytest.mark.parametrize("kind", ["bm", "gbm"])
+    @pytest.mark.parametrize("option, env", [
+        (["--seed", "-1"], {}), (["--replication", "-1"], {}), ([], {"DYNCORR_SEED": "-3"}),
+    ], ids=["seed", "replication", "env-seed"])
+    def test_negative_seed_is_usage_error(self, runner, tmp_path, kind, option, env):
+        out = tmp_path / "x.csv"
+        sigma = ["--sigma", "0.1"] if kind == "gbm" else []
+        result = runner.invoke(main, ["simulate", kind, "--profile", "constant:0.5", "--T", "5",
+                                      *sigma, *option, "--out", str(out)], env=env)
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option[0] if option else '--seed'}'" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_gbm_non_finite_sigma_is_runtime_error(self, runner, tmp_path, sigma):
+        # NaN once wrote nan into every r and s cell and exited 0
+        out = tmp_path / "g.csv"
+        result = runner.invoke(main, ["simulate", "gbm", "--profile", "constant:0.5",
+                                      "--T", "5", "--sigma", sigma, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: sigma must be finite, got {sigma}\n"
+        assert not out.exists()
+
     def test_infeasible_profile_is_runtime_error(self, runner, tmp_path):
         result = runner.invoke(main, [
             "simulate", "bm", "--profile", "table:0.0,0.95", "--T", "2",
@@ -243,6 +266,21 @@ class TestEstimate:
     def test_oracle_out_of_range_option_is_usage_error(self, runner, args):
         # the same options exit 2 on estimate and oracle commands alike
         assert runner.invoke(main, args).exit_code == 2
+
+    @pytest.mark.parametrize("kind, option, value", [
+        ("bm", "q", "inf"), ("bm", "p", "inf"),
+        ("gbm", "a", "nan"), ("gbm", "b", "inf"), ("gbm", "c", "-inf"), ("gbm", "sigma", "inf"),
+    ])
+    def test_oracle_non_finite_parameter_names_it(self, runner, kind, option, value):
+        # these once exited 1 blaming sums too large for a double
+        base = ({"q": "0.5", "p": "1"} if kind == "bm"
+                else {"a": "1", "b": "16", "c": "2", "sigma": "0.1"})
+        base[option] = value
+        args = [a for k, v in base.items() for a in (f"--{k}", v)]
+        result = runner.invoke(main, ["oracle", kind, "--profile", "constant:0.5", *args,
+                                      "--t", "5", "--T", "30"])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {option} must be finite, got {float(value)!r}\n"
 
     def test_bm_out_of_range_warns_on_stderr(self, runner, tmp_path):
         paths = tmp_path / "p.csv"
@@ -532,6 +570,17 @@ class TestExperimentRun:
         report = json.loads(text)
         assert any(math.isnan(cell["oracle"]["expected_ratio"]) for cell in report["cells"])
 
+    @pytest.mark.parametrize("option, env", [(["--seed", "-1"], {}), ([], {"DYNCORR_SEED": "-3"})],
+                             ids=["flag", "env"])
+    def test_negative_seed_flag_is_usage_error(self, runner, tmp_path, option, env):
+        cfg = self.write_config(tmp_path)
+        result = runner.invoke(main, ["experiment", "run", "--name", "bm_consistency",
+                                      "--config", str(cfg), "--out", str(tmp_path / "run"),
+                                      *option], env=env)
+        assert result.exit_code == 2
+        assert "Invalid value for '--seed'" in result.output
+        assert not (tmp_path / "run").exists()
+
     def test_seed_flag_overrides_config(self, runner, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "run"
@@ -565,7 +614,9 @@ class TestExperimentRun:
         ("T_list = 100,200", "T_list = 100,two", "bad [experiment] section"),
         ("reps = 60", "reps = many", "bad [experiment] section"),
         ("p = 1\n", "", "missing [params] key 'p'"),
-    ], ids=["T_list", "reps", "params-p"])
+        ("seed = 7", "seed = -1", "seed and replication must be >= 0"),
+        ("q = 0.5", "q = inf", "q must be finite"),
+    ], ids=["T_list", "reps", "params-p", "seed", "params-q"])
     def test_bad_config_value_is_runtime_error(self, runner, tmp_path, old, new, message):
         cfg = self.write_config(tmp_path, self.CONFIG.replace(old, new))
         result = runner.invoke(main, ["experiment", "run", "--name", "bm_consistency",

@@ -24,6 +24,8 @@ from dyncorr import (
     TimeGrid,
     estimate_bm,
     estimate_gbm,
+    expected_ratio_gbm,
+    expected_ratio_q,
     simulate_bm_batch,
     simulate_bm_pair,
     simulate_gbm_pair,
@@ -118,11 +120,23 @@ def _pairs(T=40):
 
 class TestViews:
     @pytest.mark.parametrize("case", range(3), ids=["bm", "v1", "v2"])
-    @pytest.mark.parametrize("t", [0, -1, -40, 41])
+    @pytest.mark.parametrize("t", [0, -1, -40, 41, 2.5, 2.0])
     def test_index_outside_the_grid_raises(self, case, t):
         estimate, pair, params = _pairs()[case]
         with pytest.raises(IndexOutOfRange):
             estimate(pair, t, params)
+
+    @pytest.mark.parametrize("case", range(3), ids=["bm", "v1", "v2"])
+    def test_time_that_is_not_an_integer_raises(self, case):
+        # 2.5 once answered for t = 2 in every call that takes a time
+        _, pair, params = _pairs()[case]
+        ratio = expected_ratio_q if case == 0 else expected_ratio_gbm
+        with pytest.raises(IndexOutOfRange, match="not an integer"):
+            params.components(*pair.paths, 2.5)
+        with pytest.raises(IndexOutOfRange, match="not an integer"):
+            ratio(PROFILE, 2.5, params, 40)
+        # numpy integers are times
+        assert params.components(*pair.paths, np.int64(2)) == params.components(*pair.paths, 2)
 
     # the out-of-range paths of test_reductions: a value per family that
     # passes every exponent check but overflows a sum, a NaN and an inf

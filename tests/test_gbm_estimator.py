@@ -190,6 +190,13 @@ class TestParams:
         with pytest.raises(DomainError):
             GbmEstimatorParams(1.0, 12.0, 2.0, 0.0)
 
+    @pytest.mark.parametrize("name", ["a", "b", "c", "sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_rejected(self, name, value):
+        kwargs = {"a": 1.0, "b": 12.0, "c": 2.0, "sigma": 0.1, name: value}
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            GbmEstimatorParams(**kwargs)
+
     def test_variant_names_checked(self):
         with pytest.raises(DomainError):
             GbmEstimatorParams(1.0, 12.0, 2.0, 0.1, "v3")

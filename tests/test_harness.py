@@ -69,6 +69,17 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             small_config(t_eval=150)
 
+    # a t_eval that is not an integer simulated every replication, then
+    # failed with a bare IndexError
+    @pytest.mark.parametrize("t_eval", [2.5, 10.0])
+    def test_t_eval_must_be_an_integer(self, t_eval):
+        with pytest.raises(DomainError, match="must be an integer"):
+            small_config(t_eval=t_eval)
+
+    def test_t_eval_numpy_integer_is_stored_as_int(self):
+        t_eval = small_config(t_eval=np.int64(10)).t_eval
+        assert t_eval == 10 and type(t_eval) is int
+
     def test_reps_minimum(self):
         with pytest.raises(DomainError):
             small_config(reps=1)
@@ -138,6 +149,10 @@ class TestDeterminism:
         a = run_experiment(small_config())
         b = run_experiment(small_config(master_seed=8))
         assert report_key(a) != report_key(b)
+
+    def test_negative_seed_is_domain_error(self):
+        with pytest.raises(DomainError, match="seed=-1"):
+            run_experiment(small_config(master_seed=-1))
 
 
 class TestBlocks:

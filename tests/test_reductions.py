@@ -1,7 +1,8 @@
 """The per-row reduction shared by both estimator families and the oracle.
 
-A one-row call finishes on Python floats and a batch on its blocks' arrays,
-with one expression; both must agree bitwise.  Every per-row sum goes through one helper, ``bm._rowdot``: ``np.vecdot`` over
+A ``(T,)`` call is a one-row batch that returns Python floats, and must
+agree bitwise with its row in any batch.  Every per-row sum goes through one
+helper, ``bm._rowdot``: ``np.vecdot`` over
 column chunks short enough that OpenBLAS runs each ``ddot`` on one thread.
 So a row's value does not depend on the batch it sits in, nor on the BLAS
 thread count.  Both are checked here at lengths on either side of the chunk

@@ -99,9 +99,19 @@ class TestGbm:
         with pytest.raises(DomainError):
             gbm_transform(w, w, 0.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_sigma_must_be_finite(self, sigma):
+        # NaN passed the positivity check and gave all-NaN r and s paths
+        pair = simulate_bm_pair(CONST_HALF, TimeGrid(5), 2)
+        with pytest.raises(DomainError, match="sigma must be finite"):
+            gbm_transform(pair.x, pair.y, sigma)
+        with pytest.raises(DomainError, match="sigma must be finite"):
+            simulate_gbm_pair(pair, sigma)
+
 
 class TestIndexAndRng:
-    @pytest.mark.parametrize("u", [0, -1, 11])
+    # a time that is not an integer was truncated: 2.5 answered for t = 2
+    @pytest.mark.parametrize("u", [0, -1, 11, 2.5, 2.0, np.float64(3.0), "3", None])
     def test_check_index_rejects_outside_grid(self, u):
         with pytest.raises(IndexOutOfRange):
             check_index(u, 10)
@@ -109,6 +119,15 @@ class TestIndexAndRng:
     def test_check_index_accepts_bounds(self):
         assert check_index(1, 10) == 1
         assert check_index(10, 10) == 10
+        t = check_index(np.int64(7), 10)
+        assert t == 7 and type(t) is int
+
+    @pytest.mark.parametrize("seed, replication", [(-1, 0), (0, -1)])
+    def test_negative_seed_or_replication_rejected(self, seed, replication):
+        with pytest.raises(DomainError, match=f"seed={seed}, replication={replication}"):
+            replication_rng(seed, replication)
+        with pytest.raises(DomainError):
+            simulate_bm_pair(CONST_HALF, TimeGrid(5), seed, replication)
 
     def test_rng_streams_are_seedsequence_spawns(self):
         a = replication_rng(7, 3).standard_normal(4)
