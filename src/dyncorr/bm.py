@@ -61,14 +61,15 @@ at ``u = 10``, ``(q, p) = (1/2, 1)``, ``Var(rho_hat)`` measured 0.90 / 0.88 / 0.
 at T = 1e3 / 1e4 / 1e5, against the sign law's
 ``1 - ((2/pi) arcsin rho_u)^2 = 0.889``.
 
-``components`` caches nothing that depends on ``u``.  The weights at ``u`` are
-the read-only stacked ``(a_v, d_v)``, built once per ``(T, q, p)``, times the
-slice ``[T-u:2T-u]`` of one read-only lag table ``1/|d|``, built once per
-``T``: ``(e_c, e_d)`` is one multiply and ``A`` one reduction, so a call pays
-only its own O(T) products and sums.  A ``(T,)`` call is a one-row batch
-that returns Python floats, so it also pays the block's numpy calls on
-``(1,)`` arrays: 32 us at T = 50 and 43 us at T = 2000 (numpy 2.4.6, one
-BLAS thread, 2-core VM).
+``components`` caches nothing that depends on ``u``.  Every t-independent
+build, here and in ``dyncorr.gbm``, sits behind ``simulate.frozen_cache``:
+two entries, every array read-only.  The weights at ``u`` are the stacked
+``(a_v, d_v)``, built once per ``(T, q, p)``, times the slice ``[T-u:2T-u]``
+of one lag table ``1/|d|``, built once per ``T``: ``(e_c, e_d)`` is one
+multiply and ``A`` one reduction, so a call pays only its own O(T) products
+and sums.  A ``(T,)`` call is a one-row batch that returns Python floats, so
+it also pays the block's numpy calls on ``(1,)`` arrays: 32 us at T = 50 and
+43 us at T = 2000 (numpy 2.4.6, one BLAS thread, 2-core VM).
 
 The estimates of a pair, ``estimate_bm`` and ``gbm.estimate_gbm``, read the
 pair's whole curve instead (:meth:`BmEstimatorParams.curve`, O(T log T) by
@@ -96,7 +97,6 @@ arithmetic.  A non-finite expectation raises :class:`NumericRange`.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -105,13 +105,15 @@ import numpy as np
 
 from .errors import DegenerateVariance, DomainError, NumericRange
 from .profiles import CorrelationProfile
-from .simulate import BmPathPair, check_finite, check_index
+from .simulate import BmPathPair, check_finite, check_index, frozen_cache
 
 
-# Out-of-range sums, and the empty sum over 1/(T-1) at T = 1, become inf or
-# nan under this state and are rejected by the caller.  A decorator is built
-# once, where ``with np.errstate(...)`` builds one per call; since numpy 2.0
-# it keeps each call's state token local, so the harness's threads share it.
+# The package's one numpy error state: every reduction, curve and oracle of
+# both families runs under it.  Out-of-range sums, and the empty sum over
+# 1/(T-1) at T = 1, become inf or nan and are rejected by the caller.  A
+# decorator is built once, where ``with np.errstate(...)`` builds one per
+# call; since numpy 2.0 it keeps each call's state token local, so the
+# harness's threads share it.
 _quiet = np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore")
 
 
@@ -229,9 +231,9 @@ def _block_rows(T: int) -> int:
     return max(1, _BLOCK_ELEMENTS // T)
 
 
-@functools.lru_cache(maxsize=2)
+@frozen_cache
 def _lags(T: int):
-    """Read-only ``1/|d|`` for lags ``d = -(T-1)..T-1``, 0 at ``d = 0``.
+    """``1/|d|`` for lags ``d = -(T-1)..T-1``, 0 at ``d = 0``.
 
     ``_lags(T)[T-u:2T-u]`` is ``1/|v-u|`` over ``v = 1..T`` (0 at ``v = u``):
     every weight at time ``u`` is a u-independent row times this slice (the
@@ -241,30 +243,25 @@ def _lags(T: int):
     lags = np.zeros_like(d)
     off = d != 0
     lags[off] = 1.0 / np.abs(d[off])
-    lags.setflags(write=False)
     return lags
 
 
-@functools.lru_cache(maxsize=2)
+@frozen_cache
 def _inverse_square_lags(T: int):
-    """Read-only ``_lags(T) ** 2``: the oracle's ``1/d^2``, sliced like ``_lags``."""
-    squares = _lags(T) ** 2
-    squares.setflags(write=False)
-    return squares
+    """``_lags(T) ** 2``: the oracle's ``1/d^2``, sliced like ``_lags``."""
+    return _lags(T) ** 2
 
 
-@functools.lru_cache(maxsize=2)
+@frozen_cache
 def _lag_spectrum(T: int):
-    """``(n, rfft of _inverse_square_lags(T) zero-padded to n)``, read-only.
+    """``(n, rfft of _inverse_square_lags(T) zero-padded to n)``.
 
     ``n``, a power of two of at least ``2T - 1``, is long enough that the
     circular convolution of a length-``T`` row with the ``2T - 1`` lags
     wraps nothing onto the outputs ``T-1..2T-2``, which are ``u = 1..T``.
     """
     n = 1 << (2 * T - 2).bit_length()
-    spectrum = np.fft.rfft(_inverse_square_lags(T), n)
-    spectrum.setflags(write=False)
-    return n, spectrum
+    return n, np.fft.rfft(_inverse_square_lags(T), n)
 
 
 def _convolve_lags(f, T: int):
@@ -274,14 +271,12 @@ def _convolve_lags(f, T: int):
     return np.fft.irfft(np.fft.rfft(f, n) * spectrum, n)[..., T - 1:2 * T - 1]
 
 
-@functools.lru_cache(maxsize=2)
+@frozen_cache
 def _anchor_sums(T: int, q: float, p: float):
-    """Read-only ``C[v^2q] / (T-1)``: the path-independent convolution of
+    """``C[v^2q] / (T-1)``: the path-independent convolution of
     :meth:`BmEstimatorParams.curve`."""
     a, d = _products(T, q, p)
-    sums = _convolve_lags((a + d) ** 2, T)
-    sums.setflags(write=False)
-    return sums
+    return _convolve_lags((a + d) ** 2, T)
 
 
 # A curve variance within this fraction of its terms' magnitudes is rounding
@@ -289,18 +284,16 @@ def _anchor_sums(T: int, q: float, p: float):
 _CURVE_RTOL = 1e-8
 
 
-@functools.lru_cache(maxsize=2)
+@frozen_cache
 def _products(T: int, q: float, p: float):
-    """Read-only stacked ``(a_v, d_v)`` over ``v = 1..T``, over ``sqrt(T - 1)``.
+    """Stacked ``(a_v, d_v)`` over ``v = 1..T``, over ``sqrt(T - 1)``.
 
     Every block of a harness run and every point of a curve shares a build.
     """
     v = np.arange(1.0, T + 1.0)
     # v >= 1 always, so exp(q*log v) is safe for any real exponents
     damp = v ** -p
-    products = np.stack([v ** q - damp, damp]) / np.sqrt(T - 1)
-    products.setflags(write=False)
-    return products
+    return np.stack([v ** q - damp, damp]) / np.sqrt(T - 1)
 
 
 def _weights(T: int, u: int, q: float, p: float):
@@ -450,16 +443,14 @@ def estimate_bm(pair: BmPathPair, u: int, params: BmEstimatorParams) -> Estimate
     return EstimateSeries(g, sx, sy, g / math.sqrt(sx * sy))
 
 
-@functools.lru_cache(maxsize=2)
+@frozen_cache
 def _pair_curve(params, pair):
-    """Read-only ``(T, 3)`` rows of ``params.curve`` over the pair's paths.
+    """``(T, 3)`` rows of ``params.curve`` over the pair's paths.
 
     Built once per ``(params, pair)``: pairs hash by identity and hold
     read-only arrays, so an entry cannot go stale.
     """
-    points = np.column_stack(params.curve(*pair.paths))
-    points.setflags(write=False)
-    return points
+    return np.column_stack(params.curve(*pair.paths))
 
 
 def _curve_point(params, pair, t: int) -> list:
@@ -526,26 +517,23 @@ def _finite_moments(moments: list, t: int):
     return moments[0], moments[-1]
 
 
-@functools.lru_cache(maxsize=2)   # the rho = 1 build and a profile's
+@frozen_cache   # the rho = 1 build and a profile's
 def _oracle_rows(profile, T: int, q: float, p: float):
-    """Read-only t-independent ``(head, tail, g)`` of the moments.
+    """The t-independent ``(head, tail, g)`` of the moments.
 
     ``g`` stacks ``g_s = s rho_s`` of the profile on the row at rho = 1, so one
     call gives the covariance and the variance; ``profile=None`` stands for
     rho = 1 alone.  From the estimator's ``(a, d) = _products(T, q, p)``,
     ``head = ((a+d)^2, d (2a+d) g...)`` and ``tail = (a^2-d^2, d^2 g...)``.
     ``profile.rho(T)``, with its validation, runs once rather than once per
-    ``t``.
+    ``t``.  Reached only from :func:`_expected`, under its ``_quiet``: a term
+    out of range makes a moment non-finite, which it raises.
     """
     s = np.arange(1.0, T + 1.0)
     g = s[None] if profile is None else np.stack([s * profile.rho(T), s])
-    with np.errstate(over="ignore", invalid="ignore"):   # raised per call
-        a, d = _products(T, q, p)
-        terms = (np.concatenate([[(a + d) ** 2], d * (2 * a + d) * g]),
-                 np.concatenate([[(a - d) * (a + d)], d * d * g]), g)
-    for arr in terms:
-        arr.setflags(write=False)
-    return terms
+    a, d = _products(T, q, p)
+    return (np.concatenate([[(a + d) ** 2], d * (2 * a + d) * g]),
+            np.concatenate([[(a - d) * (a + d)], d * d * g]), g)
 
 
 def expected_gamma_bm(

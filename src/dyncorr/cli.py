@@ -98,6 +98,14 @@ def simulate():
     """Generate correlated path pairs."""
 
 
+def _write_paths(out, header: str, grid: TimeGrid, *paths) -> None:
+    """One CSV line per time of ``grid``: the time, then each path's value."""
+    np.savetxt(out, np.column_stack([grid.times, *paths]),
+               fmt=["%d"] + [_FLOAT_FMT] * len(paths), delimiter=",", header=header,
+               comments="")
+    click.echo(f"wrote {out} (T={grid.T})")
+
+
 @simulate.command("bm")
 @click.option("--profile", required=True, help="Profile spec, e.g. constant:0.5.")
 @click.option("--T", "T", type=int, required=True, help="Grid length.")
@@ -109,10 +117,7 @@ def simulate_bm_cmd(profile, T, seed, replication, out):
     """Write one Brownian pair as CSV with columns t,x,y."""
     grid = TimeGrid(T)
     pair = simulate_bm_pair(_load_profile(profile, grid), grid, seed, replication)
-    rows = np.column_stack([grid.times, pair.x, pair.y])
-    np.savetxt(out, rows, fmt=["%d", _FLOAT_FMT, _FLOAT_FMT], delimiter=",",
-               header="t,x,y", comments="")
-    click.echo(f"wrote {out} (T={T})")
+    _write_paths(out, "t,x,y", grid, pair.x, pair.y)
 
 
 @simulate.command("gbm")
@@ -129,10 +134,7 @@ def simulate_gbm_cmd(profile, T, sigma, seed, replication, out):
     pair = simulate_gbm_pair(
         simulate_bm_pair(_load_profile(profile, grid), grid, seed, replication), sigma
     )
-    rows = np.column_stack([grid.times, pair.r_path, pair.s_path, pair.w, pair.u])
-    np.savetxt(out, rows, fmt=["%d"] + [_FLOAT_FMT] * 4, delimiter=",",
-               header="t,r,s,w,u", comments="")
-    click.echo(f"wrote {out} (T={T})")
+    _write_paths(out, "t,r,s,w,u", grid, pair.r_path, pair.s_path, pair.w, pair.u)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +178,15 @@ def _times(values, T: int) -> list:
     return [t for v in values for t in (range(1, T + 1) if v == "all" else (v,))]
 
 
-def _write_estimates(out, header: str, rows: list) -> None:
-    """The header and one CSV line per row of fields."""
-    Path(out).write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
-    click.echo(f"wrote {out} ({len(rows)} row(s))")
+def _write_estimates(out, header: str, estimate, pair, times: list, params) -> None:
+    """The header and one CSV line per time: the time, then each field of
+    ``estimate(pair, t, params)`` in order, the GBM flags joined by ``;``."""
+    lines = [header] + [
+        ",".join([str(t), *(";".join(v) if isinstance(v, tuple) else _fmt(v)
+                            for v in dataclasses.astuple(estimate(pair, t, params)))])
+        for t in times]
+    Path(out).write_text("\n".join(lines) + "\n")
+    click.echo(f"wrote {out} ({len(times)} row(s))")
 
 
 _TIME_HELP = "Evaluation time, or 'all' for every time of the input (repeatable)."
@@ -206,12 +213,8 @@ def estimate_bm_cmd(q, p, u_list, in_path, out):
     if not params.in_consistency_range():
         click.echo(f"note: (q={q}, p={p}) lies outside the consistency range", err=True)
     pair = BmPathPair(cols["x"], cols["y"])
-    rows = []
-    for u in _times(u_list, len(pair.x)):
-        e = bm.estimate_bm(pair, u, params)
-        rows.append([str(u), *map(_fmt, (e.gamma_hat, e.sigma_x_sq_hat, e.sigma_y_sq_hat,
-                                         e.rho_hat))])
-    _write_estimates(out, "u,gamma_hat,sigma_x_sq,sigma_y_sq,rho_hat", rows)
+    _write_estimates(out, "u,gamma_hat,sigma_x_sq,sigma_y_sq,rho_hat", bm.estimate_bm, pair,
+                     _times(u_list, len(pair.x)), params)
 
 
 @estimate.command("gbm")
@@ -238,12 +241,8 @@ def estimate_gbm_cmd(variant, a, b, c, sigma, t_list, in_path, out):
             err=True,
         )
     pair = simulate_gbm_pair(BmPathPair(cols["w"], cols["u"]), sigma)
-    rows = []
-    for t in _times(t_list, len(pair.w)):
-        e = gbm.estimate_gbm(pair, t, params)
-        rows.append([str(t), *map(_fmt, (e.gamma_hat, e.sigma_w_sq_hat, e.sigma_u_sq_hat,
-                                         e.rho_hat)), ";".join(e.flags)])
-    _write_estimates(out, "t,gamma_hat,sigma_w_sq,sigma_u_sq,rho_hat,flags", rows)
+    _write_estimates(out, "t,gamma_hat,sigma_w_sq,sigma_u_sq,rho_hat,flags", gbm.estimate_gbm,
+                     pair, _times(t_list, len(pair.w)), params)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ so nothing larger than a raw path exponential is formed:
   unscaled, so it cannot overflow.
 
 ``E``, ``c`` and ``A`` do not depend on ``t``; they are built once per
-``(T, params)`` and cached read-only.  So a whole curve,
+``(T, params)`` behind ``simulate.frozen_cache``.  So a whole curve,
 :meth:`GbmEstimatorParams.curve`, is three sums per path and the anchors of
 every ``t``, O(T) and bitwise equal to ``components`` at each ``t``;
 :func:`estimate_gbm` reads the pair's cached curve, as ``bm.estimate_bm``
@@ -62,7 +62,6 @@ T = 5000.  :func:`estimate_gbm` keeps such a value and flags it
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -83,7 +82,8 @@ from .bm import (
 )
 from .errors import DegenerateVariance, DomainError, NegativeVarianceEstimate
 from .profiles import CorrelationProfile
-from .simulate import _MAX_EXPONENT, GbmPathPair, check_exponent, check_finite, check_index
+from .simulate import (_MAX_EXPONENT, GbmPathPair, check_exponent, check_finite, check_index,
+                       frozen_cache)
 
 
 class NonconvergentSeriesWarning(UserWarning):
@@ -207,9 +207,9 @@ def _finish_series(out, m, mean, scale):
         out *= scale
 
 
-@functools.lru_cache(maxsize=2)
+@frozen_cache
 def _grid(T: int, params: GbmEstimatorParams):
-    """The t-independent, read-only terms of ``params.variant`` at length ``T``.
+    """The t-independent terms of ``params.variant`` at length ``T``.
 
     ``(m_top, m, mean, scale, shift, c, A, sign)``: the series is
     ``E = (e^{m + sigma W} - mean) scale`` (``m`` or ``scale`` None for
@@ -229,19 +229,14 @@ def _grid(T: int, params: GbmEstimatorParams):
         check_exponent("intermediate exponent", np.max(m_k + 0.5 * s2 * k))
         shift = np.max(m_anchor)
         c = -np.exp(m_anchor - shift)
-        grid = (np.max(m_k), m_k, np.exp(m_k + 0.5 * s2 * k), None, shift, c,
+        return (np.max(m_k), m_k, np.exp(m_k + 0.5 * s2 * k), None, shift, c,
                 float(_rowdot(c, c)), 1.0)
-    else:
-        m_anchor = params.a * s2 * k - params.c * s2 * T
-        check_exponent("intermediate exponent", np.max(m_anchor), s2 * T)
-        s = min(np.max(m_anchor), 0.0)
-        grid = (0.0, None, np.exp(0.5 * s2 * k),
-                np.exp(-0.5 * (params.b * s2 * k + params.c * s2 * T)), 0.5 * s, None,
-                float(np.sum(np.exp(m_anchor - s))), -1.0)
-    for arr in grid:
-        if isinstance(arr, np.ndarray):
-            arr.setflags(write=False)
-    return grid
+    m_anchor = params.a * s2 * k - params.c * s2 * T
+    check_exponent("intermediate exponent", np.max(m_anchor), s2 * T)
+    s = min(np.max(m_anchor), 0.0)
+    return (0.0, None, np.exp(0.5 * s2 * k),
+            np.exp(-0.5 * (params.b * s2 * k + params.c * s2 * T)), 0.5 * s, None,
+            float(np.sum(np.exp(m_anchor - s))), -1.0)
 
 
 def gamma_hat_gbm_v1(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
@@ -347,6 +342,7 @@ def rho_from_r(r_t: float, sigma: float, t: float) -> float:
 # ``Cov(W_s, U_v) = m r_m`` with ``m = min(s, v)``, so the formulas are exact
 # for every feasible profile.  A variance is the covariance with ``r = 1``.
 
+@_quiet   # a non-finite moment is raised below
 def _expected(r, t: int, params: GbmEstimatorParams, T: int):
     """``(E[gamma_hat], E[sigma_sq_hat])`` of ``params.variant`` for BM-level
     correlations ``r_1..r_T`` (or a scalar), from the kernel's own ``_grid``.
@@ -365,23 +361,22 @@ def _expected(r, t: int, params: GbmEstimatorParams, T: int):
     if params.variant == "v2" and params.b <= 2:
         warnings.warn(f"b = {params.b} <= 2: the step-product expectation series "
                       "grows with T instead of converging",
-                      NonconvergentSeriesWarning, stacklevel=3)
+                      NonconvergentSeriesWarning, stacklevel=4)   # past _quiet
     # one row per correlation: the profile's, then 1 for the variance
     rows = np.ones((2, T))
     rows[0] = r
-    with np.errstate(over="ignore", invalid="ignore"):   # raised below
-        _, _, mean, scale, shift, c, A, sign = _grid(T, params)
-        x = np.expm1(s2 * np.arange(1.0, T + 1.0) * rows)
-        m_a = np.exp(shift + 0.5 * s2 * t)
-        if scale is not None:
-            mean = mean * scale
-        moments = A * m_a * m_a * x[:, t - 1]
-        if c is not None:
-            # Cov(W_k, U_t) = min(k, t) r_min(k, t): x_t from the anchor time on
-            cross = x.copy()
-            cross[:, t:] = x[:, t - 1:t]
-            moments += 2 * m_a * _rowdot(cross, c * mean)
-        moments += sign * _rowdot(x * mean, mean)
+    _, _, mean, scale, shift, c, A, sign = _grid(T, params)
+    x = np.expm1(s2 * np.arange(1.0, T + 1.0) * rows)
+    m_a = np.exp(shift + 0.5 * s2 * t)
+    if scale is not None:
+        mean = mean * scale
+    moments = A * m_a * m_a * x[:, t - 1]
+    if c is not None:
+        # Cov(W_k, U_t) = min(k, t) r_min(k, t): x_t from the anchor time on
+        cross = x.copy()
+        cross[:, t:] = x[:, t - 1:t]
+        moments += 2 * m_a * _rowdot(cross, c * mean)
+    moments += sign * _rowdot(x * mean, mean)
     return _finite_moments(moments.tolist(), t)
 
 

@@ -30,7 +30,8 @@ import numpy as np
 from . import bm, gbm
 from .errors import DomainError, IndexOutOfRange
 from .profiles import CorrelationProfile, TimeGrid, build_profile
-from .simulate import check_exponent, check_index, replication_rng, simulate_bm_batch
+from .simulate import (check_exponent, check_index, check_integer, replication_rng,
+                       simulate_bm_batch)
 
 # Estimator experiments: the params class each needs and the GBM variant it
 # requires (None: either).  The CLI reads this table to parse [params].
@@ -82,7 +83,7 @@ class ExperimentConfig:
                 raise DomainError(f"{self.experiment} needs {cls.__name__}")
             if variant and self.params.variant != variant:
                 raise DomainError(f"{self.experiment} requires variant {variant!r}")
-        t_list = tuple(int(T) for T in self.T_list)
+        t_list = tuple(check_integer("T_list entry", T) for T in self.T_list)
         if not t_list or any(a >= c for a, c in zip(t_list, t_list[1:])):
             raise DomainError("T_list must be nonempty and strictly ascending")
         object.__setattr__(self, "T_list", t_list)
@@ -91,10 +92,8 @@ class ExperimentConfig:
         except IndexOutOfRange:
             raise DomainError(f"t_eval={self.t_eval!r} must be an integer in "
                               f"1..min(T_list)={t_list[0]}") from None
-        if self.reps < 2:
-            raise DomainError("reps must be >= 2")
-        if self.n_jobs < 1:
-            raise DomainError("n_jobs must be >= 1")
+        for name, least in (("reps", 2), ("n_jobs", 1), ("master_seed", None)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), least))
         if self.profile is not None:
             object.__setattr__(
                 self, "profile", build_profile(self.profile, TimeGrid(t_list[-1]))
@@ -331,16 +330,14 @@ def check_exp_abs_bound(sigma_list, t_list, reps: int, seed: int) -> McReport:
     exponent beyond the safe double range raises :class:`NumericRange` before
     it is exponentiated.
     """
-    if reps < 2:
-        raise DomainError("reps must be >= 2")
+    reps = check_integer("reps", reps, 2)
+    t_list = [check_integer("t", t, 1) for t in t_list]
     cells, checks = [], []
     rng = replication_rng(seed, 0)
     for sigma in sigma_list:
         if sigma <= 0:
             raise DomainError(f"sigma must be positive, got {sigma!r}")
         for t in t_list:
-            if t < 1:
-                raise DomainError(f"t must be >= 1, got {t!r}")
             where = f" at sigma={sigma}, t={t}"
             check_exponent("sigma^2 t / 2" + where, 0.5 * sigma * sigma * t)
             w = math.sqrt(t) * rng.standard_normal(reps)
@@ -351,7 +348,7 @@ def check_exp_abs_bound(sigma_list, t_list, reps: int, seed: int) -> McReport:
             exact = bound * (1.0 - _phi(-sigma * math.sqrt(t)))
             rel_se = mc["se"] / mc["mean"]
             cells.append({
-                "sigma": float(sigma), "t": int(t), "mc": mc,
+                "sigma": float(sigma), "t": t, "mc": mc,
                 "oracle": {"bound": bound, "exact": exact},
             })
             checks.append(CheckResult(
@@ -370,9 +367,8 @@ def check_product_moments(profile, t_list, reps: int, seed: int) -> McReport:
     (1 + rho_t^2) / t^2, both within four standard errors (the variance SE
     uses the fourth-moment formula sqrt((m4 - var^2) / n)).
     """
-    if reps < 2:
-        raise DomainError("reps must be >= 2")
-    t_list = tuple(int(t) for t in t_list)
+    reps = check_integer("reps", reps, 2)
+    t_list = tuple(check_integer("t_list entry", t) for t in t_list)
     if not t_list or min(t_list) < 1:
         raise DomainError("t_list must be nonempty with entries >= 1")
     T = max(*t_list, 2)

@@ -55,6 +55,27 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
+def frozen_cache(build):
+    """``build`` behind ``functools.lru_cache(maxsize=2)``, with every array of
+    its result read-only: the result itself, or each member of a tuple result.
+
+    The one cache of the package's t-independent builds (lag tables, weights,
+    oracle rows, the GBM grid, the increment coupling), which every row block
+    and curve point shares, so no caller can write into another's entry.  The
+    cache is outermost: a hit returns the entry without entering the wrapper,
+    and ``cache_clear`` works as on any ``lru_cache``.
+    """
+    @functools.wraps(build)
+    def frozen(*args):
+        result = build(*args)
+        for arr in result if isinstance(result, tuple) else (result,):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        return result
+
+    return functools.lru_cache(maxsize=2)(frozen)
+
+
 # A pair hashes by identity (eq=False) and holds read-only arrays, so the
 # estimator curve cached per pair (``bm._pair_curve``) cannot go stale.
 
@@ -112,17 +133,14 @@ def replication_rng(master_seed: int, replication: int = 0) -> np.random.Generat
     return np.random.Generator(np.random.Philox(ss))
 
 
-@functools.lru_cache(maxsize=2)
+@frozen_cache
 def _coupling(profile: CorrelationProfile, T: int):
-    """Read-only increment correlations ``r`` and ``sqrt(1 - r*r)`` of a profile.
+    """Increment correlations ``r`` and ``sqrt(1 - r*r)`` of a profile.
 
     Built once per ``(profile, T)``, so the harness's row blocks share a build.
     """
     r = profile.increments(T)
-    coupling = (r, np.sqrt(1.0 - r * r))
-    for arr in coupling:
-        arr.setflags(write=False)
-    return coupling
+    return r, np.sqrt(1.0 - r * r)
 
 
 def simulate_bm_pair(
@@ -145,6 +163,8 @@ def simulate_bm_batch(
     sweeps agree with serial ones, and :func:`simulate_bm_pair` is a one-row
     batch.
     """
+    reps, seed = check_integer("reps", reps, 0), check_integer("seed", seed)
+    rep_offset = check_integer("rep_offset", rep_offset, 0)
     r, r_perp = _coupling(profile, grid.T)
     z = np.empty((2, grid.T))   # one row's normals, reused
     x = np.empty((reps, grid.T))
@@ -184,3 +204,15 @@ def check_index(u: int, T: int) -> int:
     if not 1 <= t <= T:
         raise IndexOutOfRange(f"time index {t} outside grid 1..{T}")
     return t
+
+
+def check_integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as a Python int; a size, count or seed that is not a Python or
+    numpy integer, or is below ``least``, raises :class:`DomainError` naming it."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and n < least:
+        raise DomainError(f"{name} must be >= {least}, got {n}")
+    return n

@@ -17,6 +17,7 @@ from functools import cached_property
 # bessel_k is not called here; bench/spans.py traces dyncorr.vg.bessel_k
 from .bessel import bessel_k, scaled_k_terms  # noqa: F401
 from .errors import DomainError, NumericRange
+from .simulate import check_finite
 
 _LN2 = math.log(2.0)
 _TINY = sys.float_info.min   # the smallest normal double
@@ -39,8 +40,7 @@ class VgParams:
     mu: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.r, self.theta, self.sigma, self.mu))):
-            raise DomainError(f"VG parameters must be finite, got {self!r}")
+        check_finite(r=self.r, theta=self.theta, sigma=self.sigma, mu=self.mu)
         if self.r <= 0:
             raise DomainError(f"shape r must be positive, got {self.r!r}")
         if self.sigma < 0:

@@ -4,11 +4,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dyncorr
 from dyncorr import (
     BmEstimatorParams,
     GbmEstimatorParams,
@@ -29,6 +34,17 @@ def runner():
 
 def invoke(runner, args, **kwargs):
     return runner.invoke(main, args, catch_exceptions=False, **kwargs)
+
+
+def test_module_runs_as_a_script():
+    # ``python -m dyncorr.cli`` reaches the module's __main__ guard
+    src = str(Path(dyncorr.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-m", "dyncorr.cli", "--version"],
+                            capture_output=True, text=True, env=env, check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"dyncorr, version {dyncorr.__version__}\n"
 
 
 class TestSimulate:

@@ -80,6 +80,25 @@ class TestConfigValidation:
         t_eval = small_config(t_eval=np.int64(10)).t_eval
         assert t_eval == 10 and type(t_eval) is int
 
+    # a size, count or seed that is not an integer was truncated (T_list),
+    # accepted (n_jobs), or accepted and failed in the run (reps, master_seed)
+    @pytest.mark.parametrize("field, value, message", [
+        ("T_list", (20.7, 40.2), "T_list entry must be an integer, got 20.7"),
+        ("reps", 5.5, "reps must be an integer, got 5.5"),
+        ("n_jobs", 1.5, "n_jobs must be an integer, got 1.5"),
+        ("master_seed", 1.5, "master_seed must be an integer, got 1.5"),
+    ])
+    def test_sizes_and_counts_must_be_integers(self, field, value, message):
+        with pytest.raises(DomainError, match=message):
+            small_config(**{field: value})
+
+    def test_numpy_integer_sizes_are_stored_as_ints(self):
+        config = small_config(T_list=(np.int64(100), np.int32(200)), reps=np.int64(50),
+                              n_jobs=np.int8(2), master_seed=np.uint32(7))
+        for value in (*config.T_list, config.reps, config.n_jobs, config.master_seed):
+            assert type(value) is int
+        assert report_key(run_experiment(config)) == report_key(run_experiment(small_config()))
+
     def test_reps_minimum(self):
         with pytest.raises(DomainError):
             small_config(reps=1)
@@ -274,18 +293,29 @@ class TestStandaloneChecks:
         with pytest.raises(DomainError):
             check_exp_abs_bound((0.0,), (1,), 100, 0)
 
+    # a time that is not an integer was simulated at 1.5 and reported as t = 1
+    # (exp_abs_bound) or truncated to 1 (product moments); reps = 5.5 failed in numpy
     @pytest.mark.parametrize("reps, t_list, message", [(1, (1,), "reps"),
-                                                       (100, (1, 0), "t must be >= 1")])
+                                                       (100, (1, 0), "t must be >= 1"),
+                                                       (5.5, (1,), "reps must be an integer"),
+                                                       (5, (1.5,), "t must be an integer")])
     def test_exp_abs_bound_rejects_bad_arguments(self, reps, t_list, message):
         with pytest.raises(DomainError, match=message):
             check_exp_abs_bound((0.5,), t_list, reps, 0)
 
     @pytest.mark.parametrize("reps, t_list, message", [(1, (5,), "reps"),
                                                        (100, (), "t_list"),
-                                                       (100, (3, 0), "t_list")])
+                                                       (100, (3, 0), "t_list"),
+                                                       (5.5, (5,), "reps must be an integer"),
+                                                       (5, (2, 3.0), "t_list entry must be an")])
     def test_product_moments_rejects_bad_arguments(self, reps, t_list, message):
         with pytest.raises(DomainError, match=message):
             check_product_moments("constant:0.5", t_list, reps, 0)
+
+    def test_checks_accept_numpy_integers(self):
+        for check, first in ((check_exp_abs_bound, (0.5,)), (check_product_moments, "constant:0.5")):
+            got = check(first, (np.int64(2), np.int32(3)), np.int64(40), 1)
+            assert got == check(first, (2, 3), 40, 1)
 
     def test_exp_abs_bound_rejects_overflowing_bound(self):
         # e^{sigma^2 t / 2} at sigma = 1, t = 1420 is beyond a double

@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 
 from dyncorr import (
+    BmEstimatorParams,
     CorrelationProfile,
     DomainError,
+    GbmEstimatorParams,
     IndexOutOfRange,
     PathOverflow,
     TimeGrid,
+    bm,
+    gbm,
     gbm_transform,
     replication_rng,
+    simulate,
     simulate_bm_batch,
     simulate_bm_pair,
     simulate_gbm_pair,
@@ -129,8 +134,71 @@ class TestIndexAndRng:
         with pytest.raises(DomainError):
             simulate_bm_pair(CONST_HALF, TimeGrid(5), seed, replication)
 
+    # reps = -1 raised a bare numpy ValueError; a size or seed that is not an
+    # integer, a bare TypeError
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(reps=-1), "reps must be >= 0, got -1"),
+        (dict(reps=2.5), "reps must be an integer, got 2.5"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(rep_offset=0.5), "rep_offset must be an integer, got 0.5"),
+        (dict(rep_offset=-1), "rep_offset must be >= 0, got -1"),
+    ])
+    def test_batch_sizes_and_seeds_must_be_integers(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            simulate_bm_batch(CONST_HALF, TimeGrid(5), **{"seed": 1, "reps": 2, **kwargs})
+
+    def test_batch_accepts_numpy_integers(self):
+        got = simulate_bm_batch(CONST_HALF, TimeGrid(5), np.int64(1), np.int32(2), np.uint8(3))
+        for a, b in zip(got, simulate_bm_batch(CONST_HALF, TimeGrid(5), 1, 2, 3)):
+            np.testing.assert_array_equal(a, b)
+
     def test_rng_streams_are_seedsequence_spawns(self):
         a = replication_rng(7, 3).standard_normal(4)
         ss = np.random.SeedSequence(7, spawn_key=(3,))
         b = np.random.Generator(np.random.Philox(ss)).standard_normal(4)
         assert np.array_equal(a, b)
+
+
+PAIR = simulate_bm_pair(CONST_HALF, TimeGrid(60), 3)
+
+# every t-independent build of the package, each through simulate.frozen_cache
+FROZEN_BUILDS = {
+    "lags": lambda: bm._lags(60),
+    "inverse_square_lags": lambda: bm._inverse_square_lags(60),
+    "lag_spectrum": lambda: bm._lag_spectrum(60),
+    "anchor_sums": lambda: bm._anchor_sums(60, 0.5, 1.0),
+    "products": lambda: bm._products(60, 0.5, 1.0),
+    "pair_curve": lambda: bm._pair_curve(BmEstimatorParams(0.5, 1.0), PAIR),
+    "oracle_rows": lambda: bm._oracle_rows(CONST_HALF, 60, 0.5, 1.0),
+    "oracle_rows_rho_1": lambda: bm._oracle_rows(None, 60, 0.5, 1.0),
+    "grid_v1": lambda: gbm._grid(60, GbmEstimatorParams(1.0, 12.0, 2.0, 0.1, "v1")),
+    "grid_v2": lambda: gbm._grid(60, GbmEstimatorParams(1.0, 16.0, 2.0, 0.1, "v2")),
+    "coupling": lambda: simulate._coupling(CONST_HALF, 60),
+}
+
+
+class TestFrozenCache:
+    @pytest.mark.parametrize("build", FROZEN_BUILDS.values(), ids=list(FROZEN_BUILDS))
+    def test_every_build_is_read_only_and_shared(self, build):
+        first = build()
+        arrays = [v for v in (first if isinstance(first, tuple) else (first,))
+                  if isinstance(v, np.ndarray)]
+        assert arrays
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        assert build() is first
+
+    def test_hits_skip_the_build_and_cache_clear_resets(self):
+        calls = []
+
+        @simulate.frozen_cache
+        def build(n):
+            calls.append(n)
+            return np.arange(n), n, None
+
+        first = build(3)
+        assert build(3) is first and calls == [3]
+        assert not first[0].flags.writeable and first[1:] == (3, None)
+        build.cache_clear()
+        assert build(3) is not first and calls == [3, 3]

@@ -83,6 +83,14 @@ class TestDensity:
         with pytest.raises(DomainError):
             VgParams(r, 0.0, 1.0, 0.0)
 
+    # the error printed the whole VgParams(...) instead of naming the parameter
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["r", "theta", "sigma", "mu"])
+    def test_parameter_must_be_finite(self, name, value):
+        fields = {**dict(r=1.0, theta=0.0, sigma=1.0, mu=0.0), name: value}
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got {value!r}$"):
+            VgParams(**fields)
+
     @pytest.mark.parametrize("x", [0.0, 1e-30, -1e-30, 1.0, 40.0, math.inf, math.nan])
     def test_shape_beyond_bessel_range_rejected_at_every_point(self, x):
         # nu = (r - 1)/2 > 1e4: one error naming r, also where the x = mu limit
