@@ -78,9 +78,37 @@ _POSITIVE = click.FloatRange(min=0, min_open=True)
 _NONNEGATIVE_INT = click.IntRange(min=0)
 
 
-seed_option = click.option(
+def _options(*decorators):
+    """One decorator that applies ``decorators`` as if stacked in this order."""
+    def apply(fn):
+        for decorator in reversed(decorators):
+            fn = decorator(fn)
+        return fn
+
+    return apply
+
+
+# each option that more than one command takes, declared once
+_seed = click.option(
     "--seed", type=_NONNEGATIVE_INT, default=0, envvar="DYNCORR_SEED", show_default=True,
     help="Master seed (env DYNCORR_SEED).",
+)
+_profile = click.option("--profile", required=True, help="Profile spec, e.g. constant:0.5.")
+_grid_length = click.option("--T", "T", type=int, required=True, help="Grid length.")
+_volatility = click.option("--sigma", type=_POSITIVE, required=True, help="Volatility.")
+_out_file = click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
+_in_out_files = _options(
+    click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True),
+    _out_file)
+_replication = click.option("--replication", type=_NONNEGATIVE_INT, default=0, show_default=True)
+_bm_params = _options(
+    click.option("--q", type=_NONNEGATIVE, required=True, help="Amplification exponent."),
+    click.option("--p", type=_NONNEGATIVE, required=True, help="Damping exponent."),
+)
+_gbm_params = _options(
+    click.option("--variant", type=click.Choice(["v1", "v2"]), default="v1", show_default=True),
+    *(click.option(f"--{name}", type=float, required=True) for name in "abc"),
+    _volatility,
 )
 
 
@@ -106,12 +134,11 @@ def _write_paths(out, header: str, grid: TimeGrid, *paths) -> None:
     click.echo(f"wrote {out} (T={grid.T})")
 
 
+_simulate_options = _options(_profile, _grid_length, _seed, _replication, _out_file)
+
+
 @simulate.command("bm")
-@click.option("--profile", required=True, help="Profile spec, e.g. constant:0.5.")
-@click.option("--T", "T", type=int, required=True, help="Grid length.")
-@seed_option
-@click.option("--replication", type=_NONNEGATIVE_INT, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
+@_simulate_options
 @_runtime_errors
 def simulate_bm_cmd(profile, T, seed, replication, out):
     """Write one Brownian pair as CSV with columns t,x,y."""
@@ -121,12 +148,8 @@ def simulate_bm_cmd(profile, T, seed, replication, out):
 
 
 @simulate.command("gbm")
-@click.option("--profile", required=True, help="Profile spec of the driving pair.")
-@click.option("--T", "T", type=int, required=True, help="Grid length.")
-@click.option("--sigma", type=_POSITIVE, required=True, help="Volatility.")
-@seed_option
-@click.option("--replication", type=_NONNEGATIVE_INT, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
+@_simulate_options
+@_volatility
 @_runtime_errors
 def simulate_gbm_cmd(profile, T, sigma, seed, replication, out):
     """Write one geometric pair as CSV with columns t,r,s,w,u."""
@@ -198,12 +221,9 @@ def estimate():
 
 
 @estimate.command("bm")
-@click.option("--q", type=_NONNEGATIVE, required=True, help="Amplification exponent.")
-@click.option("--p", type=_NONNEGATIVE, required=True, help="Damping exponent.")
+@_bm_params
 @click.option("--u", "u_list", type=_Time(), required=True, multiple=True, help=_TIME_HELP)
-@click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False),
-              required=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
+@_in_out_files
 @_runtime_errors
 def estimate_bm_cmd(q, p, u_list, in_path, out):
     """Estimate at each requested time; CSV columns
@@ -218,16 +238,9 @@ def estimate_bm_cmd(q, p, u_list, in_path, out):
 
 
 @estimate.command("gbm")
-@click.option("--variant", type=click.Choice(["v1", "v2"]), default="v1",
-              show_default=True)
-@click.option("--a", type=float, required=True)
-@click.option("--b", type=float, required=True)
-@click.option("--c", type=float, required=True)
-@click.option("--sigma", type=_POSITIVE, required=True)
+@_gbm_params
 @click.option("--t", "t_list", type=_Time(), required=True, multiple=True, help=_TIME_HELP)
-@click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False),
-              required=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
+@_in_out_files
 @_runtime_errors
 def estimate_gbm_cmd(variant, a, b, c, sigma, t_list, in_path, out):
     """Estimate at each requested time from the driving paths (columns t,w,u;
@@ -253,12 +266,14 @@ def oracle():
     """Print exact expectation values."""
 
 
+_oracle_times = _options(click.option("--t", type=int, required=True, help="Evaluation time."),
+                         _grid_length)
+
+
 @oracle.command("bm")
-@click.option("--profile", required=True)
-@click.option("--q", type=_NONNEGATIVE, required=True)
-@click.option("--p", type=_NONNEGATIVE, required=True)
-@click.option("--t", type=int, required=True)
-@click.option("--T", "T", type=int, required=True)
+@_profile
+@_bm_params
+@_oracle_times
 @_runtime_errors
 def oracle_bm_cmd(profile, q, p, t, T):
     """Expected gamma_hat, sigma_sq_hat and their ratio for a Brownian pair."""
@@ -266,15 +281,9 @@ def oracle_bm_cmd(profile, q, p, t, T):
 
 
 @oracle.command("gbm")
-@click.option("--variant", type=click.Choice(["v1", "v2"]), default="v1",
-              show_default=True)
-@click.option("--profile", required=True, help="Profile spec of the driving pair.")
-@click.option("--a", type=float, required=True)
-@click.option("--b", type=float, required=True)
-@click.option("--c", type=float, required=True)
-@click.option("--sigma", type=_POSITIVE, required=True)
-@click.option("--t", type=int, required=True)
-@click.option("--T", "T", type=int, required=True)
+@_profile
+@_gbm_params
+@_oracle_times
 @_runtime_errors
 def oracle_gbm_cmd(variant, profile, a, b, c, sigma, t, T):
     """Expected gamma_hat, sigma_sq_hat and their ratio for a geometric pair."""
@@ -295,22 +304,16 @@ def vg():
     """Variance-gamma density and moments."""
 
 
-_vg_options = [
+_vg_options = _options(
     click.option("--r", type=_POSITIVE, required=True, help="Shape parameter."),
     click.option("--theta", type=float, required=True, help="Asymmetry."),
     click.option("--sigma", type=_NONNEGATIVE, required=True, help="Scale."),
     click.option("--mu", type=float, required=True, help="Location."),
-]
-
-
-def _with_vg_options(fn):
-    for opt in reversed(_vg_options):
-        fn = opt(fn)
-    return fn
+)
 
 
 @vg.command("pdf")
-@_with_vg_options
+@_vg_options
 @click.option("--x", type=float, required=True, multiple=True,
               help="Evaluation point (repeatable).")
 @_runtime_errors
@@ -323,7 +326,7 @@ def vg_pdf_cmd(r, theta, sigma, mu, x):
 
 
 @vg.command("moments")
-@_with_vg_options
+@_vg_options
 @_runtime_errors
 def vg_moments_cmd(r, theta, sigma, mu):
     from .vg import VgParams, vg_moments

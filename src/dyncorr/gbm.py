@@ -83,7 +83,7 @@ from .bm import (
 from .errors import DegenerateVariance, DomainError, NegativeVarianceEstimate
 from .profiles import CorrelationProfile
 from .simulate import (_MAX_EXPONENT, GbmPathPair, check_exponent, check_finite, check_index,
-                       frozen_cache)
+                       check_positive, frozen_cache)
 
 
 class NonconvergentSeriesWarning(UserWarning):
@@ -104,9 +104,8 @@ class GbmEstimatorParams:
     variant: str = "v1"
 
     def __post_init__(self):
-        check_finite(a=self.a, b=self.b, c=self.c, sigma=self.sigma)
-        if self.sigma <= 0:
-            raise DomainError(f"sigma must be positive, got {self.sigma!r}")
+        check_finite(a=self.a, b=self.b, c=self.c)
+        check_positive(sigma=self.sigma)
         if self.variant not in ("v1", "v2"):
             raise DomainError(f"variant must be 'v1' or 'v2', got {self.variant!r}")
 
@@ -315,8 +314,8 @@ def _coerce(pair_or_w, u, params):
 
 def r_from_rho(rho_t: float, sigma: float, t: float) -> float:
     """BM correlation giving GBM correlation rho_t at time t."""
-    if sigma <= 0 or t <= 0:
-        raise DomainError("sigma and t must be positive")
+    check_finite(rho_t=rho_t)
+    check_positive(sigma=sigma, t=t)
     s2t = sigma ** 2 * t
     arg = 1.0 + rho_t * np.expm1(s2t)
     if arg <= 0.0:
@@ -328,8 +327,8 @@ def r_from_rho(rho_t: float, sigma: float, t: float) -> float:
 
 def rho_from_r(r_t: float, sigma: float, t: float) -> float:
     """GBM correlation induced by BM correlation r_t at time t."""
-    if sigma <= 0 or t <= 0:
-        raise DomainError("sigma and t must be positive")
+    check_finite(r_t=r_t)
+    check_positive(sigma=sigma, t=t)
     s2t = sigma ** 2 * t
     return float(np.expm1(r_t * s2t) / np.expm1(s2t))
 

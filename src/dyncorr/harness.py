@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bm, gbm
-from .errors import DomainError, IndexOutOfRange
+from .errors import DomainError
 from .profiles import CorrelationProfile, TimeGrid, build_profile
-from .simulate import (check_exponent, check_index, check_integer, replication_rng,
+from .simulate import (check_exponent, check_integer, check_positive, replication_rng,
                        simulate_bm_batch)
 
 # Estimator experiments: the params class each needs and the GBM variant it
@@ -53,14 +53,16 @@ _SE_RULE = 4.0
 class ExperimentConfig:
     """One experiment run: sweep definition, estimator, seed.
 
-    ``T_list`` must be nonempty and strictly ascending with ``t_eval`` no
-    larger than its smallest entry.  ``params`` must be an instance of the
-    class ``ESTIMATOR_EXPERIMENTS`` names for the experiment, of the required
-    variant if any.  ``profile`` and ``params`` may be None for the
-    experiments that do not need them (exp_abs_bound needs neither;
-    moment_checks needs only the profile).  ``n_jobs`` threads map over the
-    row blocks of the estimator experiments and never affect the statistics;
-    the block size follows from T alone.
+    ``T_list`` must be a nonempty, strictly ascending tuple of integers, and
+    ``t_eval`` an integer in ``1..min(T_list)``; ``reps`` (at least 2),
+    ``n_jobs`` (at least 1) and ``master_seed`` must be integers too.  Every
+    experiment but exp_abs_bound needs a ``profile``, which is built against
+    the largest grid.  ``params`` must be an instance of the class
+    ``ESTIMATOR_EXPERIMENTS`` names for the experiment, of the required
+    variant if any; moment_checks and exp_abs_bound take none.  Each rule
+    raises :class:`DomainError` here, before anything is simulated.
+    ``n_jobs`` threads map over the row blocks of the estimator experiments
+    and never affect the statistics; the block size follows from T alone.
     """
 
     experiment: str
@@ -77,6 +79,8 @@ class ExperimentConfig:
             raise DomainError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
             )
+        if self.profile is None and self.experiment != "exp_abs_bound":
+            raise DomainError(f"{self.experiment} needs a correlation profile")
         if self.experiment in ESTIMATOR_EXPERIMENTS:
             cls, variant = ESTIMATOR_EXPERIMENTS[self.experiment]
             if not isinstance(self.params, cls):
@@ -87,11 +91,7 @@ class ExperimentConfig:
         if not t_list or any(a >= c for a, c in zip(t_list, t_list[1:])):
             raise DomainError("T_list must be nonempty and strictly ascending")
         object.__setattr__(self, "T_list", t_list)
-        try:
-            object.__setattr__(self, "t_eval", check_index(self.t_eval, t_list[0]))
-        except IndexOutOfRange:
-            raise DomainError(f"t_eval={self.t_eval!r} must be an integer in "
-                              f"1..min(T_list)={t_list[0]}") from None
+        object.__setattr__(self, "t_eval", check_integer("t_eval", self.t_eval, 1, t_list[0]))
         for name, least in (("reps", 2), ("n_jobs", 1), ("master_seed", None)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), least))
         if self.profile is not None:
@@ -335,8 +335,7 @@ def check_exp_abs_bound(sigma_list, t_list, reps: int, seed: int) -> McReport:
     cells, checks = [], []
     rng = replication_rng(seed, 0)
     for sigma in sigma_list:
-        if sigma <= 0:
-            raise DomainError(f"sigma must be positive, got {sigma!r}")
+        check_positive(sigma=sigma)
         for t in t_list:
             where = f" at sigma={sigma}, t={t}"
             check_exponent("sigma^2 t / 2" + where, 0.5 * sigma * sigma * t)
@@ -368,9 +367,9 @@ def check_product_moments(profile, t_list, reps: int, seed: int) -> McReport:
     uses the fourth-moment formula sqrt((m4 - var^2) / n)).
     """
     reps = check_integer("reps", reps, 2)
-    t_list = tuple(check_integer("t_list entry", t) for t in t_list)
-    if not t_list or min(t_list) < 1:
-        raise DomainError("t_list must be nonempty with entries >= 1")
+    t_list = tuple(check_integer("t_list entry", t, 1) for t in t_list)
+    if not t_list:
+        raise DomainError("t_list must be nonempty")
     T = max(*t_list, 2)
     profile = build_profile(profile, TimeGrid(T))
     rho = profile.rho(T)

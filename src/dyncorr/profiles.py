@@ -26,6 +26,14 @@ from .errors import DomainError, IncrementInfeasible, ProfileOutOfRange
 # Slack for values that land on the boundary only up to rounding.
 _EDGE_TOL = 1e-12
 
+# kind: (parameter count, rho over t = 1..T from t and the parameters); a
+# table profile holds its values instead.
+_SHAPES = {
+    "constant": (1, lambda t, c: np.full(t.size, float(c))),
+    "linear": (2, lambda t, c0, c1: c0 + c1 * t),
+    "capped": (2, lambda t, c, t0: c * np.minimum(t, float(t0)) / t),
+}
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -58,13 +66,17 @@ class CorrelationProfile:
     table: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("constant", "linear", "table", "capped"):
-            raise DomainError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "table" and len(self.table) < 2:
-            raise DomainError("table profile needs at least 2 values")
         # tuples keep the profile hashable: the BM oracle caches its build per profile
         object.__setattr__(self, "params", tuple(self.params))
         object.__setattr__(self, "table", tuple(self.table))
+        if self.kind == "table":
+            if len(self.table) < 2:
+                raise DomainError(f"table profile needs at least 2 values, got {len(self.table)}")
+        elif self.kind not in _SHAPES:
+            raise DomainError(f"unknown profile kind {self.kind!r}")
+        elif len(self.params) != _SHAPES[self.kind][0]:
+            raise DomainError(f"profile kind {self.kind!r} takes {_SHAPES[self.kind][0]} "
+                              f"parameter(s), got {len(self.params)}")
         # hashed once: a cache lookup would otherwise walk the whole table.
         # Numbers hash the same in every process, so a pickled copy stays valid.
         object.__setattr__(self, "_hash", hash((self.params, self.table)))
@@ -74,21 +86,11 @@ class CorrelationProfile:
 
     def rho(self, T: int) -> np.ndarray:
         """Correlation values rho_1..rho_T (validated)."""
-        t = np.arange(1, T + 1, dtype=float)
-        if self.kind == "constant":
-            (c,) = self.params
-            values = np.full(T, float(c))
-        elif self.kind == "linear":
-            c0, c1 = self.params
-            values = c0 + c1 * t
-        elif self.kind == "capped":
-            c, t0 = self.params
-            values = c * np.minimum(t, float(t0)) / t
+        if self.kind != "table":
+            values = _SHAPES[self.kind][1](np.arange(1, T + 1, dtype=float), *self.params)
+        elif T > len(self.table):
+            raise DomainError(f"table profile has {len(self.table)} values, {T} requested")
         else:
-            if T > len(self.table):
-                raise DomainError(
-                    f"table profile has {len(self.table)} values, {T} requested"
-                )
             values = np.asarray(self.table[:T], dtype=float)
         _validate(values)
         return values
@@ -143,22 +145,13 @@ def build_profile(spec: CorrelationProfile | str, grid: TimeGrid) -> Correlation
 
 
 def _parse_spec_string(text: str) -> CorrelationProfile:
+    """The profile a spec string names; any error names the spec."""
     kind, _, rest = text.partition(":")
     kind = kind.strip()
     try:
         params = tuple(float(v) for v in rest.split(",")) if rest else ()
-    except ValueError as exc:
+        if kind == "table":
+            return CorrelationProfile("table", table=params)
+        return CorrelationProfile(kind, params)
+    except (DomainError, ValueError) as exc:
         raise DomainError(f"cannot parse profile spec {text!r}: {exc}") from None
-    if kind == "table":
-        if len(params) < 2:
-            raise DomainError(f"profile spec {text!r}: a table takes at least 2 values, "
-                              f"got {len(params)}")
-        return CorrelationProfile("table", table=params)
-    expected = {"constant": 1, "linear": 2, "capped": 2}.get(kind)
-    if expected is None:
-        raise DomainError(f"unknown profile kind {kind!r}")
-    if len(params) != expected:
-        raise DomainError(
-            f"profile kind {kind!r} takes {expected} parameter(s), got {len(params)}"
-        )
-    return CorrelationProfile(kind, params)

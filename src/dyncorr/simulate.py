@@ -37,11 +37,21 @@ def check_exponent(what: str, *values, error=NumericRange) -> None:
 
 def check_finite(**values) -> None:
     """Raise :class:`DomainError` naming the first of ``values`` that is not
-    finite: the parameter guard of both estimator families and the GBM
-    transform, where a NaN or an infinity can pass a range check."""
+    finite: the guard of every real parameter the package takes, where a NaN
+    or an infinity can pass a range check."""
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def check_positive(**values) -> None:
+    """Raise :class:`DomainError` naming the first of ``values`` that is not
+    finite, then the first that is not above 0: the one guard of every
+    volatility, time and shape that must be positive."""
+    check_finite(**values)
+    for name, value in values.items():
+        if value <= 0:
+            raise DomainError(f"{name} must be positive, got {value!r}")
 
 
 def _read_only(values) -> np.ndarray:
@@ -125,7 +135,12 @@ class GbmPathPair:
 
 
 def replication_rng(master_seed: int, replication: int = 0) -> np.random.Generator:
-    """Deterministic per-replication generator (see module docstring)."""
+    """Deterministic per-replication generator (see module docstring).
+
+    Every stream is made here, so a seed or replication that is not an
+    integer, or is negative, raises :class:`DomainError` here too."""
+    master_seed = check_integer("seed", master_seed)
+    replication = check_integer("replication", replication)
     if master_seed < 0 or replication < 0:
         raise DomainError("seed and replication must be >= 0, got "
                           f"seed={master_seed!r}, replication={replication!r}")
@@ -186,9 +201,7 @@ def simulate_gbm_pair(bm: BmPathPair, sigma: float) -> GbmPathPair:
 
 
 def gbm_transform(w: np.ndarray, u: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    check_finite(sigma=sigma)
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
+    check_positive(sigma=sigma)
     check_exponent("max |sigma*W_t|", sigma * max(np.abs(w).max(), np.abs(u).max()),
                    error=PathOverflow)
     return np.exp(sigma * w), np.exp(sigma * u)
@@ -206,13 +219,16 @@ def check_index(u: int, T: int) -> int:
     return t
 
 
-def check_integer(name: str, value, least: int | None = None) -> int:
-    """``value`` as a Python int; a size, count or seed that is not a Python or
-    numpy integer, or is below ``least``, raises :class:`DomainError` naming it."""
+def check_integer(name: str, value, least: int | None = None, most: int | None = None) -> int:
+    """``value`` as a Python int; a size, count, time or seed that is not a
+    Python or numpy integer, or lies below ``least`` or above ``most``, raises
+    :class:`DomainError` naming it."""
     try:
         n = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
     if least is not None and n < least:
         raise DomainError(f"{name} must be >= {least}, got {n}")
+    if most is not None and n > most:
+        raise DomainError(f"{name} must be <= {most}, got {n}")
     return n

@@ -17,7 +17,7 @@ from functools import cached_property
 # bessel_k is not called here; bench/spans.py traces dyncorr.vg.bessel_k
 from .bessel import bessel_k, scaled_k_terms  # noqa: F401
 from .errors import DomainError, NumericRange
-from .simulate import check_finite
+from .simulate import check_finite, check_positive
 
 _LN2 = math.log(2.0)
 _TINY = sys.float_info.min   # the smallest normal double
@@ -40,9 +40,8 @@ class VgParams:
     mu: float
 
     def __post_init__(self):
-        check_finite(r=self.r, theta=self.theta, sigma=self.sigma, mu=self.mu)
-        if self.r <= 0:
-            raise DomainError(f"shape r must be positive, got {self.r!r}")
+        check_positive(r=self.r)
+        check_finite(theta=self.theta, sigma=self.sigma, mu=self.mu)
         if self.sigma < 0:
             raise DomainError(f"scale sigma must be >= 0, got {self.sigma!r}")
 
@@ -130,8 +129,8 @@ def product_normal_vg_params(sigma_x: float, sigma_y: float, rho: float) -> VgPa
     Z ~ VG(1, rho*sx*sy, sx*sy*sqrt(1-rho^2), 0); in particular
     E(Z) = rho*sx*sy and Var(Z) = (1 + rho^2) * sx^2 * sy^2.
     """
-    if sigma_x <= 0 or sigma_y <= 0:
-        raise DomainError("sigma_x and sigma_y must be positive")
+    check_positive(sigma_x=sigma_x, sigma_y=sigma_y)
+    check_finite(rho=rho)
     if abs(rho) > 1.0:
         raise DomainError(f"|rho| must be <= 1, got {rho!r}")
     scale = sigma_x * sigma_y

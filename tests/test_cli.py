@@ -653,6 +653,17 @@ class TestExperimentRun:
             '"T_list": [100, 200], "t_eval": 10, "reps": 60, '
             '"params": {"q": 0.5, "p": 1}, "master_seed": 7, "n_jobs": 1}')
 
+    # without a profile the run ended in a traceback (AttributeError on None)
+    @pytest.mark.parametrize("name", ["bm_consistency", "moment_checks"])
+    def test_missing_profile_is_runtime_error(self, runner, tmp_path, name):
+        cfg = self.write_config(tmp_path, self.CONFIG.replace("profile = capped:0.5,10\n", ""))
+        result = runner.invoke(main, ["experiment", "run", "--name", name, "--config", str(cfg),
+                                      "--out", str(tmp_path / "run")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: {name} needs a correlation profile\n"
+        assert not (tmp_path / "run").exists()
+
     def test_manifest_config_without_profile_or_params(self, runner, tmp_path):
         text = "[experiment]\nT_list = 2,4\nt_eval = 1\nreps = 20\nseed = 5\n"
         cfg = self.write_config(tmp_path, text)
@@ -673,3 +684,93 @@ class TestExperimentRun:
                                       "--config", str(cfg),
                                       "--out", str(tmp_path / "run")])
         assert result.exit_code == 2
+
+
+# Every command's option surface as the CLI first declared it, one option per
+# command: name -> (flags, type, default, required, multiple, envvar).  Sharing
+# one declaration between commands must not move any of these; help text may.
+_BOOL = {"name": "boolean", "param_type": "Bool"}
+_TEXT = {"name": "text", "param_type": "String"}
+_INT = {"name": "integer", "param_type": "Int"}
+_FLOAT = {"name": "float", "param_type": "Float"}
+_TIME = {"name": "time", "param_type": "_Time"}
+_NONNEGATIVE_INT = {"clamp": False, "max": None, "max_open": False, "min": 0,
+                    "min_open": False, "name": "integer range", "param_type": "IntRange"}
+_NONNEGATIVE = {"clamp": False, "max": None, "max_open": False, "min": 0,
+                "min_open": False, "name": "float range", "param_type": "FloatRange"}
+_POSITIVE = {**_NONNEGATIVE, "min_open": True}
+_IN_FILE = {"allow_dash": False, "dir_okay": False, "exists": True, "file_okay": True,
+            "name": "file", "param_type": "Path", "readable": True, "writable": False}
+_OUT_FILE = {**_IN_FILE, "exists": False, "writable": True}
+_OUT_DIR = {**_IN_FILE, "exists": False, "dir_okay": True, "file_okay": False,
+            "name": "directory"}
+_VARIANT = {"case_sensitive": True, "choices": ["v1", "v2"], "name": "choice",
+            "param_type": "Choice"}
+_EXPERIMENT = {**_VARIANT, "choices": [
+    "bm_consistency", "bm_variance_decay", "bm_bias_pq0", "gbm_consistency_v1",
+    "gbm_consistency_v2", "gbm_variance_decay", "moment_checks", "exp_abs_bound"]}
+
+_REQUIRED = {name: ([f"--{name}"], kind, None, True, False, None) for name, kind in [
+    ("profile", _TEXT), ("T", _INT), ("t", _INT), ("sigma", _POSITIVE), ("out", _OUT_FILE),
+    ("q", _NONNEGATIVE), ("p", _NONNEGATIVE), ("a", _FLOAT), ("b", _FLOAT), ("c", _FLOAT),
+    ("r", _POSITIVE), ("theta", _FLOAT), ("mu", _FLOAT)]}
+_SEED = (["--seed"], _NONNEGATIVE_INT, 0, False, False, "DYNCORR_SEED")
+_REPLICATION = (["--replication"], _NONNEGATIVE_INT, 0, False, False, None)
+_VARIANT_OPTION = (["--variant"], _VARIANT, "v1", False, False, None)
+_IN = (["--in"], _IN_FILE, None, True, False, None)
+
+
+def _pick(*names):
+    return {name: _REQUIRED[name] for name in names}
+
+
+OPTION_SURFACE = {
+    "": {"version": (["--version"], _BOOL, False, False, False, None)},
+    "simulate": {},
+    "simulate bm": {**_pick("profile", "T"), "seed": _SEED, "replication": _REPLICATION,
+                    **_pick("out")},
+    "simulate gbm": {**_pick("profile", "T", "sigma"), "seed": _SEED,
+                     "replication": _REPLICATION, **_pick("out")},
+    "estimate": {},
+    "estimate bm": {**_pick("q", "p"), "u_list": (["--u"], _TIME, None, True, True, None),
+                    "in_path": _IN, **_pick("out")},
+    "estimate gbm": {"variant": _VARIANT_OPTION, **_pick("a", "b", "c", "sigma"),
+                     "t_list": (["--t"], _TIME, None, True, True, None), "in_path": _IN,
+                     **_pick("out")},
+    "oracle": {},
+    "oracle bm": _pick("profile", "q", "p", "t", "T"),
+    "oracle gbm": {"variant": _VARIANT_OPTION, **_pick("profile", "a", "b", "c", "sigma", "t",
+                                                       "T")},
+    "vg": {},
+    "vg pdf": {**_pick("r", "theta"),
+               "sigma": (["--sigma"], _NONNEGATIVE, None, True, False, None),
+               **_pick("mu"), "x": (["--x"], _FLOAT, None, True, True, None)},
+    "vg moments": {**_pick("r", "theta"),
+                   "sigma": (["--sigma"], _NONNEGATIVE, None, True, False, None),
+                   **_pick("mu")},
+    "experiment": {},
+    "experiment run": {
+        "name": (["--name"], _EXPERIMENT, None, True, False, None),
+        "config_path": (["--config"], _IN_FILE, None, True, False, None),
+        "out_dir": (["--out"], _OUT_DIR, None, True, False, None),
+        "seed": (["--seed"], _NONNEGATIVE_INT, None, False, False, "DYNCORR_SEED"),
+    },
+}
+
+
+def _commands(command, path=""):
+    yield path, command
+    for name, sub in getattr(command, "commands", {}).items():
+        yield from _commands(sub, f"{path} {name}".strip())
+
+
+def test_option_surface_is_pinned():
+    surface = {}
+    for path, command in _commands(main):
+        surface[path] = {}
+        for param in command.params:
+            # JSON turns tuples into lists, whichever a click version returns
+            info = json.loads(json.dumps(param.to_info_dict()))
+            surface[path][param.name] = tuple(info[key] for key in (
+                "opts", "type", "default", "required", "multiple", "envvar"))
+    assert surface == OPTION_SURFACE

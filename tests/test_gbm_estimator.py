@@ -232,6 +232,18 @@ class TestCorrelationTransform:
         with pytest.raises(DomainError, match="must be positive"):
             fn(0.5, sigma, t)
 
+    # each returned nan or warned, where a range check alone passed
+    @pytest.mark.parametrize("fn, args, name", [
+        (r_from_rho, (0.5, math.nan, 1), "sigma"),
+        (r_from_rho, (math.nan, 0.1, 1), "rho_t"),
+        (rho_from_r, (math.nan, 0.1, 1), "r_t"),
+        (rho_from_r, (0.5, math.inf, 1), "sigma"),
+        (rho_from_r, (0.5, 0.1, math.inf), "t"),
+    ])
+    def test_non_finite_argument_rejected(self, fn, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            fn(*args)
+
 
 class TestExpectationFormulas:
     CASES = [

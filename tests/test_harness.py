@@ -76,6 +76,15 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match="must be an integer"):
             small_config(t_eval=t_eval)
 
+    # without a profile the run failed with a bare AttributeError on None
+    @pytest.mark.parametrize("experiment, params", [("bm_consistency", BM_PARAMS),
+                                                    ("moment_checks", None)])
+    def test_profile_required_but_for_exp_abs_bound(self, experiment, params):
+        with pytest.raises(DomainError, match=f"^{experiment} needs a correlation profile$"):
+            small_config(experiment=experiment, profile=None, params=params)
+        config = small_config(experiment="exp_abs_bound", profile=None, params=None)
+        assert config.profile is None
+
     def test_t_eval_numpy_integer_is_stored_as_int(self):
         t_eval = small_config(t_eval=np.int64(10)).t_eval
         assert t_eval == 10 and type(t_eval) is int
@@ -292,6 +301,18 @@ class TestStandaloneChecks:
     def test_exp_abs_bound_rejects_bad_sigma(self):
         with pytest.raises(DomainError):
             check_exp_abs_bound((0.0,), (1,), 100, 0)
+
+    # a NaN sigma passed every range check and reported NaN statistics; an
+    # infinite one raised NumericRange
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_exp_abs_bound_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(DomainError, match="sigma must be finite"):
+            check_exp_abs_bound((sigma,), (1,), 50, 1)
+
+    # a fractional seed ended in a bare TypeError from SeedSequence
+    def test_exp_abs_bound_rejects_fractional_seed(self):
+        with pytest.raises(DomainError, match="seed must be an integer, got 1.5"):
+            check_exp_abs_bound((0.5,), (1,), 5, 1.5)
 
     # a time that is not an integer was simulated at 1.5 and reported as t = 1
     # (exp_abs_bound) or truncated to 1 (product moments); reps = 5.5 failed in numpy

@@ -55,6 +55,15 @@ class TestProfileValues:
             prof.rho(5)
         assert info.value.index == 3  # 0.5 + 0.2*3 = 1.1
 
+    # a wrong count constructed, then rho raised a bare ValueError
+    @pytest.mark.parametrize("kind, params, expected", [("constant", (0.5, 0.2), 1),
+                                                        ("linear", (), 2),
+                                                        ("capped", (0.5,), 2)])
+    def test_parameter_count_checked_at_construction(self, kind, params, expected):
+        with pytest.raises(DomainError, match=f"takes {expected} parameter\\(s\\), "
+                                              f"got {len(params)}"):
+            CorrelationProfile(kind, params)
+
     def test_table_needs_two_values(self):
         with pytest.raises(DomainError, match="at least 2 values"):
             CorrelationProfile("table", table=(0.5,))
@@ -126,6 +135,15 @@ class TestBuildProfile:
         ("table:0.5", "at least 2 values, got 1"),
     ])
     def test_malformed_table_names_the_spec(self, spec, message):
+        with pytest.raises(DomainError, match=message) as info:
+            build_profile(spec, TimeGrid(2))
+        assert repr(spec) in str(info.value)
+
+    # the profile checks its kind and parameter count; the parser's message
+    # adds the spec
+    @pytest.mark.parametrize("spec, message", [("capped:0.5", "takes 2 parameter"),
+                                               ("mystery:1", "unknown profile kind 'mystery'")])
+    def test_malformed_spec_names_the_spec(self, spec, message):
         with pytest.raises(DomainError, match=message) as info:
             build_profile(spec, TimeGrid(2))
         assert repr(spec) in str(info.value)

@@ -22,7 +22,7 @@ from dyncorr import (
     simulate_bm_pair,
     simulate_gbm_pair,
 )
-from dyncorr.simulate import check_index
+from dyncorr.simulate import check_index, check_integer, check_positive
 
 CONST_HALF = CorrelationProfile("constant", (0.5,))
 
@@ -146,6 +146,25 @@ class TestIndexAndRng:
     def test_batch_sizes_and_seeds_must_be_integers(self, kwargs, message):
         with pytest.raises(DomainError, match=message):
             simulate_bm_batch(CONST_HALF, TimeGrid(5), **{"seed": 1, "reps": 2, **kwargs})
+
+    # a fractional seed or replication reached SeedSequence: a bare TypeError
+    @pytest.mark.parametrize("args, message", [((1.5,), "seed must be an integer, got 1.5"),
+                                               ((1, 0.5), "replication must be an integer")])
+    def test_rng_seed_and_replication_must_be_integers(self, args, message):
+        with pytest.raises(DomainError, match=message):
+            replication_rng(*args)
+
+    def test_check_integer_bounds_both_sides(self):
+        assert check_integer("n", np.int64(3), 1, 3) == 3
+        with pytest.raises(DomainError, match="n must be <= 3, got 4"):
+            check_integer("n", 4, 1, 3)
+
+    def test_check_positive_names_the_value(self):
+        check_positive(a=1e-300, b=2)
+        with pytest.raises(DomainError, match="b must be positive, got 0"):
+            check_positive(a=1.0, b=0)
+        with pytest.raises(DomainError, match="a must be finite, got nan"):
+            check_positive(a=float("nan"))
 
     def test_batch_accepts_numpy_integers(self):
         got = simulate_bm_batch(CONST_HALF, TimeGrid(5), np.int64(1), np.int32(2), np.uint8(3))

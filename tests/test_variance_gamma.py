@@ -228,3 +228,11 @@ class TestProductOfNormals:
             product_normal_vg_params(0.0, 1.0, 0.5)
         with pytest.raises(DomainError):
             product_normal_vg_params(1.0, 1.0, 1.5)
+
+    # a NaN argument passed the range checks and was blamed on theta
+    @pytest.mark.parametrize("args, name", [((math.nan, 1.0, 0.5), "sigma_x"),
+                                            ((1.0, math.inf, 0.5), "sigma_y"),
+                                            ((1.0, 1.0, math.nan), "rho")])
+    def test_non_finite_argument_is_named(self, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            product_normal_vg_params(*args)
