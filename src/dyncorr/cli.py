@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 runtime or I/O error, 2 usage error, 3 experiment
 assertion failure.  The master seed defaults to the decimal value of the
 ``DYNCORR_SEED`` environment variable, falling back to 0.
 
-All numeric output uses 17 significant digits so files round-trip exactly;
-experiment runs write ``report.json`` and ``curves.csv`` plus a
-``manifest.json`` (written last) listing every output file with its sha256.
+CSV files and printed numbers use 17 significant digits, so each reads back
+as the same double.  Experiment runs write ``report.json`` and ``curves.csv``
+plus a ``manifest.json`` (written last) listing every output file with its
+sha256; the two JSON files write each float in its shortest round-trip form,
+so it reads back as the same float, sign and type included.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import datetime
 import functools
 import hashlib
 import json
-import math
 import os
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from .harness import (
 )
 from .profiles import CorrelationProfile, TimeGrid, build_profile
 from .simulate import BmPathPair, simulate_bm_pair, simulate_gbm_pair
+from .vg import VgParams, vg_moments, vg_pdf
 
 _FLOAT_FMT = "%.17g"
 
@@ -318,8 +320,6 @@ _vg_options = _options(
               help="Evaluation point (repeatable).")
 @_runtime_errors
 def vg_pdf_cmd(r, theta, sigma, mu, x):
-    from .vg import VgParams, vg_pdf
-
     params = VgParams(r, theta, sigma, mu)
     for xi in x:
         click.echo(_fmt(vg_pdf(xi, params)))
@@ -329,8 +329,6 @@ def vg_pdf_cmd(r, theta, sigma, mu, x):
 @_vg_options
 @_runtime_errors
 def vg_moments_cmd(r, theta, sigma, mu):
-    from .vg import VgParams, vg_moments
-
     mean, var = vg_moments(VgParams(r, theta, sigma, mu))
     click.echo(f"mean {_fmt(mean)}")
     click.echo(f"variance {_fmt(var)}")
@@ -382,42 +380,15 @@ def _parse_experiment_config(name: str, path: str, seed: int | None) -> Experime
 
 
 def _json_text(obj) -> str:
-    """Deterministic JSON with fixed 17-significant-digit floats."""
-    parts = []
-    _write_json(obj, parts)
-    return "".join(parts)
+    """``obj`` as JSON: the one encoder setting of both experiment files.
 
-
-def _write_json(obj, parts):
-    if isinstance(obj, dict):
-        parts.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                parts.append(", ")
-            parts.append(json.dumps(str(key)))
-            parts.append(": ")
-            _write_json(value, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                parts.append(", ")
-            _write_json(value, parts)
-        parts.append("]")
-    elif isinstance(obj, bool) or obj is None:
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        if math.isnan(obj):
-            parts.append("NaN")
-        elif math.isinf(obj):
-            parts.append("Infinity" if obj > 0 else "-Infinity")
-        else:
-            parts.append(_fmt(obj))
-    else:
-        parts.append(json.dumps(str(obj)))
+    CSV files and printed numbers use ``_FLOAT_FMT`` (17 significant digits),
+    as a CSV number has no int/float type to lose.  Here each float is
+    written in its shortest round-trip form (``0.1``, ``1.0``, ``-0.0``) and
+    reads back as the same float; NaN and the infinities are the bare tokens
+    ``NaN`` and ``Infinity``, and any other object is its ``str``.
+    """
+    return json.dumps(obj, default=str)
 
 
 def _curves_rows(cells) -> list:

@@ -316,6 +316,7 @@ def r_from_rho(rho_t: float, sigma: float, t: float) -> float:
     """BM correlation giving GBM correlation rho_t at time t."""
     check_finite(rho_t=rho_t)
     check_positive(sigma=sigma, t=t)
+    check_exponent("sigma^2 t", sigma * sigma * t)
     s2t = sigma ** 2 * t
     arg = 1.0 + rho_t * np.expm1(s2t)
     if arg <= 0.0:
@@ -329,6 +330,7 @@ def rho_from_r(r_t: float, sigma: float, t: float) -> float:
     """GBM correlation induced by BM correlation r_t at time t."""
     check_finite(r_t=r_t)
     check_positive(sigma=sigma, t=t)
+    check_exponent("sigma^2 t", sigma * sigma * t)
     s2t = sigma ** 2 * t
     return float(np.expm1(r_t * s2t) / np.expm1(s2t))
 

@@ -134,6 +134,8 @@ def build_profile(spec: CorrelationProfile | str, grid: TimeGrid) -> Correlation
     (``"constant:0.5"``, ``"linear:0.1,0.02"``, ``"capped:0.5,10"``,
     ``"table:v1,v2,..."``); a table must have one value per grid point.
     """
+    if not isinstance(spec, (CorrelationProfile, str)):
+        raise DomainError(f"profile must be a CorrelationProfile or a spec string, got {spec!r}")
     profile = spec if isinstance(spec, CorrelationProfile) else _parse_spec_string(spec)
     if profile.kind == "table" and len(profile.table) != grid.T:
         raise DomainError(

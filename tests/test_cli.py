@@ -651,7 +651,7 @@ class TestExperimentRun:
         assert config == (
             '"config": {"file": "cfg.ini", "profile": "capped:0.5,10.0", '
             '"T_list": [100, 200], "t_eval": 10, "reps": 60, '
-            '"params": {"q": 0.5, "p": 1}, "master_seed": 7, "n_jobs": 1}')
+            '"params": {"q": 0.5, "p": 1.0}, "master_seed": 7, "n_jobs": 1}')
 
     # without a profile the run ended in a traceback (AttributeError on None)
     @pytest.mark.parametrize("name", ["bm_consistency", "moment_checks"])
@@ -676,7 +676,35 @@ class TestExperimentRun:
 
     def test_json_text_writes_non_finite_floats_as_tokens(self):
         assert _json_text({"a": -math.inf, "b": [math.inf, math.nan, 0.1], "c": None}) == (
-            '{"a": -Infinity, "b": [Infinity, NaN, 0.10000000000000001], "c": null}')
+            '{"a": -Infinity, "b": [Infinity, NaN, 0.1], "c": null}')
+
+    # %.17g wrote integral floats as integer tokens: 1.0 read back as 1, -0.0 as 0
+    def test_json_text_floats_keep_type_and_sign(self):
+        values = [0.0, -0.0, 1.0, 1e16, 0.1, math.nan, math.inf, -math.inf, np.float64(1.0)]
+        back = json.loads(_json_text(values))
+        assert [type(v) for v in back] == [float] * len(values)
+        assert [math.copysign(1.0, v) for v in back] == [math.copysign(1.0, v) for v in values]
+        assert back[:5] + back[6:] == values[:5] + values[6:]
+        assert math.isnan(back[5])
+
+    def test_integral_floats_read_back_as_floats(self, runner, tmp_path):
+        runs = {
+            "exp_abs_bound": "[experiment]\nT_list = 2,4\nt_eval = 1\nreps = 20\nseed = 5\n",
+            "gbm_consistency_v1": ("[experiment]\nprofile = constant:0.5\nT_list = 10,20\n"
+                                   "t_eval = 5\nreps = 4\nseed = 7\n\n"
+                                   "[params]\na = 1\nb = 16\nc = 2\nsigma = 0.1\n"),
+        }
+        for name, text in runs.items():
+            cfg = self.write_config(tmp_path, text)
+            runner.invoke(main, ["experiment", "run", "--name", name, "--config", str(cfg),
+                                 "--out", str(tmp_path / name)])
+        cells = json.loads((tmp_path / "exp_abs_bound" / "report.json").read_text())["cells"]
+        assert [cell["sigma"] for cell in cells] == [0.5, 0.5, 1.0, 1.0]
+        assert all(type(cell["sigma"]) is float for cell in cells)
+        manifest = json.loads((tmp_path / "gbm_consistency_v1" / "manifest.json").read_text())
+        params = manifest["config"]["params"]
+        assert [(params[k], type(params[k])) for k in "abc"] == [
+            (1.0, float), (16.0, float), (2.0, float)]
 
     def test_unknown_name_is_usage_error(self, runner, tmp_path):
         cfg = self.write_config(tmp_path)

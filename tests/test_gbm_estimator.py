@@ -244,6 +244,18 @@ class TestCorrelationTransform:
         with pytest.raises(DomainError, match=f"^{name} must be finite"):
             fn(*args)
 
+    # sigma^2 t = 900 made expm1 overflow with a warning, and sigma = 1e200 a
+    # bare OverflowError from sigma ** 2
+    @pytest.mark.parametrize("fn", [r_from_rho, rho_from_r])
+    @pytest.mark.parametrize("sigma", [30.0, 1e200])
+    def test_exponent_beyond_range_rejected(self, fn, sigma):
+        with pytest.raises(NumericRange, match="sigma\\^2 t"):
+            fn(0.5, sigma, 1)
+
+    @pytest.mark.parametrize("fn", [r_from_rho, rho_from_r])
+    def test_exponent_at_range_edge_is_finite(self, fn):
+        assert math.isfinite(fn(0.5, math.sqrt(699), 1))
+
 
 class TestExpectationFormulas:
     CASES = [

@@ -333,6 +333,10 @@ class TestStandaloneChecks:
         with pytest.raises(DomainError, match=message):
             check_product_moments("constant:0.5", t_list, reps, 0)
 
+    def test_product_moments_rejects_missing_profile(self):
+        with pytest.raises(DomainError, match="got None"):
+            check_product_moments(None, (5,), 10, 0)
+
     def test_checks_accept_numpy_integers(self):
         for check, first in ((check_exp_abs_bound, (0.5,)), (check_product_moments, "constant:0.5")):
             got = check(first, (np.int64(2), np.int32(3)), np.int64(40), 1)

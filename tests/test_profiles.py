@@ -152,6 +152,12 @@ class TestBuildProfile:
         with pytest.raises(IncrementInfeasible):
             build_profile("table:0.0,0.95", TimeGrid(2))
 
+    # each ended in a bare AttributeError ('... has no attribute partition')
+    @pytest.mark.parametrize("spec", [None, 0.5])
+    def test_non_profile_non_string_rejected(self, spec):
+        with pytest.raises(DomainError, match=f"CorrelationProfile or a spec string, got {spec}"):
+            build_profile(spec, TimeGrid(5))
+
 
 class TestHashing:
     def test_table_is_hashed_once(self):
