@@ -82,8 +82,8 @@ from .bm import (
 )
 from .errors import DegenerateVariance, DomainError, NegativeVarianceEstimate
 from .profiles import CorrelationProfile
-from .simulate import (_MAX_EXPONENT, GbmPathPair, check_exponent, check_finite, check_index,
-                       check_positive, frozen_cache)
+from .simulate import (_MAX_EXPONENT, GbmPathPair, check_correlation, check_exponent, check_finite,
+                       check_index, check_positive, frozen_cache)
 
 
 class NonconvergentSeriesWarning(UserWarning):
@@ -313,8 +313,8 @@ def _coerce(pair_or_w, u, params):
 # Correlation transform between the BM and GBM levels
 
 def r_from_rho(rho_t: float, sigma: float, t: float) -> float:
-    """BM correlation giving GBM correlation rho_t at time t."""
-    check_finite(rho_t=rho_t)
+    """BM correlation giving GBM correlation rho_t at time t; ``|rho_t| <= 1``."""
+    check_correlation(rho_t=rho_t)
     check_positive(sigma=sigma, t=t)
     check_exponent("sigma^2 t", sigma * sigma * t)
     s2t = sigma ** 2 * t
@@ -327,8 +327,9 @@ def r_from_rho(rho_t: float, sigma: float, t: float) -> float:
 
 
 def rho_from_r(r_t: float, sigma: float, t: float) -> float:
-    """GBM correlation induced by BM correlation r_t at time t."""
-    check_finite(r_t=r_t)
+    """GBM correlation induced by BM correlation r_t at time t; ``|r_t| <= 1``,
+    which with sigma^2 t <= 700 keeps r_t sigma^2 t in the exponent range."""
+    check_correlation(r_t=r_t)
     check_positive(sigma=sigma, t=t)
     check_exponent("sigma^2 t", sigma * sigma * t)
     s2t = sigma ** 2 * t

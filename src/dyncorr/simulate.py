@@ -44,6 +44,16 @@ def check_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+def check_correlation(**values) -> None:
+    """Raise :class:`DomainError` naming the first of ``values`` that is not
+    finite, then the first outside ``[-1, 1]``: the guard of every scalar
+    correlation the package takes."""
+    check_finite(**values)
+    for name, value in values.items():
+        if abs(value) > 1.0:
+            raise DomainError(f"|{name}| must be <= 1, got {value!r}")
+
+
 def check_positive(**values) -> None:
     """Raise :class:`DomainError` naming the first of ``values`` that is not
     finite, then the first that is not above 0: the one guard of every

@@ -17,7 +17,7 @@ from functools import cached_property
 # bessel_k is not called here; bench/spans.py traces dyncorr.vg.bessel_k
 from .bessel import bessel_k, scaled_k_terms  # noqa: F401
 from .errors import DomainError, NumericRange
-from .simulate import check_finite, check_positive
+from .simulate import check_correlation, check_finite, check_positive
 
 _LN2 = math.log(2.0)
 _TINY = sys.float_info.min   # the smallest normal double
@@ -130,8 +130,6 @@ def product_normal_vg_params(sigma_x: float, sigma_y: float, rho: float) -> VgPa
     E(Z) = rho*sx*sy and Var(Z) = (1 + rho^2) * sx^2 * sy^2.
     """
     check_positive(sigma_x=sigma_x, sigma_y=sigma_y)
-    check_finite(rho=rho)
-    if abs(rho) > 1.0:
-        raise DomainError(f"|rho| must be <= 1, got {rho!r}")
+    check_correlation(rho=rho)
     scale = sigma_x * sigma_y
     return VgParams(1.0, rho * scale, scale * math.sqrt(1.0 - rho * rho), 0.0)

@@ -6,7 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from dyncorr import DomainError, bessel, bessel_k
 from dyncorr.bessel import scaled_k_terms
@@ -105,7 +105,9 @@ def _untabulated(nu, x):
 
 
 class TestNodeTables:
-    # calls that grow the tables: tiny x widens rung 0, nu = 1e4 rung 22; the
+    # the trapezoid, called directly: at nu = 0 the closed form serves every
+    # call of scaled_k_terms, but the nu = 0 cases still drive rung 0 wide.
+    # Calls that grow the tables: tiny x widens rung 0, nu = 1e4 rung 22; the
     # second of each pair doubles a table past |t/2| = 355, where sinh would
     # overflow at the next node beyond 710 without the cap
     WIDE = [(0.0, 1e-310), (0.0, 5e-324), (1e4, 1e-300), (1e4, 5e-324)]
@@ -126,7 +128,7 @@ class TestNodeTables:
             cases.append((0.0 if rng.uniform() < 0.2 else nu, x))
         for _ in range(2):   # fresh tables, then tables grown by every case
             for nu, x in cases:
-                assert scaled_k_terms(nu, x) == _untabulated(nu, x), (nu, x)
+                assert bessel._trapezoid(nu, x) == _untabulated(nu, x), (nu, x)
         assert set(bessel._NODES) == {0}
 
     def test_rung_boundaries_match_mpmath(self, fresh):
@@ -150,7 +152,7 @@ class TestNodeTables:
 
     def test_tables_are_read_only(self, fresh):
         for nu, x in self.WIDE + self.NARROW:
-            scaled_k_terms(nu, x)
+            bessel._trapezoid(nu, x)
         for _, half_t, sinh_half in bessel._NODES.values():
             for arr in (half_t, sinh_half):
                 with pytest.raises(ValueError):
@@ -161,13 +163,13 @@ class TestNodeTables:
         want = []
         for nu, x in calls:
             monkeypatch.setattr(bessel, "_NODES", {})
-            want.append(scaled_k_terms(nu, x))
+            want.append(bessel._trapezoid(nu, x))
         monkeypatch.setattr(bessel, "_NODES", {})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for nu, x in self.WIDE:
-                scaled_k_terms(nu, x)
-            got = [scaled_k_terms(nu, x) for nu, x in calls]
+                bessel._trapezoid(nu, x)
+            got = [bessel._trapezoid(nu, x) for nu, x in calls]
         assert got == want
         for K, half_t, sinh_half in bessel._NODES.values():
             assert np.isfinite(sinh_half).all()
@@ -177,3 +179,36 @@ class TestNodeTables:
         # X = x 2^-shift carried exactly: a normal X gives the unshifted terms
         for nu, x in [(0.0, 1e-3), (0.5, 2.0), (3.0, 1e-200), (40.0, 7.0)]:
             assert scaled_k_terms(nu, math.ldexp(x, 128), 128) == scaled_k_terms(nu, x)
+
+
+class TestOrderZero:
+    """e^x K_0(x), the product-normal density's order, by series and Chebyshev sum."""
+
+    def test_wide_range_against_mpmath(self):
+        rng = np.random.default_rng(20)
+        xs = list(10 ** rng.uniform(-300, 5, 1800))
+        xs += [1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 5e-324, 1e-310]
+        # below the normal range through vg_pdf's 2^128 shift: X = x 2^-128
+        # is the exact argument, which no double holds to full precision
+        shifted = list(10 ** (rng.uniform(-323.5, -308, 200) + 128 * math.log10(2.0)))
+        worst = 0.0
+        with mpmath.workdps(30):
+            for x, shift in [(x, 0) for x in xs] + [(x, 128) for x in shifted]:
+                X = mpmath.ldexp(mpmath.mpf(x), -shift)
+                exact = mpmath.besselk(0, X) * mpmath.exp(X)
+                m, s = scaled_k_terms(0.0, x, shift)
+                assert m == 0.0
+                worst = max(worst, float(abs(s - exact) / exact))
+        assert worst < 2e-15
+
+    def test_dense_grid_against_scipy(self):
+        # an independent double-precision reference, itself within ~1.2e-15
+        xs = np.concatenate([np.linspace(1e-6, 60.0, 6001), np.geomspace(1e-300, 1e5, 2001)])
+        got = np.array([scaled_k_terms(0.0, float(x))[1] for x in xs])
+        np.testing.assert_allclose(got, special.k0e(xs), rtol=4e-15, atol=0.0)
+
+    def test_no_table_is_built(self, monkeypatch):
+        monkeypatch.setattr(bessel, "_NODES", {})
+        for x in (5e-324, 1e-300, 0.5, 1.0, 7.0, 1e5):
+            scaled_k_terms(0.0, x)
+        assert bessel._NODES == {}

@@ -18,6 +18,7 @@ from dyncorr import (
     CorrelationProfile,
     DegenerateVariance,
     DomainError,
+    IndexOutOfRange,
     NumericRange,
     TimeGrid,
     estimate_bm,
@@ -32,8 +33,16 @@ from dyncorr import (
 )
 
 CONST_HALF = CorrelationProfile("constant", (0.5,))
-# increments alternating 0.8, 0.8, -0.5: a feasible profile with a jagged rho_t
-JAGGED = tuple(np.cumsum(np.where(np.arange(1, 61) % 3, 0.8, -0.5)) / np.arange(1, 61))
+
+
+def _jagged(T):
+    """``T`` values of a feasible profile with a jagged ``rho_t``: increments
+    alternating 0.8, 0.8, -0.5."""
+    n = np.arange(1, T + 1)
+    return tuple(np.cumsum(np.where(n % 3, 0.8, -0.5)) / n)
+
+
+JAGGED = _jagged(60)
 
 
 def brute_force_expected_terms(rho, u, q, p, T):
@@ -329,8 +338,92 @@ class TestExpectationFormulas:
         assert abs(g.mean() - target) < 4 * se
 
 
+class TestOracleCurve:
+    PARAMS = [(0.5, 1.0), (0.0, 0.0), (0.3, 0.8), (1.0, 2.0)]
+
+    @pytest.fixture
+    def fresh(self):
+        """Empty caches before the test, and none of its entries after it."""
+        _clear_caches()
+        yield
+        _clear_caches()
+
+    @pytest.mark.parametrize("T", [2, 3, 60, 2000, 20000])
+    @pytest.mark.parametrize("q, p", PARAMS)
+    def test_matches_the_per_t_oracle(self, q, p, T):
+        # within 1e-10 of the variance's term scale, the sum of the magnitudes
+        # of its sub-terms, which bounds every covariance's terms (|rho| <= 1)
+        params = BmEstimatorParams(q, p)
+        v = np.arange(1.0, T + 1.0)
+        times = range(1, T + 1) if T <= 2000 else sorted({1, 2, 3, T // 2, T - 1, T,
+                                                          *range(7, T, 401)})
+        scales = {}
+        for t in times:
+            vo = v[v != t]
+            scales[t] = float(np.sum((vo ** (2 * q) * t + 2 * vo ** (q - p) * np.minimum(vo, t)
+                                      + vo ** (1 - 2 * p)) / ((t - vo) ** 2 * (T - 1))))
+        profiles = (CorrelationProfile("capped", (0.5, 10.0)), CONST_HALF,
+                    CorrelationProfile("table", table=_jagged(T)))
+        for profile in profiles:
+            num, den = params.oracle_curve(profile, T)
+            assert num.shape == den.shape == (T,)
+            assert np.isfinite(num).all() and np.isfinite(den).all()
+            for t, scale in scales.items():
+                eg, es = params.oracle(profile, t, T)
+                assert abs(num[t - 1] - eg) <= 1e-10 * scale, (profile, t)
+                assert abs(den[t - 1] - es) <= 1e-10 * scale, (profile, t)
+
+    @pytest.mark.parametrize("T", [2, 60, 2000])
+    @pytest.mark.parametrize("q, p", PARAMS)
+    def test_constant_profile_ratio_is_exact(self, q, p, T):
+        # the covariance rows are the variance rows times 1/2, through the FFT too
+        params = BmEstimatorParams(q, p)
+        num, den = params.oracle_curve(CONST_HALF, T)
+        assert np.array_equal(num, 0.5 * den)
+        assert all(expected_ratio_q(CONST_HALF, t, params, T) == 0.5 for t in range(1, T + 1))
+
+    def test_unresolved_entry_comes_from_the_per_t_oracle(self, monkeypatch, fresh):
+        profile, params, T = CorrelationProfile("capped", (0.5, 10.0)), BmEstimatorParams(0.5, 1.0), 60
+        curve = BmEstimatorParams.oracle_curve
+
+        def holed(self, profile, T):
+            num, den = curve(self, profile, T)
+            den = den.copy()
+            den[4] = np.nan
+            return num, den
+
+        monkeypatch.setattr(BmEstimatorParams, "oracle_curve", holed)
+        num, den = params.oracle(profile, 5, T)
+        assert expected_ratio_q(profile, 5, params, T) == num / den
+        num, den = holed(params, profile, T)
+        assert expected_ratio_q(profile, 6, params, T) == num[5] / den[5]
+
+    def test_fallback_raises_as_the_per_t_oracle(self, monkeypatch, fresh):
+        # v^{2q} leaves the double range at q = 100: no entry is finite
+        params = BmEstimatorParams(100.0, 0.0)
+        assert not np.isfinite(params.oracle_curve(CONST_HALF, 10000)[1]).any()
+        with pytest.raises(NumericRange, match="non-finite expectation"):
+            expected_ratio_q(CONST_HALF, 10, params, 10000)
+        # a variance that is not positive, from the per-t oracle
+        params = BmEstimatorParams(0.5, 1.0)
+        monkeypatch.setattr(BmEstimatorParams, "oracle_curve",
+                            lambda self, profile, T: (np.ones(T), np.full(T, np.nan)))
+        monkeypatch.setattr(BmEstimatorParams, "oracle", lambda self, profile, t, T: (1.0, 0.0))
+        with pytest.raises(DegenerateVariance, match="not positive"):
+            expected_ratio_q(CONST_HALF, 3, params, 60)
+
+    def test_grid_is_checked_before_the_curve(self):
+        params = BmEstimatorParams(0.5, 1.0)
+        with pytest.raises(DomainError, match="T must be >= 2"):
+            expected_ratio_q(CONST_HALF, 1, params, 1)
+        with pytest.raises(DomainError, match="T must be >= 2"):
+            params.oracle_curve(CONST_HALF, 1)
+        with pytest.raises(IndexOutOfRange):
+            expected_ratio_q(CONST_HALF, 61, params, 60)
+
+
 def _clear_caches():
-    for cache in (bm._lags, bm._products, bm._oracle_rows):
+    for cache in (bm._lags, bm._products, bm._oracle_rows, bm._oracle_curve):
         cache.cache_clear()
 
 

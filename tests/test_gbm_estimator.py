@@ -256,6 +256,24 @@ class TestCorrelationTransform:
     def test_exponent_at_range_edge_is_finite(self, fn):
         assert math.isfinite(fn(0.5, math.sqrt(699), 1))
 
+    # rho_from_r(1.5, 1, 1) returned 2.03 and r_from_rho(2.0, 1, 1) 1.49, and
+    # rho_from_r(10, 10, 1) warned from expm1: a correlation beyond 1 in size
+    @pytest.mark.parametrize("fn, name", [(r_from_rho, "rho_t"), (rho_from_r, "r_t")])
+    @pytest.mark.parametrize("value, sigma", [
+        (1.5, 1.0), (2.0, 1.0), (-1.5, 1.0), (10.0, 10.0), (math.nextafter(1.0, 2.0), 0.1),
+    ])
+    def test_correlation_beyond_one_rejected(self, fn, name, value, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^\\|{name}\\| must be <= 1"):
+                fn(value, sigma, 1)
+
+    @pytest.mark.parametrize("r", [-1.0, 1.0])
+    def test_unit_correlation_at_range_edge_is_finite(self, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(rho_from_r(r, math.sqrt(699), 1))
+
 
 class TestExpectationFormulas:
     CASES = [

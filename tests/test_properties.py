@@ -22,8 +22,9 @@ class TestTransformProperties:
     @given(rho=correlations, sigma=st.floats(0.01, 1.0), t=st.integers(1, 50))
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, rho, sigma, t):
-        # strongly negative values are unreachable by any geometric pair
-        assume(1.0 + rho * np.expm1(sigma ** 2 * t) > 1e-9)
+        # strongly negative values are unreachable by any geometric pair: the
+        # log argument must exceed e^(-sigma^2 t), where the BM correlation is -1
+        assume(1.0 + rho * np.expm1(sigma ** 2 * t) > np.exp(-sigma ** 2 * t) + 1e-9)
         assert abs(rho_from_r(r_from_rho(rho, sigma, t), sigma, t) - rho) <= 1e-9
 
     @given(sigma=st.floats(0.01, 1.0), t=st.integers(1, 50))

@@ -190,6 +190,7 @@ FROZEN_BUILDS = {
     "pair_curve": lambda: bm._pair_curve(BmEstimatorParams(0.5, 1.0), PAIR),
     "oracle_rows": lambda: bm._oracle_rows(CONST_HALF, 60, 0.5, 1.0),
     "oracle_rows_rho_1": lambda: bm._oracle_rows(None, 60, 0.5, 1.0),
+    "oracle_curve": lambda: bm._oracle_curve(CONST_HALF, 60, BmEstimatorParams(0.5, 1.0)),
     "grid_v1": lambda: gbm._grid(60, GbmEstimatorParams(1.0, 12.0, 2.0, 0.1, "v1")),
     "grid_v2": lambda: gbm._grid(60, GbmEstimatorParams(1.0, 16.0, 2.0, 0.1, "v2")),
     "coupling": lambda: simulate._coupling(CONST_HALF, 60),
