@@ -115,7 +115,7 @@ import numpy as np
 
 from .errors import DegenerateVariance, DomainError, NumericRange
 from .profiles import CorrelationProfile
-from .simulate import BmPathPair, check_finite, check_index, frozen_cache
+from .simulate import BmPathPair, check_finite, check_index, check_integer, frozen_cache
 
 
 # The package's one numpy error state: every reduction, curve and oracle of
@@ -177,8 +177,7 @@ class BmEstimatorParams:
         profile's covariance row is its variance row times rho, term by term
         and so through the FFT too: at rho = 1/2 the ratio is exactly 1/2.
         """
-        if T < 2:
-            raise DomainError("T must be >= 2")
+        T = check_integer("T", T, least=2)
         head, tail, g = _oracle_rows(profile, T, self.q, self.p)
         n = _fft_size(T)
         causal = np.fft.rfft(_inverse_square_lags(T)[T - 1:], n)   # 1/d^2 at d = 0..T-1
@@ -610,9 +609,12 @@ def expected_ratio_q(
     the curve does not resolve comes from :meth:`BmEstimatorParams.oracle`,
     which returns the ratio or raises.  One ``t`` of a fresh ``(params,
     profile, T)`` costs the whole curve, so single-``t`` work belongs on
-    ``params.oracle``.
+    ``params.oracle``.  Every ``t`` reads the curve, first call or not, so a
+    ratio never depends on the calls made before it.
     """
-    ratio = _oracle_curve(profile, T, params)[check_index(t, T) - 1].item()
+    T = check_integer("T", T, least=2)
+    t = check_index(t, T)
+    ratio = _oracle_curve(profile, T, params)[t - 1].item()
     return ratio if math.isfinite(ratio) else _expected_ratio(profile, t, params, T)
 
 

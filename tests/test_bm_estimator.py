@@ -412,6 +412,16 @@ class TestOracleCurve:
         with pytest.raises(DegenerateVariance, match="not positive"):
             expected_ratio_q(CONST_HALF, 3, params, 60)
 
+    # T = np.int64(60) raised a bare AttributeError from int.bit_length
+    def test_numpy_integer_grid(self, fresh):
+        profile, params = CorrelationProfile("capped", (0.5, 10.0)), BmEstimatorParams(0.5, 1.0)
+        num, den = params.oracle_curve(profile, np.int64(60))
+        np.testing.assert_array_equal(num, params.oracle_curve(profile, 60)[0])
+        assert expected_ratio_q(profile, 5, params, np.int64(60)) == (
+            expected_ratio_q(profile, 5, params, 60))
+        with pytest.raises(DomainError, match="T must be an integer"):
+            expected_ratio_q(profile, 5, params, 60.0)
+
     def test_grid_is_checked_before_the_curve(self):
         params = BmEstimatorParams(0.5, 1.0)
         with pytest.raises(DomainError, match="T must be >= 2"):
@@ -434,15 +444,17 @@ class TestCaches:
     def test_interleaved_calls_equal_fresh_calls(self):
         x, y = simulate_bm_batch(CONST_HALF, TimeGrid(60), 4, reps=3)
         calls = [(kind, profile, T, params, t)
-                 for kind in ("oracle", "components")
+                 for kind in ("ratio", "oracle", "components")
                  for profile in self.PROFILES
                  for T in (40, 60)
                  for params in self.PARAMS
                  for t in (1, T // 3, T)]
 
         def call(kind, profile, T, params, t):
-            if kind == "oracle":
+            if kind == "ratio":
                 return expected_ratio_q(profile, t, params, T)
+            if kind == "oracle":
+                return params.oracle(profile, t, T)
             return params.components(x[:, :T], y[:, :T], t)
 
         fresh = []
@@ -453,7 +465,7 @@ class TestCaches:
         for _ in range(2):
             for i in order:
                 got = call(*calls[i])
-                if calls[i][0] == "oracle":
+                if calls[i][0] != "components":
                     assert got == fresh[i]
                 else:
                     for a, b in zip(got, fresh[i]):
@@ -489,4 +501,5 @@ class TestCaches:
         T, params = 80, self.PARAMS[0]
         for t in range(1, T + 1):
             expected_ratio_q(self.PROFILES[0], t, params, T)
+            params.oracle(self.PROFILES[0], t, T)
         assert calls == [T]

@@ -268,6 +268,26 @@ class TestCorrelationTransform:
             with pytest.raises(DomainError, match=f"^\\|{name}\\| must be <= 1"):
                 fn(value, sigma, 1)
 
+    # r_from_rho(-0.75, 0.5, 2) returned -1.33, a BM correlation that
+    # rho_from_r rejects: -0.75 lies below the floor -e^(-1/2) = -0.61
+    @pytest.mark.parametrize("rho, sigma, t", [
+        (-0.75, 0.5, 2), (-0.99, 1.0, 1), (-math.exp(-0.5) * (1 + 1e-12), 0.5, 2),
+    ])
+    def test_correlation_below_the_floor_rejected(self, rho, sigma, t):
+        with pytest.raises(DomainError, match="^rho_t must be >= -e\\^\\(-sigma\\^2 t\\)"):
+            r_from_rho(rho, sigma, t)
+
+    # rho_from_r(-1, sigma, t) came back below -1 in about 44% of draws, and
+    # past sigma^2 t = 37 its log argument could cancel to 0 or below
+    def test_round_trips_stay_within_unit_range(self):
+        rng = np.random.default_rng(0)
+        for sigma, t in zip(rng.uniform(0.01, 3.0, 2000), rng.integers(1, 78, 2000)):
+            sigma, t = float(sigma), int(t)
+            assert r_from_rho(rho_from_r(-1.0, sigma, t), sigma, t) == -1.0
+            for r in (-1.0 + 1e-9, 1.0):
+                assert -1.0 <= r_from_rho(rho_from_r(r, sigma, t), sigma, t) <= 1.0
+        assert r_from_rho(rho_from_r(-1.0, math.sqrt(699), 1), math.sqrt(699), 1) == -1.0
+
     @pytest.mark.parametrize("r", [-1.0, 1.0])
     def test_unit_correlation_at_range_edge_is_finite(self, r):
         with warnings.catch_warnings():

@@ -1,12 +1,14 @@
 """Property-based checks over generated inputs."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dyncorr import (
     BmEstimatorParams,
     CorrelationProfile,
+    DomainError,
     TimeGrid,
     gamma_hat_bm,
     r_from_rho,
@@ -22,10 +24,16 @@ class TestTransformProperties:
     @given(rho=correlations, sigma=st.floats(0.01, 1.0), t=st.integers(1, 50))
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, rho, sigma, t):
-        # strongly negative values are unreachable by any geometric pair: the
-        # log argument must exceed e^(-sigma^2 t), where the BM correlation is -1
-        assume(1.0 + rho * np.expm1(sigma ** 2 * t) > np.exp(-sigma ** 2 * t) + 1e-9)
-        assert abs(rho_from_r(r_from_rho(rho, sigma, t), sigma, t) - rho) <= 1e-9
+        # strongly negative values are unreachable by any geometric pair
+        assume(1.0 + rho * np.expm1(sigma ** 2 * t) > 1e-9)
+        floor = -np.exp(-sigma ** 2 * t)   # the GBM correlation at r = -1
+        if rho < floor * (1.0 + 1e-12):
+            with pytest.raises(DomainError, match="rho_t must be >= -e"):
+                r_from_rho(rho, sigma, t)
+        elif rho >= floor:
+            r = r_from_rho(rho, sigma, t)
+            assert -1.0 <= r <= 1.0
+            assert abs(rho_from_r(r, sigma, t) - rho) <= 1e-9
 
     @given(sigma=st.floats(0.01, 1.0), t=st.integers(1, 50))
     @settings(max_examples=50, deadline=None)
