@@ -15,42 +15,14 @@ so
 with ``A = sum a_v^2/(u-v)^2``, ``w_c = a_v d_v/(u-v)^2``, ``w_d = d_v^2/(u-v)^2``
 and every weight 0 at ``v = u``.  Expanding ``X_u - X_v`` instead would leave a
 ``X_u Y_u sum v^2q/(u-v)^2`` term that cancels against the others as T grows.
-Every per-row sum, here and in ``dyncorr.gbm``, is one helper, ``_rowdot``:
-``np.vecdot`` over column chunks of at most 8192, added left to right.  A row
-then gives bitwise the same value in a batch of any shape and under any BLAS
-thread count.  The forms it replaces or rules out, measured with numpy 2.4.6
-(OpenBLAS 0.3.31) on 2 cores:
-
-* unchunked ``np.vecdot`` is one BLAS ``ddot`` per row, which OpenBLAS splits
-  over its threads above n = 10000.  That changes the rounding with the
-  thread count, and one ``estimate_bm`` call at T = 2e4 after a 50 ms pause
-  took 16-18 ms against 0.9 ms on one thread (the threads' wake-up);
-* a two-operand ``np.einsum`` (``"ij,ij->i"`` or ``"ij,j->i"``) is not bitwise
-  equal row by row between a 6-row block and one-row calls from T = 9000 on;
-* a BLAS product ``x @ w`` is not, at any T.
 
 The weights enter through their square roots: with ``e_c = a_v/|u-v|`` and
 ``e_d = d_v/|u-v|`` (0 at ``v = u``), ``w_c = e_c e_d``, ``w_d = e_d^2`` and
 ``A = <e_c, e_c>``.  So a block's series ``E = e_d D``, scaled in place, gives
 ``<w_d, D o D'> = <E, E'>`` with no weighted copy and no three-operand
-``einsum``.
-
-Every estimator of the package, this one and both GBM variants, is the one
-form
-
-    gamma = a a' A + a <c, E'> + a' <c, E> +- <E, E'>
-
-of each path's series ``E``, its anchor ``a``, the cross weights ``c`` and
-a scalar anchor weight ``A``; here ``E = e_d (X_u - X)``, ``a = X_u``,
-``c = e_c`` and the sign is +.  The one row-block driver, ``_rowwise``,
-reduces it for two paths or batches of one shape (it raises
-:class:`DomainError` on two shapes): a family's kernel supplies only
-``(series, c, A, sign)``,
-and the driver forms ``h = a A/2 + <c, E>``, then
-``gamma = a h' + a' h + sign <E, E'>`` and ``var = 2 a h + sign <E, E>``.
-The series of both paths sit stacked in one ``(2, rows, T)`` buffer, so both
-variances are one reduction and the cross term one more, and the driver
-raises :class:`NumericRange` on a non-finite component.
+``einsum``.  The estimator is thus the package's one form (see
+``dyncorr.form``), ``gamma = a a' A + a <c, E'> + a' <c, E> +- <E, E'>``,
+with ``E = e_d (X_u - X)``, ``a = X_u``, ``c = e_c`` and the sign +.
 
 What converges: at fixed ``u`` the ``X_u Y_u A`` term dominates, because ``A``
 grows like ``log T`` at ``q = 1/2`` (like ``T^(2q-1)`` above it) while the other
@@ -71,17 +43,15 @@ and sums.  A ``(T,)`` call is a one-row batch that returns Python floats, so
 it also pays the block's numpy calls on ``(1,)`` arrays: 32 us at T = 50 and
 43 us at T = 2000 (numpy 2.4.6, one BLAS thread, 2-core VM).
 
-The estimates of a pair, ``estimate_bm`` and ``gbm.estimate_gbm``, read the
-pair's whole curve instead (:meth:`BmEstimatorParams.curve`, O(T log T) by
-FFT; ``GbmEstimatorParams.curve``, O(T)), built once per ``(params, pair)``
-and cached: each point is then a row lookup.  A point whose curve entry is
-not finite comes from ``components``.  The BM curve is within 2e-12 /
+:func:`estimate_bm` reads the pair's whole curve instead
+(:meth:`BmEstimatorParams.curve`, O(T log T) by FFT), cached per
+``(params, pair)`` by ``form.curve_point``.  The curve is within 2e-12 /
 2e-11 / 1e-10 of the term-magnitude sum at T = 2e3 / 2e4 / 2e5, worst at
-``q = 1``; the GBM one is bitwise ``components``.  One point of a fresh
-pair costs the whole curve, against one ``components`` call: 0.35 ms
-against 0.15 at T = 2000, 3.7 against 0.2 ms at 1e4 and 50 against 1.4 ms
-at 1e5 (numpy 2.4.6, one BLAS thread, 2-core VM).  So one ``u`` over many
-pairs belongs in a batch ``components`` call, as the harness makes.
+``q = 1``.  One point of a fresh pair costs the whole curve, against one
+``components`` call: 0.35 ms against 0.15 at T = 2000, 3.7 against 0.2 ms
+at 1e4 and 50 against 1.4 ms at 1e5 (numpy 2.4.6, one BLAS thread, 2-core
+VM).  So one ``u`` over many pairs belongs in a batch ``components`` call,
+as the harness makes.
 
 The expectation formulas below are exact under increment coupling
 (``Cov(X_s, Y_t) = min(s, t) * rho_{min(s, t)}``), which is precisely how
@@ -90,7 +60,7 @@ oracles for Monte Carlo runs.  Each is the expectation of the estimator's
 own form, from the same ``(a_v, d_v)``: its t-independent rows are built once
 per ``(profile, T, q, p)``, so ``profile.rho(T)`` runs once per curve.  A
 build stacks the profile's rows on the rows at correlation 1, whose moment is
-the expected variance: at ``t`` one ``_rowdot`` with the squared lag slice
+the expected variance: at ``t`` one ``rowdot`` with the squared lag slice
 before ``t`` and one after it give every sum, and the rest is Python float
 arithmetic.  A non-finite expectation raises :class:`NumericRange`.
 
@@ -113,18 +83,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegenerateVariance, DomainError, NumericRange
+from .errors import DegenerateVariance, DomainError
+from .form import (curve_point, expected_ratio, finite_moments, quiet, rho_hat, rowdot,
+                   rowwise, same_shape)
 from .profiles import CorrelationProfile
 from .simulate import BmPathPair, check_finite, check_index, check_integer, frozen_cache
-
-
-# The package's one numpy error state: every reduction, curve and oracle of
-# both families runs under it.  Out-of-range sums, and the empty sum over
-# 1/(T-1) at T = 1, become inf or nan and are rejected by the caller.  A
-# decorator is built once, where ``with np.errstate(...)`` builds one per
-# call; since numpy 2.0 it keeps each call's state token local, so the
-# harness's threads share it.
-_quiet = np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore")
 
 
 @dataclass(frozen=True)
@@ -153,13 +116,13 @@ class BmEstimatorParams:
         component keeps the leading axes, so a ``(reps, T)`` batch gives
         ``(reps,)`` arrays.
         """
-        return _rowwise(x, y, t, self._kernel)
+        return rowwise(x, y, t, self._kernel)
 
     def oracle(self, profile: CorrelationProfile, t: int, T: int):
         """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` at time ``t`` of a length-``T`` grid."""
         return _expected(profile, t, self, T)
 
-    @_quiet   # a non-finite entry is the view's to resolve (see expected_ratio_q)
+    @quiet   # a non-finite entry is the view's to resolve (see expected_ratio_q)
     def oracle_curve(self, profile: CorrelationProfile, T: int):
         """:meth:`oracle` at every time ``1..T``: two ``(T,)`` arrays.
 
@@ -191,7 +154,7 @@ class BmEstimatorParams:
         var[~(var > _CURVE_RTOL * scale)] = np.nan
         return moments[0], var
 
-    @_quiet   # a non-finite entry is the view's to resolve (see _curve_point)
+    @quiet   # a non-finite entry is the view's to resolve (see form.curve_point)
     def curve(self, x, y):
         """``(gamma_hat, sigma_x_sq_hat, sigma_y_sq_hat)`` at every time ``1..T``.
 
@@ -214,7 +177,7 @@ class BmEstimatorParams:
         entry the sums make non-finite: :func:`estimate_bm` takes those
         points from :meth:`components`.
         """
-        x, y = _same_shape(x, y)
+        x, y = same_shape(x, y)
         T = x.shape[-1]
         a, d = _products(T, self.q, self.p)
         cross = (a + d) * d                     # v^(q-p) / (T-1)
@@ -232,7 +195,7 @@ class BmEstimatorParams:
         return gamma, *variances
 
     def _kernel(self, paths, t: int):
-        """The centred form's terms at ``t`` for ``_rowwise``: the series
+        """The centred form's terms at ``t`` for ``form.rowwise``: the series
         ``E = e_d (X_u - X)``, anchors ``X_u``, cross weights ``e_c`` and ``A``."""
         T = paths[0].shape[-1]
         A, e_c, e_d = _weights(T, t, self.q, self.p)
@@ -254,23 +217,6 @@ class EstimateSeries:
     sigma_x_sq_hat: float
     sigma_y_sq_hat: float
     rho_hat: float
-
-
-# Elements per block of ``_rowwise``, for both families, and of each
-# harness simulation: about 512 KB per array, so a block stays in cache and
-# its memory is reused.
-# Whole-batch deviations are fresh pages on every call: one (256, 1e4)
-# ``components`` call took 33 ms that way against 19 ms blocked (2 MB L2).
-# Each row is reduced on its own, so the block size changes no result.
-_BLOCK_ELEMENTS = 1 << 16
-
-
-def _block_rows(T: int) -> int:
-    """Rows of one ``(rows, T)`` block: ``_BLOCK_ELEMENTS // T``, at least one.
-
-    Both ``_rowwise`` and the harness's simulate-and-reduce loop use it.
-    """
-    return max(1, _BLOCK_ELEMENTS // T)
 
 
 @frozen_cache
@@ -350,104 +296,7 @@ def _weights(T: int, u: int, q: float, p: float):
     ``A = <e_c, e_c>``.
     """
     e_c, e_d = _products(T, q, p) * _lags(T)[T - u:2 * T - u]
-    return float(_rowdot(e_c, e_c)), e_c, e_d
-
-
-# Columns per BLAS call of ``_rowdot``.  OpenBLAS runs ``ddot`` on one thread
-# up to n = 10000 and splits longer vectors over its threads, which changes
-# the rounding with the thread count and pays a thread wake-up per call.
-_DOT_CHUNK = 8192
-
-
-def _rowdot(a, b):
-    """Per-row ``sum(a * b)`` over the last axis, ``b`` broadcast against ``a``.
-
-    The one reduction of both estimator families and both oracles.
-    Each row is ``np.vecdot`` (one BLAS ``ddot``) of column chunks of at most
-    ``_DOT_CHUNK``, added left to right, so a row's value is bitwise the same
-    in a batch of any shape and under any BLAS thread count.
-    """
-    if a.shape[-1] <= _DOT_CHUNK:   # one chunk: spare the slicing
-        return np.vecdot(a, b)
-    acc = np.vecdot(a[..., :_DOT_CHUNK], b[..., :_DOT_CHUNK])
-    for k in range(_DOT_CHUNK, a.shape[-1], _DOT_CHUNK):
-        acc += np.vecdot(a[..., k:k + _DOT_CHUNK], b[..., k:k + _DOT_CHUNK])
-    return acc
-
-
-@_quiet
-def _rowwise(x, y, t: int, kernel):
-    """Per-row ``(gamma, var_x, var_y)`` of two ``(..., T)`` batches of one
-    shape; batches of different shapes raise :class:`DomainError`.
-
-    The one reduction of every estimator.  ``kernel(paths, t)`` sees the
-    whole ``(n, T)`` batch of each distinct path (one when ``y is x``) once,
-    to build its weights and check its range, and returns ``(series, c, A,
-    sign)``.  ``series(rows, out)`` writes each path's series ``E`` of the
-    row slice ``rows`` into ``out``, a reused ``(len(paths), rows, T)``
-    buffer, and returns each path's ``(rows,)`` anchors ``a``.  ``c`` is the
-    cross-weight vector or None, ``A`` the scalar anchor weight and ``sign``
-    1.0 or -1.0.  Each block takes three reductions (:func:`_form_sums`)
-    and :func:`_epilogue` finishes it on the block's arrays.  A ``(T,)``
-    input is a one-row batch whose components come back as Python floats.
-    A non-finite component raises :class:`NumericRange`.
-    """
-    same = y is x
-    x, y = _same_shape(x, y)
-    lead, T = x.shape[:-1], x.shape[-1]
-    t = check_index(t, T)
-    paths = (x.reshape(-1, T),) if same else (x.reshape(-1, T), y.reshape(-1, T))
-    n, rows = len(paths[0]), _block_rows(T)
-    buf = np.empty((len(paths), min(rows, n), T))
-    series, c, A, sign = kernel(paths, t)
-    out = np.empty((3, n))
-    for i in range(0, n, rows):
-        k = min(rows, n - i)
-        E = buf[:, :k]
-        a = series(slice(i, i + k), E)
-        for o, v in zip(out, _epilogue(a, *_form_sums(E, c), A, sign)):
-            o[i:i + k] = v
-    if not np.isfinite(out).all():
-        raise NumericRange(f"non-finite estimator component at time {t}: the paths "
-                           "are not finite or too large for the weighted sums")
-    return tuple(v.reshape(lead) for v in out) if lead else tuple(out[:, 0].tolist())
-
-
-def _same_shape(x, y):
-    """``x`` and ``y`` as float arrays of one shape (``y`` stays ``x`` when it
-    is); two shapes raise :class:`DomainError`."""
-    x = np.asarray(x, dtype=float)
-    y = x if y is x else np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DomainError(f"the two paths must have the same shape, got {x.shape} and {y.shape}")
-    return x, y
-
-
-def _form_sums(E, c):
-    """``(<c, E>, <E, E>, <E, E'>)`` over the last axis of the stacked series
-    ``E`` of the form: each path's cross sum (None without ``c``) and square
-    sum, and the two paths' product sum (the square sum with one path)."""
-    return None if c is None else _rowdot(E, c), _rowdot(E, E), _rowdot(E[0], E[-1])
-
-
-def _epilogue(a, ce, ee, cross, A: float, sign: float):
-    """``(gamma, var_x, var_y)`` from each path's anchor ``a`` and the sums
-    of :func:`_form_sums`: ``<c, E>`` (None without cross weights),
-    ``<E, E>`` and ``<E, E'>``.
-
-    Elementwise on arrays that broadcast together: a block's ``(rows,)``
-    ones, or the GBM curve's anchors over ``t`` against its sums.  With
-    ``h = a A/2 + <c, E>``,
-
-        gamma = a h' + a' h + sign <E, E'>,   var = 2 a h + sign <E, E>.
-
-    ``p + (-1.0) q`` is bitwise ``p - q``.  With one path both are its own.
-    """
-    half = 0.5 * A
-    a0, a1 = a[0], a[-1]
-    h0, h1 = (a0 * half, a1 * half) if ce is None else (a0 * half + ce[0], a1 * half + ce[-1])
-    return (a0 * h1 + a1 * h0 + sign * cross,
-            2.0 * a0 * h0 + sign * ee[0], 2.0 * a1 * h1 + sign * ee[-1])
+    return float(rowdot(e_c, e_c)), e_c, e_d
 
 
 def gamma_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams) -> float:
@@ -475,44 +324,18 @@ def rho_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams):
         raise DegenerateVariance(
             f"zero variance estimate at u={u}; constant path has no correlation"
         )
-    return g / np.sqrt(sx * sy)
+    return rho_hat(g, sx, sy)
 
 
 def estimate_bm(pair: BmPathPair, u: int, params: BmEstimatorParams) -> EstimateSeries:
     """The components and ``rho_hat`` of ``pair`` at ``u``, read from the pair's
-    curve (see :func:`_curve_point`); a zero variance raises
+    curve (see ``form.curve_point``); a zero variance raises
     :class:`DegenerateVariance`."""
-    g, sx, sy = _curve_point(params, pair, u)
+    g, sx, sy = curve_point(params, pair, u)
     if sx <= 0.0 or sy <= 0.0:
         label = params.LABELS[0] if sx <= 0.0 else params.LABELS[1]
         raise DegenerateVariance(f"series {label} has a zero variance estimate at u={u}")
-    return EstimateSeries(g, sx, sy, g / math.sqrt(sx * sy))
-
-
-@frozen_cache
-def _pair_curve(params, pair):
-    """``(T, 3)`` rows of ``params.curve`` over the pair's paths.
-
-    Built once per ``(params, pair)``: pairs hash by identity and hold
-    read-only arrays, so an entry cannot go stale.
-    """
-    return np.column_stack(params.curve(*pair.paths))
-
-
-def _curve_point(params, pair, t: int) -> list:
-    """``(gamma, var_a, var_b)`` of ``pair`` at ``t`` as Python floats: the
-    pair's cached curve, or ``params.components`` where the curve is not
-    finite, which returns the value or raises :class:`NumericRange`.
-
-    The estimate views of both families.  One point of a fresh pair costs
-    its whole curve; single-point work over many pairs belongs in a batch
-    :meth:`components` call.
-    """
-    t = check_index(t, pair.paths[0].shape[-1])
-    point = _pair_curve(params, pair)[t - 1].tolist()
-    if all(map(math.isfinite, point)):
-        return point
-    return params.components(*pair.paths, t)
+    return EstimateSeries(g, sx, sy, rho_hat(g, sx, sy))
 
 
 def _coerce_pair(pair_or_x, y):
@@ -526,7 +349,7 @@ def _coerce_pair(pair_or_x, y):
 # ---------------------------------------------------------------------------
 # Exact expectation formulas (deterministic oracles)
 
-@_quiet   # out-of-range sums are raised below
+@quiet   # out-of-range sums are raised below
 def _expected(profile, t: int, params: BmEstimatorParams, T: int):
     """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` at time ``t``; ``profile=None`` means rho = 1.
 
@@ -539,7 +362,7 @@ def _expected(profile, t: int, params: BmEstimatorParams, T: int):
         E = g_u (sum_{v<u} (a+d)^2 L + sum_{v>u} (a^2-d^2) L)
             - sum_{v<u} d (2a+d) g_v L + sum_{v>u} d^2 g_v L,
 
-    one ``_rowdot`` of the cached head rows and one of the tail rows.
+    one ``rowdot`` of the cached head rows and one of the tail rows.
     """
     if T < 2:
         raise DomainError("T must be >= 2")
@@ -547,20 +370,11 @@ def _expected(profile, t: int, params: BmEstimatorParams, T: int):
     head, tail, g = _oracle_rows(profile, T, params.q, params.p)
     # 1/(t-v)^2 over the head v < t and over the tail v > t
     lags = _inverse_square_lags(T)
-    K, *before = _rowdot(head[:, :t - 1], lags[T - t:T - 1]).tolist()
-    R, *after = _rowdot(tail[:, t:], lags[T:2 * T - t]).tolist()
+    K, *before = rowdot(head[:, :t - 1], lags[T - t:T - 1]).tolist()
+    R, *after = rowdot(tail[:, t:], lags[T:2 * T - t]).tolist()
     # python floats from here: each moment costs no numpy dispatch
-    return _finite_moments([g_t * (K + R) - b + f for g_t, b, f
+    return finite_moments([g_t * (K + R) - b + f for g_t, b, f
                             in zip(g[:, t - 1].tolist(), before, after)], t)
-
-
-def _finite_moments(moments: list, t: int):
-    """``(E[gamma_hat], E[sigma_sq_hat])``, the first and last of either
-    family's ``moments``; :class:`NumericRange` if one is not finite."""
-    if not all(map(math.isfinite, moments)):
-        raise NumericRange(f"non-finite expectation {moments} at time {t}: the "
-                           "weighted sums are too large for a double")
-    return moments[0], moments[-1]
 
 
 @frozen_cache   # the rho = 1 build and a profile's
@@ -572,7 +386,7 @@ def _oracle_rows(profile, T: int, q: float, p: float):
     rho = 1 alone.  From the estimator's ``(a, d) = _products(T, q, p)``,
     ``head = ((a+d)^2, d (2a+d) g...)`` and ``tail = (a^2-d^2, d^2 g...)``.
     ``profile.rho(T)``, with its validation, runs once rather than once per
-    ``t``.  Reached only under ``_quiet``, from :func:`_expected` and
+    ``t``.  Reached only under ``form.quiet``, from :func:`_expected` and
     :meth:`BmEstimatorParams.oracle_curve`: a term out of range makes a
     moment non-finite, which the per-t view raises.
     """
@@ -615,7 +429,7 @@ def expected_ratio_q(
     T = check_integer("T", T, least=2)
     t = check_index(t, T)
     ratio = _oracle_curve(profile, T, params)[t - 1].item()
-    return ratio if math.isfinite(ratio) else _expected_ratio(profile, t, params, T)
+    return ratio if math.isfinite(ratio) else expected_ratio(profile, t, params, T)
 
 
 @frozen_cache
@@ -623,12 +437,4 @@ def _oracle_curve(profile, T: int, params: BmEstimatorParams):
     """``E[gamma_hat] / E[sigma_sq_hat]`` at every time ``1..T``, from
     :meth:`BmEstimatorParams.oracle_curve`: NaN where that curve is."""
     num, den = params.oracle_curve(profile, T)
-    return num / den
-
-
-def _expected_ratio(profile, t: int, params, T: int) -> float:
-    """``E[gamma_hat] / E[sigma_sq_hat]`` of either family's ``params.oracle``."""
-    num, den = params.oracle(profile, t, T)
-    if den <= 0.0:
-        raise DegenerateVariance(f"expected variance {den!r} not positive")
     return num / den

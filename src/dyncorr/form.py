@@ -1,0 +1,230 @@
+"""The one estimator form of the package, and how it is reduced.
+
+Every estimator of the package, the Brownian one (``dyncorr.bm``) and both
+geometric variants (``dyncorr.gbm``), is the one form
+
+    gamma = a a' A + a <c, E'> + a' <c, E> +- <E, E'>
+
+of each path's series ``E``, its anchor ``a``, the cross weights ``c`` and
+a scalar anchor weight ``A``; a variance is the same form with both paths
+equal.  The one row-block driver, :func:`rowwise`, reduces it for two paths
+or batches of one shape (it raises :class:`DomainError` on two shapes): a
+family's kernel supplies only ``(series, c, A, sign)``, and the driver forms
+``h = a A/2 + <c, E>``, then ``gamma = a h' + a' h + sign <E, E'>`` and
+``var = 2 a h + sign <E, E>``.  The series of both paths sit stacked in one
+``(2, rows, T)`` buffer, so both variances are one reduction and the cross
+term one more, and the driver raises :class:`NumericRange` on a non-finite
+component.  This module knows nothing of a family: it reads a params
+object's ``components``, ``curve`` and ``oracle`` only.
+
+Every per-row sum, of both estimator families and both oracles, is one
+helper, :func:`rowdot`: ``np.vecdot`` over column chunks of at most 8192,
+added left to right.  A row then gives bitwise the same value in a batch of
+any shape and under any BLAS thread count.  The forms it replaces or rules
+out, measured with numpy 2.4.6 (OpenBLAS 0.3.31) on 2 cores:
+
+* unchunked ``np.vecdot`` is one BLAS ``ddot`` per row, which OpenBLAS splits
+  over its threads above n = 10000.  That changes the rounding with the
+  thread count, and one ``estimate_bm`` call at T = 2e4 after a 50 ms pause
+  took 16-18 ms against 0.9 ms on one thread (the threads' wake-up);
+* a two-operand ``np.einsum`` (``"ij,ij->i"`` or ``"ij,j->i"``) is not bitwise
+  equal row by row between a 6-row block and one-row calls from T = 9000 on;
+* a BLAS product ``x @ w`` is not, at any T.
+
+The estimates of a pair, ``bm.estimate_bm`` and ``gbm.estimate_gbm``, read
+the pair's whole ``params.curve``, built once per ``(params, pair)`` and
+cached: each point is then a row lookup (:func:`curve_point`), and a point
+whose curve entry is not finite comes from ``params.components``.
+
+Every correlation ratio, of the estimates, of the ``rho_hat_*`` views and of
+the harness's replications, is :func:`rho_hat`,
+``gamma / sqrt(var_a) / sqrt(var_b)``.  The product ``var_a var_b`` is not
+formed: it underflows to 0 while both variances are positive.  The geometric
+components carry the paper's ``e^{-c sigma^2 T}``, so with ``(a, b, c) =
+(1, 12, 2)`` on ``constant:0.5``, ``T = 5000``, ``sigma = 0.3`` and seed 1 the
+variances at ``t = 5`` are 1.0e-195 and 3.2e-195, their product is 0.0, and
+the split root gives ``rho_hat = 0.9999999999999999``.
+"""
+
+import math
+
+import numpy as np
+
+from .errors import DegenerateVariance, DomainError, NumericRange
+from .simulate import check_index, frozen_cache
+
+# The package's one numpy error state: every reduction, curve and oracle of
+# both families runs under it.  Out-of-range sums, and the empty sum over
+# 1/(T-1) at T = 1, become inf or nan and are rejected by the caller.  A
+# decorator is built once, where ``with np.errstate(...)`` builds one per
+# call; since numpy 2.0 it keeps each call's state token local, so the
+# harness's threads share it.
+quiet = np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore")
+
+# Elements per block of ``rowwise``, for both families, and of each
+# harness simulation: about 512 KB per array, so a block stays in cache and
+# its memory is reused.
+# Whole-batch deviations are fresh pages on every call: one (256, 1e4)
+# ``components`` call took 33 ms that way against 19 ms blocked (2 MB L2).
+# Each row is reduced on its own, so the block size changes no result.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def block_rows(T: int) -> int:
+    """Rows of one ``(rows, T)`` block: ``_BLOCK_ELEMENTS // T``, at least one.
+
+    Both :func:`rowwise` and the harness's simulate-and-reduce loop use it.
+    """
+    return max(1, _BLOCK_ELEMENTS // T)
+
+
+# Columns per BLAS call of ``rowdot``.  OpenBLAS runs ``ddot`` on one thread
+# up to n = 10000 and splits longer vectors over its threads, which changes
+# the rounding with the thread count and pays a thread wake-up per call.
+_DOT_CHUNK = 8192
+
+
+def rowdot(a, b):
+    """Per-row ``sum(a * b)`` over the last axis, ``b`` broadcast against ``a``.
+
+    The one reduction of both estimator families and both oracles.
+    Each row is ``np.vecdot`` (one BLAS ``ddot``) of column chunks of at most
+    ``_DOT_CHUNK``, added left to right, so a row's value is bitwise the same
+    in a batch of any shape and under any BLAS thread count.
+    """
+    if a.shape[-1] <= _DOT_CHUNK:   # one chunk: spare the slicing
+        return np.vecdot(a, b)
+    acc = np.vecdot(a[..., :_DOT_CHUNK], b[..., :_DOT_CHUNK])
+    for k in range(_DOT_CHUNK, a.shape[-1], _DOT_CHUNK):
+        acc += np.vecdot(a[..., k:k + _DOT_CHUNK], b[..., k:k + _DOT_CHUNK])
+    return acc
+
+
+@quiet
+def rowwise(x, y, t: int, kernel):
+    """Per-row ``(gamma, var_x, var_y)`` of two ``(..., T)`` batches of one
+    shape; batches of different shapes raise :class:`DomainError`.
+
+    The one reduction of every estimator.  ``kernel(paths, t)`` sees the
+    whole ``(n, T)`` batch of each distinct path (one when ``y is x``) once,
+    to build its weights and check its range, and returns ``(series, c, A,
+    sign)``.  ``series(rows, out)`` writes each path's series ``E`` of the
+    row slice ``rows`` into ``out``, a reused ``(len(paths), rows, T)``
+    buffer, and returns each path's ``(rows,)`` anchors ``a``.  ``c`` is the
+    cross-weight vector or None, ``A`` the scalar anchor weight and ``sign``
+    1.0 or -1.0.  Each block takes three reductions (:func:`form_sums`)
+    and :func:`epilogue` finishes it on the block's arrays.  A ``(T,)``
+    input is a one-row batch whose components come back as Python floats.
+    A non-finite component raises :class:`NumericRange`.
+    """
+    same = y is x
+    x, y = same_shape(x, y)
+    lead, T = x.shape[:-1], x.shape[-1]
+    t = check_index(t, T)
+    paths = (x.reshape(-1, T),) if same else (x.reshape(-1, T), y.reshape(-1, T))
+    n, rows = len(paths[0]), block_rows(T)
+    buf = np.empty((len(paths), min(rows, n), T))
+    series, c, A, sign = kernel(paths, t)
+    out = np.empty((3, n))
+    for i in range(0, n, rows):
+        k = min(rows, n - i)
+        E = buf[:, :k]
+        a = series(slice(i, i + k), E)
+        for o, v in zip(out, epilogue(a, *form_sums(E, c), A, sign)):
+            o[i:i + k] = v
+    if not np.isfinite(out).all():
+        raise NumericRange(f"non-finite estimator component at time {t}: the paths "
+                           "are not finite or too large for the weighted sums")
+    return tuple(v.reshape(lead) for v in out) if lead else tuple(out[:, 0].tolist())
+
+
+def same_shape(x, y):
+    """``x`` and ``y`` as float arrays of one shape (``y`` stays ``x`` when it
+    is); two shapes raise :class:`DomainError`."""
+    x = np.asarray(x, dtype=float)
+    y = x if y is x else np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise DomainError(f"the two paths must have the same shape, got {x.shape} and {y.shape}")
+    return x, y
+
+
+def form_sums(E, c):
+    """``(<c, E>, <E, E>, <E, E'>)`` over the last axis of the stacked series
+    ``E`` of the form: each path's cross sum (None without ``c``) and square
+    sum, and the two paths' product sum (the square sum with one path)."""
+    return None if c is None else rowdot(E, c), rowdot(E, E), rowdot(E[0], E[-1])
+
+
+def epilogue(a, ce, ee, cross, A: float, sign: float):
+    """``(gamma, var_x, var_y)`` from each path's anchor ``a`` and the sums
+    of :func:`form_sums`: ``<c, E>`` (None without cross weights),
+    ``<E, E>`` and ``<E, E'>``.
+
+    Elementwise on arrays that broadcast together: a block's ``(rows,)``
+    ones, or the GBM curve's anchors over ``t`` against its sums.  With
+    ``h = a A/2 + <c, E>``,
+
+        gamma = a h' + a' h + sign <E, E'>,   var = 2 a h + sign <E, E>.
+
+    ``p + (-1.0) q`` is bitwise ``p - q``.  With one path both are its own.
+    """
+    half = 0.5 * A
+    a0, a1 = a[0], a[-1]
+    h0, h1 = (a0 * half, a1 * half) if ce is None else (a0 * half + ce[0], a1 * half + ce[-1])
+    return (a0 * h1 + a1 * h0 + sign * cross,
+            2.0 * a0 * h0 + sign * ee[0], 2.0 * a1 * h1 + sign * ee[-1])
+
+
+def rho_hat(gamma, var_a, var_b):
+    """``gamma / sqrt(var_a) / sqrt(var_b)`` for positive variances.
+
+    The one correlation ratio of the package (see the module docstring).
+    Python floats go through ``math.sqrt``, so a per-point caller makes no
+    numpy call, and arrays through ``np.sqrt``: both roots are correctly
+    rounded, so the two agree bitwise.
+    """
+    sqrt = math.sqrt if isinstance(var_a, float) else np.sqrt
+    return gamma / sqrt(var_a) / sqrt(var_b)
+
+
+@frozen_cache
+def _pair_curve(params, pair):
+    """``(T, 3)`` rows of ``params.curve`` over the pair's paths.
+
+    Built once per ``(params, pair)``: pairs hash by identity and hold
+    read-only arrays, so an entry cannot go stale.
+    """
+    return np.column_stack(params.curve(*pair.paths))
+
+
+def curve_point(params, pair, t: int) -> list:
+    """``(gamma, var_a, var_b)`` of ``pair`` at ``t`` as Python floats: the
+    pair's cached curve, or ``params.components`` where the curve is not
+    finite, which returns the value or raises :class:`NumericRange`.
+
+    The estimate views of both families.  One point of a fresh pair costs
+    its whole curve; single-point work over many pairs belongs in a batch
+    ``components`` call.
+    """
+    t = check_index(t, pair.paths[0].shape[-1])
+    point = _pair_curve(params, pair)[t - 1].tolist()
+    if all(map(math.isfinite, point)):
+        return point
+    return params.components(*pair.paths, t)
+
+
+def finite_moments(moments: list, t: int):
+    """``(E[gamma_hat], E[sigma_sq_hat])``, the first and last of either
+    family's ``moments``; :class:`NumericRange` if one is not finite."""
+    if not all(map(math.isfinite, moments)):
+        raise NumericRange(f"non-finite expectation {moments} at time {t}: the "
+                           "weighted sums are too large for a double")
+    return moments[0], moments[-1]
+
+
+def expected_ratio(profile, t: int, params, T: int) -> float:
+    """``E[gamma_hat] / E[sigma_sq_hat]`` of either family's ``params.oracle``."""
+    num, den = params.oracle(profile, t, T)
+    if den <= 0.0:
+        raise DegenerateVariance(f"expected variance {den!r} not positive")
+    return num / den

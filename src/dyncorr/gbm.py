@@ -8,8 +8,7 @@ path for both series.  ``rho_hat`` then estimates the correlation between
 has correlation ``r_t`` at time t, that target is
 ``rho_t = (e^{r_t sigma^2 t} - 1) / (e^{sigma^2 t} - 1)``.
 
-Both variants are the one form that ``bm._rowwise`` reduces for every
-estimator (see ``dyncorr.bm``),
+Both variants are the package's one form (see ``dyncorr.form``),
 
     gamma = a a' A + a <c, E'> + a' <c, E> +- <E, E'>,
 
@@ -34,10 +33,10 @@ so nothing larger than a raw path exponential is formed:
 ``(T, params)`` behind ``simulate.frozen_cache``.  So a whole curve,
 :meth:`GbmEstimatorParams.curve`, is three sums per path and the anchors of
 every ``t``, O(T) and bitwise equal to ``components`` at each ``t``;
-:func:`estimate_gbm` reads the pair's cached curve, as ``bm.estimate_bm``
-does (see ``dyncorr.bm``).  Each anchor is exponentiated per row
-with its scale inside the exponent, so it neither overflows nor underflows
-before the product.  A block whose exponents leave the safe double range
+:func:`estimate_gbm` reads the pair's cached curve through
+``form.curve_point``, as ``bm.estimate_bm`` does.  Each anchor is
+exponentiated per row with its scale inside the exponent, so it neither
+overflows nor underflows before the product.  A block whose exponents leave the safe double range
 raises :class:`NumericRange` before any of them is exponentiated, and so do
 sums that still overflow.  Weight tails that underflow are dropped (they are
 decaying positive factors).
@@ -55,7 +54,7 @@ v1's variances are sums of squares, so Cauchy-Schwarz bounds its
 ``|rho_hat|`` by 1 up to rounding.  v2's are differences and bound nothing:
 with ``(1, 16, 2, 0.1)`` on ``capped:0.5,10``, at ``t = 1..200`` of seeds
 1-5, ``|rho_hat|`` exceeded 1 at 978 of 1000 points at T = 200 (by up to
-2.83) and at all 1000 at T = 1000 (by up to 0.109), but only by one ulp at
+2.83) and at all 1000 at T = 1000 (by up to 0.109), but only by two ulps at
 T = 5000.  :func:`estimate_gbm` keeps such a value and flags it
 ``rho_out_of_range`` beyond ``1 + 1e-12``.
 """
@@ -69,20 +68,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .bm import (
-    _curve_point,
-    _epilogue,
-    _expected_ratio,
-    _finite_moments,
-    _form_sums,
-    _quiet,
-    _rowdot,
-    _rowwise,
-    _same_shape,
-)
 from .errors import DegenerateVariance, DomainError, NegativeVarianceEstimate
+from .form import (curve_point, epilogue, expected_ratio, finite_moments, form_sums, quiet, rho_hat,
+                   rowdot, rowwise, same_shape)
 from .profiles import CorrelationProfile
-from .simulate import (_MAX_EXPONENT, GbmPathPair, check_correlation, check_exponent, check_finite,
+from .simulate import (MAX_EXPONENT, GbmPathPair, check_correlation, check_exponent, check_finite,
                        check_index, check_positive, frozen_cache)
 
 
@@ -121,7 +111,7 @@ class GbmEstimatorParams:
         each component keeps the leading axes.  The variance components are
         raw values: the second variant's can be negative.
         """
-        return _rowwise(w, u, t, self._kernel)
+        return rowwise(w, u, t, self._kernel)
 
     def oracle(self, profile: CorrelationProfile, t: int, T: int):
         """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` of this variant at time ``t``.
@@ -131,7 +121,7 @@ class GbmEstimatorParams:
         """
         return _expected(profile.rho(T), t, self, T)
 
-    @_quiet   # a non-finite entry is the view's to resolve (see bm._curve_point)
+    @quiet   # a non-finite entry is the view's to resolve (see form.curve_point)
     def curve(self, w, u):
         """``(gamma_hat, sigma_w_sq_hat, sigma_u_sq_hat)`` of this variant at
         every time ``1..T``.
@@ -139,14 +129,14 @@ class GbmEstimatorParams:
         Shape rules as in :meth:`components`, with a last axis over the time.
         ``E``, ``c`` and ``A`` do not depend on ``t``, so the curve is three
         sums per path, the anchors of every ``t`` from one exponential over
-        the paths, and ``bm._epilogue`` broadcast over ``t``: ``O(T)``, and
+        the paths, and ``form.epilogue`` broadcast over ``t``: ``O(T)``, and
         bitwise equal to :meth:`components` at every ``t``.  Series
         exponents beyond the safe range raise :class:`NumericRange`, as
         ``components`` does at every ``t``; where only an anchor's exponent
         leaves it, and so ``components`` raises at that ``t``, the entries
         are NaN.
         """
-        paths = np.stack(_same_shape(w, u))
+        paths = np.stack(same_shape(w, u))
         T, sigma = paths.shape[-1], self.sigma
         m_top, m, mean, scale, shift, c, A, sign = _grid(T, self)
         E = paths * sigma
@@ -155,13 +145,13 @@ class GbmEstimatorParams:
         top = E + shift
         mean_top = shift + 0.5 * sigma ** 2 * np.arange(1.0, T + 1.0)
         anchors = np.exp(top) - np.exp(mean_top)
-        anchors[np.maximum(top, mean_top) > _MAX_EXPONENT] = np.nan
+        anchors[np.maximum(top, mean_top) > MAX_EXPONENT] = np.nan
         _finish_series(E, m, mean, scale)
-        sums = [s if s is None else s[..., None] for s in _form_sums(E, c)]
-        return _epilogue(anchors, *sums, A, sign)
+        sums = [s if s is None else s[..., None] for s in form_sums(E, c)]
+        return epilogue(anchors, *sums, A, sign)
 
     def _kernel(self, paths, t: int):
-        """This variant's terms at ``t`` for ``bm._rowwise``; a block's
+        """This variant's terms at ``t`` for ``form.rowwise``; a block's
         exponents are checked before any of them is exponentiated."""
         T = paths[0].shape[-1]
         sigma = self.sigma
@@ -213,7 +203,7 @@ def _grid(T: int, params: GbmEstimatorParams):
     ``(m_top, m, mean, scale, shift, c, A, sign)``: the series is
     ``E = (e^{m + sigma W} - mean) scale`` (``m`` or ``scale`` None for
     none), ``m_top`` the largest step exponent, the anchor is ``e^{shift} D_t``
-    and ``c``, ``A`` and ``sign`` are ``bm._rowwise``'s.  v1 puts ``e^{m_k}``
+    and ``c``, ``A`` and ``sign`` are ``form.rowwise``'s.  v1 puts ``e^{m_k}``
     into the exponent and has ``c = -e^{m'_k - shift}``, ``A = <c, c>``,
     ``shift = max m'_k``; v2 scales by ``e^{m_step/2}`` and has no cross
     weights and ``A = sum_k e^{m_anchor - 2 shift}``, with
@@ -229,7 +219,7 @@ def _grid(T: int, params: GbmEstimatorParams):
         shift = np.max(m_anchor)
         c = -np.exp(m_anchor - shift)
         return (np.max(m_k), m_k, np.exp(m_k + 0.5 * s2 * k), None, shift, c,
-                float(_rowdot(c, c)), 1.0)
+                float(rowdot(c, c)), 1.0)
     m_anchor = params.a * s2 * k - params.c * s2 * T
     check_exponent("intermediate exponent", np.max(m_anchor), s2 * T)
     s = min(np.max(m_anchor), 0.0)
@@ -267,7 +257,7 @@ def rho_hat_gbm(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
         )
     if np.any(np.asarray(s_w) == 0.0) or np.any(np.asarray(s_u) == 0.0):
         raise DegenerateVariance(f"zero variance estimate at t={t}")
-    return g / np.sqrt(s_w * s_u)
+    return rho_hat(g, s_w, s_u)
 
 
 # |rho_hat| beyond this is out of range, not rounding: estimate_gbm's flag
@@ -279,21 +269,21 @@ def estimate_gbm(pair: GbmPathPair, t: int, params: GbmEstimatorParams) -> GbmEs
     """The components and ``rho_hat`` at ``t``, with what is wrong with them as flags.
 
     The components are read from the pair's curve (see
-    ``bm._curve_point``).  A negative or zero variance gives
+    ``form.curve_point``).  A negative or zero variance gives
     ``rho_hat = NaN`` and the flag ``negative_variance`` or
     ``degenerate_variance``.  A ``rho_hat`` beyond ``RHO_LIMIT`` in
     magnitude, possible for v2 whose variances are differences, keeps its
     value and is flagged ``rho_out_of_range``.
     """
     _coerce(pair, None, params)   # the sigma check
-    g, s_w, s_u = _curve_point(params, pair, t)
+    g, s_w, s_u = curve_point(params, pair, t)
     flags = ()
     if s_w < 0 or s_u < 0:
         flags, rho = ("negative_variance",), float("nan")
     elif s_w == 0 or s_u == 0:
         flags, rho = ("degenerate_variance",), float("nan")
     else:
-        rho = g / math.sqrt(s_w * s_u)
+        rho = rho_hat(g, s_w, s_u)
         if abs(rho) > RHO_LIMIT:
             flags = ("rho_out_of_range",)
     return GbmEstimateSeries(g, s_w, s_u, rho, flags)
@@ -335,10 +325,10 @@ def r_from_rho(rho_t: float, sigma: float, t: float) -> float:
     if rho_t < -floor - slack:
         raise DomainError(f"rho_t must be >= -e^(-sigma^2 t) = {-floor!r}, the GBM "
                           f"correlation at r_t = -1, got {rho_t!r}")
-    arg = 1.0 + rho_t * np.expm1(s2t)
-    if rho_t <= -floor + slack or arg <= floor:
+    excess = rho_t * np.expm1(s2t)   # the log's argument less 1
+    if rho_t <= -floor + slack or 1.0 + excess <= floor:
         return -1.0
-    return min(1.0, max(-1.0, float(np.log(arg) / s2t)))
+    return min(1.0, max(-1.0, float(np.log1p(excess) / s2t)))
 
 
 def rho_from_r(r_t: float, sigma: float, t: float) -> float:
@@ -359,7 +349,7 @@ def rho_from_r(r_t: float, sigma: float, t: float) -> float:
 # ``Cov(W_s, U_v) = m r_m`` with ``m = min(s, v)``, so the formulas are exact
 # for every feasible profile.  A variance is the covariance with ``r = 1``.
 
-@_quiet   # a non-finite moment is raised below
+@quiet   # a non-finite moment is raised below
 def _expected(r, t: int, params: GbmEstimatorParams, T: int):
     """``(E[gamma_hat], E[sigma_sq_hat])`` of ``params.variant`` for BM-level
     correlations ``r_1..r_T`` (or a scalar), from the kernel's own ``_grid``.
@@ -392,9 +382,9 @@ def _expected(r, t: int, params: GbmEstimatorParams, T: int):
         # Cov(W_k, U_t) = min(k, t) r_min(k, t): x_t from the anchor time on
         cross = x.copy()
         cross[:, t:] = x[:, t - 1:t]
-        moments += 2 * m_a * _rowdot(cross, c * mean)
-    moments += sign * _rowdot(x * mean, mean)
-    return _finite_moments(moments.tolist(), t)
+        moments += 2 * m_a * rowdot(cross, c * mean)
+    moments += sign * rowdot(x * mean, mean)
+    return finite_moments(moments.tolist(), t)
 
 
 def expected_gamma_gbm_v1(
@@ -425,5 +415,5 @@ def expected_ratio_gbm(
     Converges to the GBM correlation rho_t = rho_from_r(r_t, sigma, t) as T
     grows, in the respective consistency ranges.
     """
-    return _expected_ratio(profile, t, params, T)
+    return expected_ratio(profile, t, params, T)
 

@@ -12,7 +12,7 @@ Replications are independent: replication ``i`` always uses the stream
 replication order, so reports are byte-identical (runtime aside) for any
 worker count.  Every path-pair simulation goes through one simulate-and-reduce
 loop, ``_simulate_reduce``: it simulates one estimator row block of
-``bm._block_rows(T)`` pairs (about 512 KB per path array) at a time and keeps
+``form.block_rows(T)`` pairs (about 512 KB per path array) at a time and keeps
 only what the experiment reduces it to, so a run holds one block per worker
 whatever ``reps`` is.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bm, gbm
+from . import bm, form, gbm
 from .errors import DomainError
 from .profiles import CorrelationProfile, TimeGrid, build_profile
 from .simulate import (check_exponent, check_integer, check_positive, replication_rng,
@@ -165,7 +165,7 @@ def _simulate_reduce(profile, T: int, seed: int, reps: int, reduce, n_jobs: int 
     results are joined along that axis in replication order, whatever the
     worker count.
     """
-    grid, rows = TimeGrid(T), bm._block_rows(T)
+    grid, rows = TimeGrid(T), form.block_rows(T)
 
     def one(off):
         return reduce(*simulate_bm_batch(profile, grid, seed, min(rows, reps - off), off))
@@ -250,7 +250,7 @@ def _run_estimator(config: ExperimentConfig) -> McReport:
             exc.args = (f"T={T}: {exc}",)
             raise
         valid = (sa > 0) & (sb > 0)
-        rho = g[valid] / np.sqrt(sa[valid] * sb[valid])
+        rho = form.rho_hat(g[valid], sa[valid], sb[valid])
         oracle = oracle_values(params, config.profile, t, T)
         cell = {
             "T": T, "t": t,

@@ -21,17 +21,17 @@ from .errors import DomainError, IndexOutOfRange, NumericRange, PathOverflow
 from .profiles import CorrelationProfile, TimeGrid
 
 # exp() overflows just above 709; leave headroom for products of two paths.
-_MAX_EXPONENT = 700.0
+MAX_EXPONENT = 700.0
 
 
 def check_exponent(what: str, *values, error=NumericRange) -> None:
-    """Raise ``error`` on the first of ``values`` above ``_MAX_EXPONENT``.
+    """Raise ``error`` on the first of ``values`` above ``MAX_EXPONENT``.
 
     The one guard for every exponent the package exponentiates: path
     transforms, estimator weights and series, oracles and harness checks.
     """
     for value in values:
-        if value > _MAX_EXPONENT:
+        if value > MAX_EXPONENT:
             raise error(f"{what} = {float(value):.1f} exceeds the safe exponent range")
 
 
@@ -97,7 +97,7 @@ def frozen_cache(build):
 
 
 # A pair hashes by identity (eq=False) and holds read-only arrays, so the
-# estimator curve cached per pair (``bm._pair_curve``) cannot go stale.
+# estimator curve cached per pair (``form._pair_curve``) cannot go stale.
 
 @dataclass(frozen=True, eq=False)
 class BmPathPair:

@@ -345,6 +345,20 @@ class TestEstimate:
             assert abs(float(values[4])) > 1.0 + 1e-12
             assert flags == "rho_out_of_range"
 
+    def test_gbm_variances_whose_product_underflows(self, runner, tmp_path):
+        # at T = 5000, sigma = 0.3 both variances are about 1e-195 and their
+        # product is 0.0: rho_hat once divided by it and exited with a traceback
+        paths, est = tmp_path / "g.csv", tmp_path / "e.csv"
+        invoke(runner, ["simulate", "gbm", "--profile", "constant:0.5", "--T", "5000",
+                        "--sigma", "0.3", "--seed", "1", "--out", str(paths)])
+        result = invoke(runner, ["estimate", "gbm", "--variant", "v1", "--a", "1", "--b", "12",
+                                 "--c", "2", "--sigma", "0.3", "--t", "5",
+                                 "--in", str(paths), "--out", str(est)])
+        assert result.exit_code == 0
+        header, row = est.read_text().splitlines()
+        *values, flags = row.split(",")
+        assert math.isfinite(float(values[4])) and flags == ""
+
     def test_missing_column_is_clear_error(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,x\n1,0.5\n2,0.7\n")

@@ -30,7 +30,7 @@ from dyncorr import (
     simulate_bm_pair,
     simulate_gbm_pair,
 )
-from dyncorr import bm
+from dyncorr import bm, form
 
 PROFILE = CorrelationProfile("capped", (0.5, 10.0))
 QP = [(0.5, 1.0), (0.5, 0.75), (0.25, 1.0), (1.0, 2.0), (0.0, 0.5)]
@@ -98,7 +98,7 @@ class TestGbmCurve:
             assert np.array_equal(curve[t - 1], want)
             got = estimate_gbm(pair, t, params)
             g, s_w, s_u = want
-            ratio = g / math.sqrt(s_w * s_u) if s_w > 0 and s_u > 0 else float("nan")
+            ratio = g / math.sqrt(s_w) / math.sqrt(s_u) if s_w > 0 and s_u > 0 else float("nan")
             assert np.array_equal([got.gamma_hat, got.sigma_w_sq_hat, got.sigma_u_sq_hat,
                                    got.rho_hat], [*want, ratio], equal_nan=True)
 
@@ -205,7 +205,7 @@ class TestViews:
             real = cls.curve
             monkeypatch.setattr(cls, "curve", lambda self, a, b, real=real:
                                 calls.append(self) or real(self, a, b))
-        bm._pair_curve.cache_clear()
+        form._pair_curve.cache_clear()
         for estimate, pair, params in _pairs()[:2]:
             for t in range(1, 41):
                 estimate(pair, t, params)

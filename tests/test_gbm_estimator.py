@@ -288,6 +288,16 @@ class TestCorrelationTransform:
                 assert -1.0 <= r_from_rho(rho_from_r(r, sigma, t), sigma, t) <= 1.0
         assert r_from_rho(rho_from_r(-1.0, math.sqrt(699), 1), math.sqrt(699), 1) == -1.0
 
+    # log(1 + rho_t expm1(sigma^2 t)) lost the small-argument digits: up to
+    # 2918 ulps of 1.0 below 1 over these draws, where log1p stays within 2^-53
+    def test_round_trip_of_one_keeps_its_digits(self):
+        rng = np.random.default_rng(1)
+        for sigma, t in zip(rng.uniform(0.01, 3.0, 20000).tolist(),
+                            rng.integers(1, 80, 20000).tolist()):
+            if sigma * sigma * t > 700.0:   # outside the range rho_from_r accepts
+                continue
+            assert abs(r_from_rho(rho_from_r(1.0, sigma, t), sigma, t) - 1.0) <= 2.0 ** -53
+
     @pytest.mark.parametrize("r", [-1.0, 1.0])
     def test_unit_correlation_at_range_edge_is_finite(self, r):
         with warnings.catch_warnings():
@@ -496,7 +506,8 @@ class TestPointEstimators:
         assert all(e.flags == ("rho_out_of_range",) for e in series)
         for e in series:
             assert abs(e.rho_hat) > 1.0 + 1e-12
-            assert e.rho_hat == e.gamma_hat / math.sqrt(e.sigma_w_sq_hat * e.sigma_u_sq_hat)
+            assert e.rho_hat == (e.gamma_hat / math.sqrt(e.sigma_w_sq_hat)
+                                  / math.sqrt(e.sigma_u_sq_hat))
 
     @pytest.mark.parametrize("variant, b, spec", [("v1", 12.0, "constant:0.5"),
                                                   ("v2", 16.0, "capped:0.5,10")])
@@ -506,6 +517,20 @@ class TestPointEstimators:
         assert over   # the tolerance is exercised: some ratios round past 1
         assert max(abs(e.rho_hat) for e in over) <= 1.0 + 1e-15
         assert not any(e.flags for e in series)
+
+    def test_ratio_of_variances_below_the_double_range(self):
+        # at T = 5000, sigma = 0.3 the variances at t = 5 are 1.0e-195 and
+        # 3.2e-195: their product is 0.0, so the ratio takes the roots apart
+        profile = build_profile("constant:0.5", TimeGrid(5000))
+        pair = simulate_gbm_pair(simulate_bm_pair(profile, TimeGrid(5000), 1), 0.3)
+        params = GbmEstimatorParams(1.0, 12.0, 2.0, 0.3, "v1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rho = rho_hat_gbm(pair, t=5, params=params)
+            series = estimate_gbm(pair, 5, params)
+        assert series.sigma_w_sq_hat * series.sigma_u_sq_hat == 0.0
+        assert math.isfinite(rho) and abs(rho) <= 1.0
+        assert series.rho_hat == rho and series.flags == ()
 
     def test_one_array_without_a_second_is_rejected(self):
         with pytest.raises(DomainError, match="two driving-BM arrays"):

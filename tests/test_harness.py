@@ -1,5 +1,6 @@
 """Experiment orchestration: validation, determinism, check logic."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from dyncorr import (
     BmEstimatorParams,
+    BmPathPair,
     DomainError,
     ExperimentConfig,
     GbmEstimatorParams,
@@ -16,6 +18,8 @@ from dyncorr import (
     build_profile,
     check_exp_abs_bound,
     check_product_moments,
+    estimate_bm,
+    estimate_gbm,
     expected_gamma_bm,
     expected_gamma_gbm_v1,
     expected_gamma_gbm_v2,
@@ -25,13 +29,16 @@ from dyncorr import (
     gamma_hat_bm,
     gamma_hat_gbm_v1,
     gamma_hat_gbm_v2,
+    rho_hat_bm,
+    rho_hat_gbm,
     run_experiment,
     sigma_sq_hat_bm,
     sigma_sq_hat_gbm,
     simulate_bm_batch,
+    simulate_gbm_pair,
 )
 from dyncorr import harness
-from dyncorr.bm import _BLOCK_ELEMENTS
+from dyncorr.form import _BLOCK_ELEMENTS
 
 BM_PARAMS = BmEstimatorParams(0.5, 1.0)
 
@@ -134,16 +141,17 @@ class TestConfigValidation:
 
 
 class TestEstimatorPath:
-    @pytest.mark.parametrize("params, gamma, sigma_sq, e_gamma, e_sigma_sq, time_kw", [
+    @pytest.mark.parametrize(
+            "params, gamma, sigma_sq, e_gamma, e_sigma_sq, time_kw, experiment", [
         (BM_PARAMS, gamma_hat_bm, sigma_sq_hat_bm,
-         expected_gamma_bm, expected_sigma_sq_bm, "u"),
+         expected_gamma_bm, expected_sigma_sq_bm, "u", "bm_consistency"),
         (GbmEstimatorParams(1, 12, 2, 0.1, "v1"), gamma_hat_gbm_v1, sigma_sq_hat_gbm,
-         expected_gamma_gbm_v1, expected_sigma_sq_gbm_v1, "t"),
+         expected_gamma_gbm_v1, expected_sigma_sq_gbm_v1, "t", "gbm_consistency_v1"),
         (GbmEstimatorParams(1, 16, 2, 0.1, "v2"), gamma_hat_gbm_v2, sigma_sq_hat_gbm,
-         expected_gamma_gbm_v2, expected_sigma_sq_gbm_v2, "t"),
+         expected_gamma_gbm_v2, expected_sigma_sq_gbm_v2, "t", "gbm_consistency_v2"),
     ], ids=["bm", "gbm-v1", "gbm-v2"])
-    def test_methods_equal_module_functions(self, params, gamma, sigma_sq,
-                                            e_gamma, e_sigma_sq, time_kw):
+    def test_methods_equal_module_functions(self, monkeypatch, params, gamma, sigma_sq,
+                                            e_gamma, e_sigma_sq, time_kw, experiment):
         T, t = 120, 7
         profile = build_profile("capped:0.5,10", TimeGrid(T))
         x, y = simulate_bm_batch(profile, TimeGrid(T), 3, 6)
@@ -154,6 +162,27 @@ class TestEstimatorPath:
         assert params.oracle(profile, t, T) == (
             e_gamma(profile, t, params, T), e_sigma_sq(t, params, T)
         )
+        # one ratio: the harness's per-replication rho_hat of the same six pairs
+        # is the rho_hat view's of each valid pair, and the estimate's bitwise
+        # where its components are the batch's (GBM; BM's come from its FFT curve)
+        ratios = []
+        ratio = harness.form.rho_hat
+        monkeypatch.setattr(harness.form, "rho_hat",
+                            lambda *a: ratios.append(ratio(*a)) or ratios[-1])
+        run_experiment(ExperimentConfig(experiment, profile, (T,), t, 6, params, master_seed=3))
+        valid = np.flatnonzero((got[1] > 0) & (got[2] > 0))
+        assert len(ratios) == 1 and 4 <= len(valid) == len(ratios[0])
+        if time_kw == "u":
+            pairs, estimate, view = [BmPathPair(x[i], y[i]) for i in valid], estimate_bm, rho_hat_bm
+        else:
+            pairs = [simulate_gbm_pair(BmPathPair(x[i], y[i]), params.sigma) for i in valid]
+            estimate, view = estimate_gbm, rho_hat_gbm
+        views = [view(pair, **at) for pair in pairs]
+        assert np.array_equal(ratios[0], views)
+        for pair, rho in zip(pairs, views):
+            g, var_a, var_b, got_rho = dataclasses.astuple(estimate(pair, t, params))[:4]
+            assert got_rho == g / math.sqrt(var_a) / math.sqrt(var_b)
+            assert got_rho == (rho if time_kw == "t" else pytest.approx(rho, rel=1e-12))
 
 
 class TestDeterminism:

@@ -2,7 +2,7 @@
 
 A ``(T,)`` call is a one-row batch that returns Python floats, and must
 agree bitwise with its row in any batch.  Every per-row sum goes through one
-helper, ``bm._rowdot``: ``np.vecdot`` over
+helper, ``form.rowdot``: ``np.vecdot`` over
 column chunks short enough that OpenBLAS runs each ``ddot`` on one thread.
 So a row's value does not depend on the batch it sits in, nor on the BLAS
 thread count.  Both are checked here at lengths on either side of the chunk
@@ -29,7 +29,7 @@ from dyncorr import (
     simulate_bm_pair,
     simulate_gbm_pair,
 )
-from dyncorr import bm
+from dyncorr import form
 
 PROFILE = CorrelationProfile("capped", (0.5, 10.0))
 # sigma = 0.01 keeps every GBM weight of a T = 50001 grid above underflow, so
@@ -46,7 +46,7 @@ class TestRowdot:
     def test_matches_exact_sum(self, T):
         rng = np.random.default_rng(T)
         a, b = rng.standard_normal((2, 3, T))
-        got = bm._rowdot(a, b)
+        got = form.rowdot(a, b)
         assert got.shape == (3,)
         for row, (x, y) in zip(got, zip(a, b)):
             exact = math.fsum(x * y)
@@ -57,13 +57,13 @@ class TestRowdot:
         rng = np.random.default_rng(1)
         a = rng.standard_normal((2, 5, T))
         w = rng.standard_normal(T)
-        stacked = bm._rowdot(a, w)
+        stacked = form.rowdot(a, w)
         for i in range(2):
-            assert np.array_equal(bm._rowdot(a[i], w), stacked[i])
+            assert np.array_equal(form.rowdot(a[i], w), stacked[i])
             for j in range(5):
-                assert bm._rowdot(a[i, j], w) == stacked[i, j]
-                assert np.array_equal(bm._rowdot(a[i, j:j + 1], a[i, j:j + 1]),
-                                      bm._rowdot(a[i], a[i])[j:j + 1])
+                assert form.rowdot(a[i, j], w) == stacked[i, j]
+                assert np.array_equal(form.rowdot(a[i, j:j + 1], a[i, j:j + 1]),
+                                      form.rowdot(a[i], a[i])[j:j + 1])
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
@@ -117,7 +117,7 @@ def test_out_of_range_path_raises(family, bad, rows):
     # RuntimeWarning is an error under the test configuration, so a warning
     # that leaks from the sums fails here too
     params, T = _RANGE_FAMILIES[family], 40
-    n = bm._block_rows(T) if rows == "block" else 1
+    n = form.block_rows(T) if rows == "block" else 1
     paths = np.zeros((2, n, T))
     paths[:, :, :] = np.linspace(0.0, 1.0, T)
     path, k, value = _OVERFLOW[family] if bad == "overflow" else (0, 7, float(bad))

@@ -14,6 +14,7 @@ from dyncorr import (
     PathOverflow,
     TimeGrid,
     bm,
+    form,
     gbm,
     gbm_transform,
     replication_rng,
@@ -187,7 +188,7 @@ FROZEN_BUILDS = {
     "lag_spectrum": lambda: bm._lag_spectrum(60),
     "anchor_sums": lambda: bm._anchor_sums(60, 0.5, 1.0),
     "products": lambda: bm._products(60, 0.5, 1.0),
-    "pair_curve": lambda: bm._pair_curve(BmEstimatorParams(0.5, 1.0), PAIR),
+    "pair_curve": lambda: form._pair_curve(BmEstimatorParams(0.5, 1.0), PAIR),
     "oracle_rows": lambda: bm._oracle_rows(CONST_HALF, 60, 0.5, 1.0),
     "oracle_rows_rho_1": lambda: bm._oracle_rows(None, 60, 0.5, 1.0),
     "oracle_curve": lambda: bm._oracle_curve(CONST_HALF, 60, BmEstimatorParams(0.5, 1.0)),
