@@ -61,18 +61,23 @@ own form, from the same ``(a_v, d_v)``: its t-independent rows are built once
 per ``(profile, T, q, p)``, so ``profile.rho(T)`` runs once per curve.  A
 build stacks the profile's rows on the rows at correlation 1, whose moment is
 the expected variance: at ``t`` one ``rowdot`` with the squared lag slice
-before ``t`` and one after it give every sum, and the rest is Python float
-arithmetic.  A non-finite expectation raises :class:`NumericRange`.
+before ``t`` and one after it give every sum, and the moments are the oracle
+curve's expression on column ``t``.  A non-finite expectation raises
+:class:`NumericRange`.
 
-:meth:`BmEstimatorParams.oracle_curve` gives those sums at every ``t`` by
-one FFT batch of the same rows, and :func:`expected_ratio_q` reads the
-ratio curve built from it, once per ``(params, profile, T)`` and cached; an
-entry that is not finite comes from the per-t oracle.  One ``t`` of a fresh
-``(params, profile, T)`` costs the whole curve, against one per-t call on a
-fresh grid: 1.1 against 0.34 ms at T = 2000, 6.0 against 0.9 ms at 1e4, 77
-against 13 ms at 1e5 and 0.78 against 0.09 s at 1e6, with a peak RSS of 464
-against 183 MB (numpy 2.4.6, one BLAS thread, 2-core VM).  So single-``t``
-callers, the harness among them, belong on ``params.oracle``.
+Every curve's sums over ``1/d^2`` come from one convolution,
+``_convolve_lags``, against one of two cached spectra of the squared lag
+table: the two-sided one for the estimator curve and ``_anchor_sums``, the
+causal one (``d >= 0``) for the oracle curve.
+:meth:`BmEstimatorParams.oracle_curve` gives the oracle's sums at every
+``t`` by one such batch of the same rows, and :func:`expected_ratio_q`
+reads the ratio curve built from it, once per ``(params, profile, T)`` and
+cached; an entry that is not finite comes from the per-t oracle.  One ``t``
+of a fresh ``(params, profile, T)`` costs the whole curve, against one per-t
+call on a fresh grid: 0.7 against 0.11 ms at T = 2000, 6.1 against 0.35 ms
+at 1e4, 76 against 4.5 ms at 1e5 and 1.4 against 0.13 s at 1e6, with a peak
+RSS of 441 against 176 MB (numpy 2.4.6, one BLAS thread, 2-core VM).  So
+single-``t`` callers, the harness among them, belong on ``params.oracle``.
 """
 
 from __future__ import annotations
@@ -128,8 +133,9 @@ class BmEstimatorParams:
 
         The head sums of :func:`_expected` are causal convolutions of the
         cached ``_oracle_rows`` with the lag kernel ``1/d^2``, and its tail
-        sums the same of the reversed rows, so every row is in one
-        zero-padded FFT batch and the curve costs ``O(T log T)``.  Measured
+        sums the same of the reversed rows, so the head and reversed tail
+        rows are one batch of :func:`_convolve_lags` against the cached
+        causal spectrum, and the curve costs ``O(T log T)``.  Measured
         against :meth:`oracle` over ``(q, p)`` in (1/2, 1), (0, 0), (0.3, 0.8),
         (1, 2), the moments stay within ``3.5e-12`` of their term scale up to
         T = 2e4, worst at ``q = 1``.  That scale, ``g_t C[(a+d)^2] + before +
@@ -142,11 +148,7 @@ class BmEstimatorParams:
         """
         T = check_integer("T", T, least=2)
         head, tail, g = _oracle_rows(profile, T, self.q, self.p)
-        n = _fft_size(T)
-        causal = np.fft.rfft(_inverse_square_lags(T)[T - 1:], n)   # 1/d^2 at d = 0..T-1
-        spectrum = np.fft.rfft(np.concatenate([head, tail[:, ::-1]]), n)
-        spectrum *= causal
-        sums = np.fft.irfft(spectrum, n)[:, :T]
+        sums = _convolve_lags(np.concatenate([head, tail[:, ::-1]]), T, causal=True)
         H, R = sums[:len(head)], sums[len(head):, ::-1]   # the head and tail sums
         moments = g * (H[0] + R[0]) - H[1:] + R[1:]
         var = moments[-1]
@@ -225,7 +227,8 @@ def _lags(T: int):
 
     ``_lags(T)[T-u:2T-u]`` is ``1/|v-u|`` over ``v = 1..T`` (0 at ``v = u``):
     every weight at time ``u`` is a u-independent row times this slice (the
-    estimator's) or its square (the oracle's, :func:`_inverse_square_lags`).
+    estimator's) or its square (the per-t oracle's).  Its square is also the
+    lag kernel of both spectra of :func:`_lag_spectrum`.
     """
     d = np.arange(1.0 - T, float(T))
     lags = np.zeros_like(d)
@@ -235,32 +238,27 @@ def _lags(T: int):
 
 
 @frozen_cache
-def _inverse_square_lags(T: int):
-    """``_lags(T) ** 2``: the oracle's ``1/d^2``, sliced like ``_lags``."""
-    return _lags(T) ** 2
+def _lag_spectrum(T: int, causal: bool):
+    """``(n, rfft of 1/d^2 zero-padded to n)`` over the lags of ``_lags(T)``,
+    or over ``d = 0..T-1`` only when ``causal``.  ``n``, the power of two of
+    at least ``2T - 1``, is long enough that the circular convolution of a
+    length-``T`` row with either wraps nothing onto the outputs read."""
+    n = 1 << (2 * T - 2).bit_length()
+    lags = _lags(T)[T - 1:] if causal else _lags(T)
+    return n, np.fft.rfft(lags ** 2, n)
 
 
-def _fft_size(T: int) -> int:
-    """The power of two of at least ``2T - 1`` that both curves pad to: long
-    enough that the circular convolution of a length-``T`` row with ``2T - 1``
-    lags, or with ``T`` causal ones, wraps nothing onto the outputs read."""
-    return 1 << (2 * T - 2).bit_length()
-
-
-@frozen_cache
-def _lag_spectrum(T: int):
-    """``(n, rfft of _inverse_square_lags(T) zero-padded to n)``, ``n =
-    _fft_size(T)``: the outputs ``T-1..2T-2`` of a convolution are ``u = 1..T``.
-    """
-    n = _fft_size(T)
-    return n, np.fft.rfft(_inverse_square_lags(T), n)
-
-
-def _convolve_lags(f, T: int):
+def _convolve_lags(f, T: int, causal: bool = False):
     """``C[f](u) = sum_{v != u} f_v/(u-v)^2`` over ``u = 1..T`` for each row of
-    ``f``, by one zero-padded FFT of the whole stack."""
-    n, spectrum = _lag_spectrum(T)
-    return np.fft.irfft(np.fft.rfft(f, n) * spectrum, n)[..., T - 1:2 * T - 1]
+    ``f``, by one zero-padded FFT of the whole stack; ``causal`` sums over
+    ``v <= u`` only (the term at ``v = u`` is 0).  The outputs ``T-1..2T-2``
+    of the two-sided convolution, and ``0..T-1`` of the causal one, are ``u =
+    1..T``."""
+    n, kernel = _lag_spectrum(T, causal)
+    spectrum = np.fft.rfft(f, n)
+    spectrum *= kernel
+    lo = 0 if causal else T - 1
+    return np.fft.irfft(spectrum, n)[..., lo:lo + T]
 
 
 @frozen_cache
@@ -281,7 +279,10 @@ def _products(T: int, q: float, p: float):
     """Stacked ``(a_v, d_v)`` over ``v = 1..T``, over ``sqrt(T - 1)``.
 
     Every block of a harness run and every point of a curve shares a build.
+    Every BM entry point reads it, so it holds their one ``T >= 2`` check: at
+    ``T = 1`` the sum over ``v != u`` is empty and ``1/(T-1)`` has no value.
     """
+    check_integer("T", T, least=2)
     v = np.arange(1.0, T + 1.0)
     # v >= 1 always, so exp(q*log v) is safe for any real exponents
     damp = v ** -p
@@ -362,19 +363,16 @@ def _expected(profile, t: int, params: BmEstimatorParams, T: int):
         E = g_u (sum_{v<u} (a+d)^2 L + sum_{v>u} (a^2-d^2) L)
             - sum_{v<u} d (2a+d) g_v L + sum_{v>u} d^2 g_v L,
 
-    one ``rowdot`` of the cached head rows and one of the tail rows.
+    one ``rowdot`` of the cached head rows and one of the tail rows, which
+    :meth:`BmEstimatorParams.oracle_curve` forms at every ``t`` at once.
     """
-    if T < 2:
-        raise DomainError("T must be >= 2")
-    t = check_index(t, T)
     head, tail, g = _oracle_rows(profile, T, params.q, params.p)
+    t = check_index(t, T)
     # 1/(t-v)^2 over the head v < t and over the tail v > t
-    lags = _inverse_square_lags(T)
-    K, *before = rowdot(head[:, :t - 1], lags[T - t:T - 1]).tolist()
-    R, *after = rowdot(tail[:, t:], lags[T:2 * T - t]).tolist()
-    # python floats from here: each moment costs no numpy dispatch
-    return finite_moments([g_t * (K + R) - b + f for g_t, b, f
-                            in zip(g[:, t - 1].tolist(), before, after)], t)
+    lags = _lags(T)
+    H = rowdot(head[:, :t - 1], lags[T - t:T - 1] ** 2)
+    R = rowdot(tail[:, t:], lags[T:2 * T - t] ** 2)
+    return finite_moments((g[:, t - 1] * (H[0] + R[0]) - H[1:] + R[1:]).tolist(), t)
 
 
 @frozen_cache   # the rho = 1 build and a profile's
@@ -390,9 +388,9 @@ def _oracle_rows(profile, T: int, q: float, p: float):
     :meth:`BmEstimatorParams.oracle_curve`: a term out of range makes a
     moment non-finite, which the per-t view raises.
     """
+    a, d = _products(T, q, p)
     s = np.arange(1.0, T + 1.0)
     g = s[None] if profile is None else np.stack([s * profile.rho(T), s])
-    a, d = _products(T, q, p)
     return (np.concatenate([[(a + d) ** 2], d * (2 * a + d) * g]),
             np.concatenate([[(a - d) * (a + d)], d * d * g]), g)
 

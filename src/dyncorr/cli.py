@@ -167,7 +167,9 @@ def simulate_gbm_cmd(profile, T, sigma, seed, replication, out):
 
 def _read_csv_columns(path, expected: tuple) -> dict:
     """The expected columns as float arrays of at least 2 finite values."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
+    # genfromtxt skips blank lines too; with none left it warns, then raises IndexError
+    data = np.genfromtxt(lines, delimiter=",", names=True) if lines else np.empty(0)
     missing = [c for c in expected if c not in (data.dtype.names or ())]
     if missing:
         raise click.ClickException(

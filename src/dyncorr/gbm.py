@@ -302,6 +302,11 @@ def _coerce(pair_or_w, u, params):
 # ---------------------------------------------------------------------------
 # Correlation transform between the BM and GBM levels
 
+# Below this sigma^2 t, expm1(r sigma^2 t) / expm1(sigma^2 t) is r to within
+# sigma^2 t relative: the r <-> rho transform is the identity in doubles.
+_IDENTITY_BELOW = 2.0 ** -53
+
+
 def r_from_rho(rho_t: float, sigma: float, t: float) -> float:
     """BM correlation giving GBM correlation rho_t at time t.
 
@@ -314,19 +319,22 @@ def r_from_rho(rho_t: float, sigma: float, t: float) -> float:
     there: a relative change ``e`` in ``rho_t`` moves ``r_t`` by about ``e
     e^(sigma^2 t) / (sigma^2 t)``, and the log argument cancels, down to 0
     once ``e^(-sigma^2 t)`` is below its rounding, so the result is clamped
-    to ``[-1, 1]``.
+    to ``[-1, 1]``.  Below ``sigma^2 t = 2^-53`` both conversions return their
+    input: the transform is the identity to double precision there.
     """
     check_correlation(rho_t=rho_t)
     check_positive(sigma=sigma, t=t)
     check_exponent("sigma^2 t", sigma * sigma * t)
     s2t = sigma ** 2 * t
+    if s2t < _IDENTITY_BELOW:
+        return float(rho_t)
     floor = math.exp(-s2t)   # -rho_from_r(-1, sigma, t)
     slack = (4 + s2t) * math.ulp(floor)
     if rho_t < -floor - slack:
         raise DomainError(f"rho_t must be >= -e^(-sigma^2 t) = {-floor!r}, the GBM "
                           f"correlation at r_t = -1, got {rho_t!r}")
     excess = rho_t * np.expm1(s2t)   # the log's argument less 1
-    if rho_t <= -floor + slack or 1.0 + excess <= floor:
+    if rho_t <= -floor + slack or excess <= np.expm1(-s2t):
         return -1.0
     return min(1.0, max(-1.0, float(np.log1p(excess) / s2t)))
 
@@ -338,6 +346,8 @@ def rho_from_r(r_t: float, sigma: float, t: float) -> float:
     check_positive(sigma=sigma, t=t)
     check_exponent("sigma^2 t", sigma * sigma * t)
     s2t = sigma ** 2 * t
+    if s2t < _IDENTITY_BELOW:
+        return float(r_t)
     return float(np.expm1(r_t * s2t) / np.expm1(s2t))
 
 

@@ -176,8 +176,10 @@ class TestPointEstimator:
         with pytest.raises(NumericRange):
             params.components(x, y, 5)
         # T = 1: the sum over v != u is empty and 1/(T-1) has no value
-        with pytest.raises(NumericRange):
+        with pytest.raises(DomainError, match="T must be >= 2"):
             params.components(np.ones(1), np.ones(1), 1)
+        with pytest.raises(DomainError, match="T must be >= 2"):
+            params.curve(np.ones(1), np.ones(1))
 
     def test_rho_hat_within_unit_interval(self):
         x, y = simulate_bm_batch(CONST_HALF, TimeGrid(60), 8, reps=200)

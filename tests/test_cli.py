@@ -173,8 +173,12 @@ class TestEstimate:
         # sigma * w = 700 passes the exponent check; the squared bracket overflows
         ("gbm", "t,r,s,w,u\n1,1,1,0,0\n2,1,1,7000,0\n3,1,1,0,0\n",
          "non-finite estimator component"),
+        # genfromtxt warned "Empty input file", then raised IndexError
+        ("bm", "", "missing column(s) t, x, y"),
+        ("gbm", "\n  \n\n", "missing column(s)"),
     ], ids=["bm-nan", "bm-one-row", "bm-constant", "bm-constant-y", "gbm-inf",
-            "gbm-overflow"])
+            "gbm-overflow", "bm-empty", "gbm-blank-lines"])
+    @pytest.mark.filterwarnings("error")
     def test_bad_input_is_clean_runtime_error(self, runner, tmp_path, kind, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)

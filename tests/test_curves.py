@@ -79,7 +79,7 @@ class TestBmCurve:
                 np.testing.assert_allclose(got[i, 0], row, rtol=0, atol=1e-12)
 
     def test_cached_terms_are_read_only(self):
-        n, spectrum = bm._lag_spectrum(50)
+        n, spectrum = bm._lag_spectrum(50, False)
         assert n >= 2 * 50 - 1
         for arr in (spectrum, bm._anchor_sums(50, 0.5, 1.0)):
             with pytest.raises(ValueError):

@@ -298,6 +298,17 @@ class TestCorrelationTransform:
                 continue
             assert abs(r_from_rho(rho_from_r(1.0, sigma, t), sigma, t) - 1.0) <= 2.0 ** -53
 
+    # r_from_rho returned -1 for every rho once exp(-sigma^2 t) rounded to 1
+    # (sigma = 1e-9, 1e-12); rho_from_r lost digits at a subnormal sigma^2
+    # (1e-160) and divided 0 by 0 once it underflowed (1e-170)
+    @pytest.mark.parametrize("fn", [r_from_rho, rho_from_r])
+    @pytest.mark.parametrize("sigma", [1e-9, 1e-12, 1e-160, 1e-170])
+    @pytest.mark.parametrize("value", [-0.3, 0.5, 0.99])
+    def test_small_exponent_is_the_identity(self, fn, sigma, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(fn(value, sigma, 1.0) - value) <= math.ulp(value)
+
     @pytest.mark.parametrize("r", [-1.0, 1.0])
     def test_unit_correlation_at_range_edge_is_finite(self, r):
         with warnings.catch_warnings():

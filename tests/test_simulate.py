@@ -184,8 +184,8 @@ PAIR = simulate_bm_pair(CONST_HALF, TimeGrid(60), 3)
 # every t-independent build of the package, each through simulate.frozen_cache
 FROZEN_BUILDS = {
     "lags": lambda: bm._lags(60),
-    "inverse_square_lags": lambda: bm._inverse_square_lags(60),
-    "lag_spectrum": lambda: bm._lag_spectrum(60),
+    "lag_spectrum": lambda: bm._lag_spectrum(60, False),
+    "causal_lag_spectrum": lambda: bm._lag_spectrum(60, True),
     "anchor_sums": lambda: bm._anchor_sums(60, 0.5, 1.0),
     "products": lambda: bm._products(60, 0.5, 1.0),
     "pair_curve": lambda: form._pair_curve(BmEstimatorParams(0.5, 1.0), PAIR),
