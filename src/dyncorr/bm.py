@@ -366,6 +366,8 @@ def _expected(profile, t: int, params: BmEstimatorParams, T: int):
     one ``rowdot`` of the cached head rows and one of the tail rows, which
     :meth:`BmEstimatorParams.oracle_curve` forms at every ``t`` at once.
     """
+    # before the cached builds, whose entry for an int T a float equal to it hits
+    T = check_integer("T", T, least=2)
     head, tail, g = _oracle_rows(profile, T, params.q, params.p)
     t = check_index(t, T)
     # 1/(t-v)^2 over the head v < t and over the tail v > t

@@ -73,7 +73,7 @@ from .form import (curve_point, epilogue, expected_ratio, finite_moments, form_s
                    rowdot, rowwise, same_shape)
 from .profiles import CorrelationProfile
 from .simulate import (MAX_EXPONENT, GbmPathPair, check_correlation, check_exponent, check_finite,
-                       check_index, check_positive, frozen_cache)
+                       check_index, check_integer, check_positive, frozen_cache)
 
 
 class NonconvergentSeriesWarning(UserWarning):
@@ -119,7 +119,7 @@ class GbmEstimatorParams:
         ``profile`` is the driving pair's correlation profile.  The second
         variant's expected variance can be negative at small ``T``.
         """
-        return _expected(profile.rho(T), t, self, T)
+        return _expected(profile, t, self, T)
 
     @quiet   # a non-finite entry is the view's to resolve (see form.curve_point)
     def curve(self, w, u):
@@ -360,9 +360,10 @@ def rho_from_r(r_t: float, sigma: float, t: float) -> float:
 # for every feasible profile.  A variance is the covariance with ``r = 1``.
 
 @quiet   # a non-finite moment is raised below
-def _expected(r, t: int, params: GbmEstimatorParams, T: int):
-    """``(E[gamma_hat], E[sigma_sq_hat])`` of ``params.variant`` for BM-level
-    correlations ``r_1..r_T`` (or a scalar), from the kernel's own ``_grid``.
+def _expected(profile, t: int, params: GbmEstimatorParams, T: int):
+    """``(E[gamma_hat], E[sigma_sq_hat])`` of ``params.variant`` for the BM-level
+    correlations ``r_1..r_T`` of ``profile`` (None: r = 1), from the kernel's
+    own ``_grid``.
 
     The expectation of the one form: a centred lognormal pair has
     ``E[(e^X - Ee^X)(e^Y - Ee^Y)] = Ee^X Ee^Y (e^{Cov(X, Y)} - 1)``, and the
@@ -371,6 +372,9 @@ def _expected(r, t: int, params: GbmEstimatorParams, T: int):
 
         E[gamma] = A m_a^2 x_t + 2 m_a <c mean, x_min(k,t)> + sign <(scale mean)^2, x>.
     """
+    # before the cached _grid, whose entry for an int T a float equal to it hits
+    T = check_integer("T", T, least=1)
+    r = 1.0 if profile is None else profile.rho(T)
     s2 = params.sigma ** 2
     t = check_index(t, T)
     check_exponent("oracle exponent c sigma^2 T", params.c * s2 * T)
@@ -400,21 +404,21 @@ def _expected(r, t: int, params: GbmEstimatorParams, T: int):
 def expected_gamma_gbm_v1(
     profile: CorrelationProfile, t: int, params: GbmEstimatorParams, T: int
 ) -> float:
-    return _expected(profile.rho(T), t, replace(params, variant="v1"), T)[0]
+    return _expected(profile, t, replace(params, variant="v1"), T)[0]
 
 
 def expected_sigma_sq_gbm_v1(t: int, params: GbmEstimatorParams, T: int) -> float:
-    return _expected(1.0, t, replace(params, variant="v1"), T)[1]
+    return _expected(None, t, replace(params, variant="v1"), T)[1]
 
 
 def expected_gamma_gbm_v2(
     profile: CorrelationProfile, t: int, params: GbmEstimatorParams, T: int
 ) -> float:
-    return _expected(profile.rho(T), t, replace(params, variant="v2"), T)[0]
+    return _expected(profile, t, replace(params, variant="v2"), T)[0]
 
 
 def expected_sigma_sq_gbm_v2(t: int, params: GbmEstimatorParams, T: int) -> float:
-    return _expected(1.0, t, replace(params, variant="v2"), T)[1]
+    return _expected(None, t, replace(params, variant="v2"), T)[1]
 
 
 def expected_ratio_gbm(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 # bessel_k is not called here; bench/spans.py traces dyncorr.vg.bessel_k
-from .bessel import bessel_k, scaled_k_terms  # noqa: F401
+from .bessel import bessel_k, k0_scaled, scaled_k_terms  # noqa: F401
 from .errors import DomainError, NumericRange
 from .simulate import check_correlation, check_finite, check_positive
 
@@ -57,7 +57,10 @@ class VgParams:
         per parameter set, not per point.
 
         :class:`DomainError` where the density is undefined (sigma = 0) or its
-        ``K_nu`` out of range (r > 20001, nu > 1e4), whatever the point."""
+        ``K_nu`` out of range (r > 20001, nu > 1e4), whatever the point;
+        :class:`NumericRange` where sigma^2 or root / sigma^2 is not a finite
+        normal double.  That bounds theta / sigma^2 too (|theta| <= root), and
+        its underflow costs at most 2^-1074 |x - mu| in log space."""
         r, theta, sigma = self.r, self.theta, self.sigma
         if self.degenerate:
             raise DomainError("density undefined at the sigma = 0 boundary")
@@ -65,11 +68,18 @@ class VgParams:
             raise DomainError(f"density needs shape r <= {_MAX_SHAPE:.0f} (K_nu with "
                               f"nu = (r - 1)/2 <= 1e4), got r={r!r}")
         nu = 0.5 * (r - 1.0)
-        root = math.sqrt(theta * theta + sigma * sigma)
+        sigma_sq = sigma * sigma
+        root = math.sqrt(theta * theta + sigma_sq)
+        # sigma^2 below the normal range (a few bits, or 0) or above it, or z = inf
+        # at every x != mu
+        if not sigma_sq >= _TINY or not root / sigma_sq < math.inf:
+            raise NumericRange(
+                f"density needs sigma^2 and sqrt(theta^2 + sigma^2)/sigma^2 finite and "
+                f"normal doubles, got sigma={sigma!r}, theta={theta!r}")
         # (dev / 2 root)^nu = z^nu (sigma^2 / 2 root^2)^nu, over sigma sqrt(pi) Gamma(r/2)
         log_norm = (-math.log(sigma * math.sqrt(math.pi)) - math.lgamma(0.5 * r)
                     + nu * (2.0 * (math.log(sigma) - math.log(root)) - _LN2))
-        return nu, root / (sigma * sigma), theta / (sigma * sigma), log_norm
+        return nu, root / sigma_sq, theta / sigma_sq, log_norm
 
 
 def vg_pdf(x: float, params: VgParams) -> float:
@@ -99,13 +109,17 @@ def vg_pdf(x: float, params: VgParams) -> float:
     # below the normal range z keeps only a few bits: the sum and nu log z take
     # it 2^128 larger, formed from dev exactly
     shift = _SUBNORMAL_SHIFT if z < _TINY else 0
-    z_scaled = scale * math.ldexp(dev, shift)
-    # next to mu for large r, K overflows before (dev / 2 root)^nu cancels it, so
-    # e^z K_nu(z) stays e^m s; the tilt e^{theta dev / sigma^2} and the Bessel
-    # decay e^{-root dev / sigma^2} cancel in the tails but overflow alone
-    m, s = scaled_k_terms(abs(nu), z_scaled, shift)
-    log_value = (tilt - z + log_norm
-                 + nu * (math.log(z_scaled) - shift * _LN2) + m + math.log(s))
+    z_scaled = scale * math.ldexp(dev, shift) if shift else z
+    # the tilt e^{theta dev / sigma^2} and the Bessel decay e^{-root dev /
+    # sigma^2} cancel in the tails but overflow alone, so K is e^-z times e^z K
+    if nu:
+        # next to mu for large r, K overflows before (dev / 2 root)^nu cancels
+        # it, so e^z K_nu(z) stays e^m s
+        m, s = scaled_k_terms(abs(nu), z_scaled, shift)
+        log_value = (tilt - z + log_norm
+                     + nu * (math.log(z_scaled) - shift * _LN2) + m + math.log(s))
+    else:   # r = 1, the product-normal density: the terms left out are zeros, m = 0
+        log_value = tilt - z + log_norm + math.log(k0_scaled(z_scaled, shift))
     if log_value <= -745.0:
         return 0.0
     try:

@@ -181,8 +181,48 @@ class TestNodeTables:
             assert scaled_k_terms(nu, math.ldexp(x, 128), 128) == scaled_k_terms(nu, x)
 
 
+def _k0_exact(X):
+    with mpmath.workdps(30):
+        return mpmath.besselk(0, X) * mpmath.exp(X)
+
+
+def _rel(got, exact):
+    return float(abs(got - exact) / exact)
+
+
 class TestOrderZero:
-    """e^x K_0(x), the product-normal density's order, by series and Chebyshev sum."""
+    """e^x K_0(x), the product-normal density's order, by series and piece table."""
+
+    def test_every_piece_at_its_centre_and_ends(self):
+        # piece k spans s = 2/X - 1 in [-1 + k/8, -1 + (k + 1)/8], X in [16/(k + 1), 16/k]
+        for k, (c, *_) in enumerate(bessel._K0_PIECES):
+            assert c == -1.0 + (2 * k + 1) / 16
+            ends = (16 / (k + 1), 1e300 if k == 0 else 16 / k)
+            for X in (2.0 / (c + 1.0), *ends):
+                assert _rel(bessel.k0_scaled(X), _k0_exact(X)) < 1e-15, (k, X)
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_either_side_of_each_join(self, k):
+        X = 16 / k
+        for x in (math.nextafter(X, 0.0), X, math.nextafter(X, math.inf)):
+            assert _rel(bessel.k0_scaled(x), _k0_exact(x)) < 1e-15, x
+
+    @pytest.mark.parametrize("x", [1.0, math.nextafter(1.0, 0.0), 1e5, 1e300])
+    def test_split_and_far_tail(self, x):
+        # X = 1 takes the clamp to piece 15 (s = 1); just below it, the series
+        assert _rel(bessel.k0_scaled(x), _k0_exact(x)) < 1e-15
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_domain_error(self, x):
+        with pytest.raises(DomainError, match="bessel_k requires finite x > 0"):
+            bessel.k0_scaled(x)
+
+    def test_is_the_order_zero_of_every_entry_point(self):
+        for x, shift in [(0.3, 0), (1.0, 0), (7.5, 0), (1e5, 0), (math.ldexp(1e-310, 128), 128)]:
+            got = bessel.k0_scaled(x, shift)
+            assert scaled_k_terms(0.0, x, shift) == (0.0, got)
+            if not shift:
+                assert bessel_k(0.0, x, scaled=True) == got
 
     def test_wide_range_against_mpmath(self):
         rng = np.random.default_rng(20)

@@ -439,6 +439,15 @@ class TestOracleAndVg:
         assert result.exit_code == 1
         assert "sigma = 0" in result.output
 
+    def test_vg_pdf_scale_outside_the_double_range_is_runtime_error(self, runner):
+        # sigma^2 = 0 was a ZeroDivisionError traceback
+        result = runner.invoke(main, ["vg", "pdf", "--r", "1", "--theta", "0.3",
+                                      "--sigma", "1e-300", "--mu", "0", "--x", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: density needs sigma^2")
+        assert "sigma=1e-300" in result.output
+
     def test_vg_pdf_at_subnormal_distance(self, runner):
         # the console-script line of CI: the tabulated sum and the subnormal distance
         result = invoke(runner, ["vg", "pdf", "--r", "1", "--theta", "0.3", "--sigma", "1",

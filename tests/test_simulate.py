@@ -223,3 +223,18 @@ class TestFrozenCache:
         assert not first[0].flags.writeable and first[1:] == (3, None)
         build.cache_clear()
         assert build(3) is not first and calls == [3, 3]
+
+    # the cache is untyped, so an entry for T = 60 answered T = 60.0 past the
+    # builds' checks: a bare TypeError, or a DomainError in a fresh process
+    @pytest.mark.parametrize("params", [BmEstimatorParams(0.5, 1.0),
+                                        GbmEstimatorParams(1.0, 16.0, 2.0, 0.1, "v2")],
+                             ids=["bm", "gbm"])
+    @pytest.mark.parametrize("int_first", [False, True], ids=["fresh", "after_int"])
+    def test_float_grid_length_is_rejected_by_the_oracle(self, params, int_first):
+        for build in (bm._lags, bm._products, bm._oracle_rows, gbm._grid):
+            build.cache_clear()
+        for profile in (CONST_HALF, CorrelationProfile("table", table=(0.5,) * 60)):
+            if int_first:
+                params.oracle(profile, 3, 60)
+            with pytest.raises(DomainError, match="T must be an integer, got 60.0"):
+                params.oracle(profile, 3, 60.0)

@@ -2,6 +2,8 @@
 
 import functools
 import math
+import re
+import sys
 
 import mpmath
 import numpy as np
@@ -19,6 +21,7 @@ from dyncorr import (
     vg_moments,
     vg_pdf,
 )
+from dyncorr.bessel import scaled_k_terms
 
 PARAM_SETS = [
     VgParams(1.0, 0.0, 1.0, 0.0),
@@ -163,6 +166,73 @@ class TestDensity:
             want = (mpmath.besselk(nu, dev / 4) * (dev / 8) ** nu
                     / (4 * mpmath.sqrt(mpmath.pi) * mpmath.gamma(0.5 * r)))
         assert vg_pdf(x, params) == pytest.approx(float(want), rel=1e-12)
+
+    def test_product_normal_order_is_the_general_log_space_form(self):
+        # at r = 1 vg_pdf calls k0_scaled directly: the general form's
+        # nu (log z - shift ln 2) and m terms are zeros there, so both agree bitwise
+        def general(x, params):
+            nu, scale, tilt_scale, log_norm = params._density_terms
+            dev = abs(x - params.mu)
+            z = scale * dev
+            if z == math.inf:
+                return 0.0
+            shift = 128 if z < sys.float_info.min else 0
+            z_scaled = scale * math.ldexp(dev, shift)
+            m, s = scaled_k_terms(nu, z_scaled, shift)
+            log_value = (tilt_scale * (x - params.mu) - z + log_norm
+                         + nu * (math.log(z_scaled) - shift * math.log(2.0)) + m + math.log(s))
+            return 0.0 if log_value <= -745.0 else math.exp(log_value)
+
+        rng = np.random.default_rng(23)
+        cases = []
+        for t in (5, 20, 100, 500):   # the benchmark's product-normal points
+            for rho in (0.5, 0.3, -0.7, 0.95):
+                params = product_normal_vg_params(math.sqrt(t), math.sqrt(t), rho)
+                cases += [(float(x), params) for x in t * rng.uniform(-10.0, 10.0, 250)]
+        # deviations whose z is subnormal (the 2^128 shift), and far tails at 0
+        params = VgParams(1.0, 0.3, 1.0, 0.0)
+        devs = 10 ** rng.uniform(-323.5, -308.0, 200)
+        cases += [(d, params) for d in devs] + [(-d, params) for d in devs]
+        params = VgParams(1.0, -0.4, 2.0, 0.25)
+        cases += [(x, params) for x in (-3e3, 3e3, 1e300, -1e300, math.inf, -math.inf)]
+        for x, params in cases:
+            want = general(x, params)
+            got = vg_pdf(x, params)
+            assert got.hex() == want.hex(), (x, params)
+        assert vg_pdf(math.inf, params) == vg_pdf(-1e300, params) == 0.0
+        with pytest.raises(DomainError, match="singular at x = mu"):
+            vg_pdf(params.mu, params)
+
+    @pytest.mark.parametrize("theta, sigma", [
+        (0.3, 1e-300),   # sigma^2 = 0: was a ZeroDivisionError
+        (0.3, 1e-155),   # subnormal sigma^2, root / sigma^2 = inf: was 0.0 at every x
+        (0.3, 1e-154),   # subnormal sigma^2, a few bits of it
+        (0.3, 1e155),    # sigma^2 = inf: was a DomainError from K_0 of nan
+        (1e10, 1e-150),  # root / sigma^2 = inf
+    ])
+    def test_scale_outside_the_double_range_is_named(self, theta, sigma):
+        params = VgParams(1.0, theta, sigma, 0.0)
+        for x in (1.0, -1.0, 0.0):
+            with pytest.raises(NumericRange, match=re.escape(f"sigma={sigma!r}")):
+                vg_pdf(x, params)
+
+    @pytest.mark.parametrize("x, r, theta, sigma", [
+        (2e-150, 1.0, -3e-151, 1e-150),
+        (-1e-150, 3.5, 2e-150, 1e-150),
+        (1.0, 1.0, 0.3, 1e150),
+        (-2e150, 3.5, 3e149, 1e150),
+    ])
+    def test_extreme_scales_inside_the_range_match_mpmath(self, x, r, theta, sigma):
+        with mpmath.workdps(40):
+            x_, theta_, sigma_ = map(mpmath.mpf, (x, theta, sigma))
+            nu = mpmath.mpf(r - 1) / 2
+            root = mpmath.sqrt(theta_ ** 2 + sigma_ ** 2)
+            want = (mpmath.exp(theta_ * x_ / sigma_ ** 2)
+                    * mpmath.besselk(nu, root * abs(x_) / sigma_ ** 2)
+                    * (abs(x_) / (2 * root)) ** nu
+                    / (sigma_ * mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(r) / 2)))
+        # exp of a log near +-345 keeps about 1e-13
+        assert vg_pdf(x, VgParams(r, theta, sigma, 0.0)) == pytest.approx(float(want), rel=1e-12)
 
     def test_density_terms_are_built_once_per_parameter_set(self, monkeypatch):
         built = []
