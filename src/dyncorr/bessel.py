@@ -30,22 +30,20 @@ subnormal ones, all of it below the split; from x = 1 on, 3.5e-16 the worst
 of 20000 points (log-uniform to 1e5, and uniform over the pieces [1, 16]).
 A call, its argument check included, costs about 1.4 us below the split and
 1.0 us above it, whatever x (a 32-term Chebyshev sum took 2.0-2.6 us there
-in the same runs), against 5 us for the trapezoid below at nu = 0 and 18 us
-at x = 1e-300 (Python 3.11.7, 2-core VM).  Below the normal range the
+in the same runs; Python 3.11.7, 2-core VM).  Below the normal range the
 caller may pass x 2^shift: the logarithm is then formed from that exact x,
 and a normal X = x 2^-shift gives bitwise the unshifted terms.
 
 For nu > 0 the trapezoid rule is the only method: e^x K_nu(x) = 1/2 int
 exp(nu t - 2x sinh^2(t/2)) dt over the real line, and the rule converges
-geometrically on this double-exponentially decaying integrand.  Step: the
-largest rung of the ladder h_j = 0.2 2^(-j/4) not above min(0.2, 1 / (2
-sqrt(hypot(x, nu)))), half the peak width; rung 0, h = 0.2, serves every
+geometrically on this double-exponentially decaying integrand.  The step
+rule: the largest step of the ladder h_j = 0.2 2^(-j/4) not above min(0.2,
+1 / (2 sqrt(hypot(x, nu)))), half the peak width; h_0 = 0.2 serves every
 hypot(x, nu) <= 6.25.  The grid ends where the exponent is 40 below its
-peak.  Each rung's nodes t/2 = k h/2 and sinh(t/2) are tabulated once,
-read-only, and grown on demand, so a call is a slice, y = sqrt(2x)
-sinh(t/2), the exponent nu t - y^2, one exp and one sum, each a numpy call
-on a few dozen nodes.  A node is the same number in a table of any size, so
-on rung 0 the result is bitwise that of the untabulated sum with step 0.2.
+peak, which keeps |t/2| below 380, where sinh(t/2) is finite.  A call builds
+its nodes t/2 = k h/2 and sinh(t/2), then y = sqrt(2x) sinh(t/2), the
+exponent nu t - y^2, one exp and one sum, each a numpy call on a few dozen
+nodes: about 6.6 us a call for nu in {0.5, 2}, x in [0.01, 30] (same VM).
 Relative error is below 1e-13 against arbitrary-precision references for
 nu in [0, 200], x in [1e-300, 1e5] wherever e^x K_nu(x) < 1e300; spot checks
 up to nu = 1e4 (the largest accepted: the grid grows as sqrt(nu)) give ~1e-13.
@@ -60,7 +58,7 @@ import numpy as np
 
 from .errors import DomainError
 
-_LOG_MAX = 709.78   # e^m overflows a double above this
+_LOG_MAX = 709.78   # exp overflows a double above this
 _LN2 = math.log(2.0)
 _ROOT20 = math.sqrt(20.0)
 _TINY = sys.float_info.min   # the smallest normal double
@@ -144,29 +142,6 @@ _K0_PIECES = (
      6.497546535040394e-07, -1.8947989173901581e-07, 5.713553813069433e-08),
 )
 
-# rung j -> (K, t/2, sinh(t/2)) at t = k h_j for k = -K..K.  A cache, not
-# state: a node's value does not depend on how far its table has grown.
-_NODES: dict = {}
-
-
-def _nodes(j: int, h: float, lo: int, hi: int):
-    """Rung ``j``'s read-only ``(K, t/2, sinh(t/2))`` at ``t = k h`` for
-    ``k = -K..K``, grown to at least twice its extent when ``lo`` or ``hi``
-    exceeds ``K``; the caller slices the nodes ``-lo..hi`` it needs."""
-    K, half_t, sinh_half = entry = _NODES.get(j, (-1, None, None))
-    if max(lo, hi) > K:
-        # stop doubling at |t/2| = 700, where sinh(t/2) would soon overflow;
-        # no grid reaches |t/2| = 380
-        K = max(lo, hi, min(2 * K, int(1400.0 / h)))
-        half_t = (0.5 * h) * np.arange(-K, K + 1)
-        sinh_half = np.sinh(half_t)
-        sinh_half[:K] = -sinh_half[:K:-1]   # exactly odd, whatever the platform's sinh
-        half_t.setflags(write=False)
-        sinh_half.setflags(write=False)
-        _NODES[j] = entry = K, half_t, sinh_half
-    return entry
-
-
 def scaled_k_terms(nu: float, x: float, shift: int = 0) -> tuple[float, float]:
     """(m, s) with e^X K_nu(X) = s e^m at X = x 2^-shift; both stay finite
     where K overflows.  An even ``shift`` carries an X below the normal range
@@ -211,28 +186,23 @@ def k0_scaled(x: float, shift: int = 0) -> float:
 
 
 def _trapezoid(nu: float, x: float, shift: int = 0) -> tuple[float, float]:
-    """:func:`scaled_k_terms` by the tabulated trapezoid rule, for checked
-    arguments: every ``nu > 0``, and ``nu = 0`` in the tests of the tables."""
-    X = math.ldexp(x, -shift)   # rounded (or 0) under a shift: it picks the rung only
+    """:func:`scaled_k_terms` by the trapezoid rule, for checked arguments
+    with ``nu > 0``."""
+    X = math.ldexp(x, -shift)   # rounded (or 0) under a shift: it picks the step only
     rho = math.hypot(X, nu)
     j = math.ceil(2.0 * math.log2(rho / 6.25)) if rho > 6.25 else 0
     h = 0.2 * 2.0 ** (-0.25 * j)
     # ends: x (cosh t - 1) = 40 at 2 asinh(sqrt(20/x)); nu t = -40; peak below log(1 + 2nu/x)
     root_x = math.ldexp(math.sqrt(x), -shift // 2)   # sqrt(X), exact
-    reach = 2.0 * math.asinh(_ROOT20 / root_x)
-    if nu:
-        lo = min(reach, 40.0 / nu)
-        hi = (2.0 * math.asinh(_ROOT20 / math.sqrt(rho))
-              + (math.log(X + 2.0 * nu) - (math.log(x) - shift * _LN2)))
-    else:   # rho = X and the peak sits at t = 0; X itself may be 0 here
-        lo = hi = reach
-    k_lo, k_hi = math.ceil(lo / h), math.ceil(hi / h)
-    K, half_t, sinh_half = _nodes(j, h, k_lo, k_hi)
-    nodes = slice(K - k_lo, K + k_hi + 1)
+    lo = min(2.0 * math.asinh(_ROOT20 / root_x), 40.0 / nu)
+    hi = (2.0 * math.asinh(_ROOT20 / math.sqrt(rho))
+          + (math.log(X + 2.0 * nu) - (math.log(x) - shift * _LN2)))
+    half_t = (0.5 * h) * np.arange(-math.ceil(lo / h), math.ceil(hi / h) + 1)
     # 2x sinh^2(t/2) as (sqrt(2x) sinh(t/2))^2: finite at tiny x; 2x and x/2 are exact
     c = math.ldexp(math.sqrt(2.0 * x) if x < 1.0 else 2.0 * math.sqrt(0.5 * x), -shift // 2)
-    y = np.multiply(sinh_half[nodes], c)
-    a = np.subtract((2.0 * nu) * half_t[nodes], np.multiply(y, y, y), y)   # nu t - y^2
+    y = np.sinh(half_t)
+    y *= c
+    a = np.subtract((2.0 * nu) * half_t, np.multiply(y, y, y), y)   # nu t - y^2
     m = float(a.max()) if nu * hi > 700.0 else 0.0   # max a < nu hi: else no overflow
     if m:
         a -= m
@@ -243,5 +213,6 @@ def bessel_k(nu: float, x: float, scaled: bool = False) -> float:
     """K_nu(x) for finite x > 0, 0 <= nu <= 1e4; ``scaled`` returns e^x K_nu(x),
     which stays representable for large x, where K itself underflows."""
     m, s = scaled_k_terms(nu, x)
-    value = s * math.exp(m) if m < _LOG_MAX else math.inf
-    return value if scaled else value * math.exp(-x)
+    # K = s e^(m - x): one exponent, so neither e^m nor e^-x overflows alone
+    e = m if scaled else m - x
+    return s * math.exp(e) if e < _LOG_MAX else math.inf

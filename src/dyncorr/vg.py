@@ -50,11 +50,12 @@ class VgParams:
         return self.sigma == 0.0
 
     @cached_property
-    def _density_terms(self) -> tuple[float, float, float, float]:
-        """``(nu, root / sigma^2, theta / sigma^2, log c)``, where ``root =
-        sqrt(theta^2 + sigma^2)``, ``z = root |x - mu| / sigma^2`` and the density
-        away from mu is ``c z^nu e^{theta (x - mu) / sigma^2} K_nu(z)``; built once
-        per parameter set, not per point.
+    def _density_terms(self) -> tuple[float, float, float, float, float]:
+        """``(nu, root / sigma^2, theta / sigma^2, -1 / (|theta| + root), log c)``,
+        where ``root = sqrt(theta^2 + sigma^2)``, ``z = root |x - mu| / sigma^2``
+        and the density away from mu is ``c z^nu e^{theta (x - mu) / sigma^2}
+        K_nu(z)``; built once per parameter set, not per point.  Where theta (x -
+        mu) > 0, ``theta (x - mu) / sigma^2 - z = -|x - mu| / (|theta| + root)``.
 
         :class:`DomainError` where the density is undefined (sigma = 0) or its
         ``K_nu`` out of range (r > 20001, nu > 1e4), whatever the point;
@@ -69,43 +70,42 @@ class VgParams:
                               f"nu = (r - 1)/2 <= 1e4), got r={r!r}")
         nu = 0.5 * (r - 1.0)
         sigma_sq = sigma * sigma
-        root = math.sqrt(theta * theta + sigma_sq)
+        root = math.hypot(theta, sigma)
         # sigma^2 below the normal range (a few bits, or 0) or above it, or z = inf
         # at every x != mu
-        if not sigma_sq >= _TINY or not root / sigma_sq < math.inf:
+        if not _TINY <= sigma_sq < math.inf or not root / sigma_sq < math.inf:
             raise NumericRange(
                 f"density needs sigma^2 and sqrt(theta^2 + sigma^2)/sigma^2 finite and "
                 f"normal doubles, got sigma={sigma!r}, theta={theta!r}")
         # (dev / 2 root)^nu = z^nu (sigma^2 / 2 root^2)^nu, over sigma sqrt(pi) Gamma(r/2)
         log_norm = (-math.log(sigma * math.sqrt(math.pi)) - math.lgamma(0.5 * r)
                     + nu * (2.0 * (math.log(sigma) - math.log(root)) - _LN2))
-        return nu, root / sigma_sq, theta / sigma_sq, log_norm
+        return nu, root / sigma_sq, theta / sigma_sq, -1.0 / (abs(theta) + root), log_norm
 
 
 def vg_pdf(x: float, params: VgParams) -> float:
     """Density of VG(r, theta, sigma, mu) at x."""
-    nu, scale, tilt_scale, log_norm = params._density_terms
+    nu, scale, tilt_scale, tilt_decay, log_norm = params._density_terms
     if math.isnan(x):
         raise DomainError("density undefined at x = nan")
-    mu = params.mu
-    dev = abs(x - mu)
+    d = x - params.mu
+    dev = abs(d)
     z = scale * dev
     if z == math.inf:   # x = +-inf, or a tail too far out to form the tilt
         return 0.0
-    tilt = tilt_scale * (x - mu)
+    tilt = tilt_scale * d
     # at mu, and wherever the O(z^2) correction to the tilted x = mu limit is
     # below rounding: there nu log(dev) and log K_nu(z) cancel to ~nu |log z| ulps
     if dev == 0.0 or z * z < 1e-16 * (nu - 1.0):
-        r, theta, sigma = params.r, params.theta, params.sigma
-        if r <= 1.0:
+        if params.r <= 1.0:
             raise DomainError(
-                f"density is singular at x = mu for r = {r} <= 1"
+                f"density is singular at x = mu for r = {params.r} <= 1"
             )
         # limit from K_nu(z) ~ Gamma(nu) (2/z)^nu / 2 as z -> 0, nu > 0
-        return math.exp(
-            tilt + math.lgamma(nu) - math.lgamma(0.5 * r)
-            + nu * math.log(sigma * sigma / (theta * theta + sigma * sigma))
-        ) / (2.0 * sigma * math.sqrt(math.pi))
+        return math.exp(tilt + log_norm + math.lgamma(nu) + (nu - 1.0) * _LN2)
+    # where the tilt is positive, tilt - z = (|theta| - root) dev / sigma^2 is a
+    # difference of two large terms; it is formed as -dev / (|theta| + root)
+    tilt_z = dev * tilt_decay if tilt > 0.0 else tilt - z
     # below the normal range z keeps only a few bits: the sum and nu log z take
     # it 2^128 larger, formed from dev exactly
     shift = _SUBNORMAL_SHIFT if z < _TINY else 0
@@ -116,10 +116,10 @@ def vg_pdf(x: float, params: VgParams) -> float:
         # next to mu for large r, K overflows before (dev / 2 root)^nu cancels
         # it, so e^z K_nu(z) stays e^m s
         m, s = scaled_k_terms(abs(nu), z_scaled, shift)
-        log_value = (tilt - z + log_norm
+        log_value = (tilt_z + log_norm
                      + nu * (math.log(z_scaled) - shift * _LN2) + m + math.log(s))
     else:   # r = 1, the product-normal density: the terms left out are zeros, m = 0
-        log_value = tilt - z + log_norm + math.log(k0_scaled(z_scaled, shift))
+        log_value = tilt_z + log_norm + math.log(k0_scaled(z_scaled, shift))
     if log_value <= -745.0:
         return 0.0
     try:

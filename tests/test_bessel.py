@@ -1,7 +1,7 @@
 """Modified Bessel function K_nu against independent references."""
 
 import math
-import warnings
+import sys
 
 import mpmath
 import numpy as np
@@ -91,10 +91,9 @@ class TestRecurrenceAndDomain:
         assert worst < 1e-13
 
 
-def _untabulated(nu, x):
-    """The trapezoid sum at step 0.2, written out with fresh nodes."""
-    h = 0.2
-    lo = min(2.0 * math.asinh(math.sqrt(20.0) / math.sqrt(x)), 40.0 / nu if nu else math.inf)
+def _untabulated(nu, x, h):
+    """The trapezoid sum at step h, written out."""
+    lo = min(2.0 * math.asinh(math.sqrt(20.0) / math.sqrt(x)), 40.0 / nu)
     hi = (math.log(x + 2.0 * nu) - math.log(x)
           + 2.0 * math.asinh(math.sqrt(20.0) / math.sqrt(math.hypot(x, nu))))
     half_t = (0.5 * h) * np.arange(-math.ceil(lo / h), math.ceil(hi / h) + 1)
@@ -104,34 +103,31 @@ def _untabulated(nu, x):
     return m, 0.5 * h * float(np.exp(a - m).sum())
 
 
-class TestNodeTables:
-    # the trapezoid, called directly: at nu = 0 the closed form serves every
-    # call of scaled_k_terms, but the nu = 0 cases still drive rung 0 wide.
-    # Calls that grow the tables: tiny x widens rung 0, nu = 1e4 rung 22; the
-    # second of each pair doubles a table past |t/2| = 355, where sinh would
-    # overflow at the next node beyond 710 without the cap
-    WIDE = [(0.0, 1e-310), (0.0, 5e-324), (1e4, 1e-300), (1e4, 5e-324)]
-    NARROW = [(0.0, 1.0), (0.0, 5.0), (2.5, 0.3), (0.0, 1e4), (3.0, 100.0), (50.0, 1e-3)]
-
-    @pytest.fixture
-    def fresh(self, monkeypatch):
-        """Empty tables for the test; the module's tables come back after it."""
-        monkeypatch.setattr(bessel, "_NODES", {})
-
-    def test_rung_zero_is_bitwise_the_untabulated_sum(self, fresh):
+class TestTrapezoid:
+    def test_every_rung_is_bitwise_the_untabulated_sum(self):
+        # rung j of the step rule serves hypot(x, nu) in (6.25 2^((j-1)/2), 6.25
+        # 2^(j/2)] (rung 0 from 0) with step h_j = 0.2 2^(-j/4); nu = 1e4, the
+        # largest order accepted, is on rung 22
         rng = np.random.default_rng(5)
-        cases = [(0.0, 1e-300), (0.0, 5e-324), (5.0, 1e-300), (0.5, 1.0), (6.25, 1e-9)]
-        for _ in range(300):
-            rho = 6.25 * rng.uniform() ** 0.5
-            phi = rng.uniform(0.0, math.pi / 2)
-            nu, x = rho * math.cos(phi), rho * math.sin(phi) * 10 ** -rng.uniform(0, 300)
-            cases.append((0.0 if rng.uniform() < 0.2 else nu, x))
-        for _ in range(2):   # fresh tables, then tables grown by every case
-            for nu, x in cases:
-                assert bessel._trapezoid(nu, x) == _untabulated(nu, x), (nu, x)
-        assert set(bessel._NODES) == {0}
+        # (nu, x, rung): tiny x widens the grid; at nu = 1e4 with x = 5e-324
+        # it reaches |t/2| = 377, where sinh(t/2) is still finite (an overflow
+        # warning is an error in the tests)
+        cases = [(1e4, 1e-300, 22), (1e4, 5e-324, 22), (5.0, 1e-300, 0), (0.5, 1.0, 0),
+                 (6.25, 1e-9, 0), (0.5, 1e-310, 0), (3.0, 1e-200, 0), (50.0, 1e-3, 7)]
+        for j in range(23):
+            low = 6.25 * 2 ** ((j - 1) / 2) if j else 0.0
+            high = min(6.25 * 2 ** (j / 2), 1e4)
+            for _ in range(12):
+                rho = rng.uniform(low + 1e-9 * high, high * (1.0 - 1e-9))
+                phi = rng.uniform(0.0, math.pi / 2)
+                cases.append((rho * math.cos(phi), rho * math.sin(phi), j))
+                # x far below nu: hypot(x, nu) = nu
+                cases.append((rho, 10 ** -rng.uniform(10, 300), j))
+        for nu, x, j in cases:
+            want = _untabulated(nu, x, 0.2 * 2.0 ** (-j / 4))
+            assert bessel._trapezoid(nu, x) == want, (nu, x, j)
 
-    def test_rung_boundaries_match_mpmath(self, fresh):
+    def test_rung_boundaries_match_mpmath(self):
         # just below and just above hypot(x, nu) = 6.25 2^(j/2), rungs j and j + 1
         rng = np.random.default_rng(12)
         worst = 0.0
@@ -144,41 +140,26 @@ class TestNodeTables:
                         exact = mpmath.besselk(nu, x) * mpmath.exp(x)
                         rel = abs(bessel_k(nu, x, scaled=True) - exact) / exact
                         worst = max(worst, float(rel))
-        assert set(bessel._NODES) == set(range(14))
-        # rung j, serving hypot(x, nu) up to 6.25 2^(j/2), steps 1 / (2 sqrt(that))
-        for j, (K, half_t, _) in bessel._NODES.items():
-            assert 2.0 * half_t[K + 1] == pytest.approx(0.2 * 2 ** (-j / 4), rel=1e-15)
         assert worst < 1e-13
-
-    def test_tables_are_read_only(self, fresh):
-        for nu, x in self.WIDE + self.NARROW:
-            bessel._trapezoid(nu, x)
-        for _, half_t, sinh_half in bessel._NODES.values():
-            for arr in (half_t, sinh_half):
-                with pytest.raises(ValueError):
-                    arr[...] = 0.0
-
-    def test_grown_tables_give_fresh_values(self, monkeypatch):
-        calls = self.NARROW + self.WIDE
-        want = []
-        for nu, x in calls:
-            monkeypatch.setattr(bessel, "_NODES", {})
-            want.append(bessel._trapezoid(nu, x))
-        monkeypatch.setattr(bessel, "_NODES", {})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for nu, x in self.WIDE:
-                bessel._trapezoid(nu, x)
-            got = [bessel._trapezoid(nu, x) for nu, x in calls]
-        assert got == want
-        for K, half_t, sinh_half in bessel._NODES.values():
-            assert np.isfinite(sinh_half).all()
-            assert np.abs(half_t).max() <= 700.0
 
     def test_shifted_argument_is_the_same_sum(self):
         # X = x 2^-shift carried exactly: a normal X gives the unshifted terms
         for nu, x in [(0.0, 1e-3), (0.5, 2.0), (3.0, 1e-200), (40.0, 7.0)]:
             assert scaled_k_terms(nu, math.ldexp(x, 128), 128) == scaled_k_terms(nu, x)
+
+    @pytest.mark.parametrize("nu, x", [
+        (1100.0, 725.0),   # e^m overflowed alone: was inf
+        (1200.0, 730.0),   # was inf
+        (1e4, 800.0),      # K above the double range: was nan, from inf * e^-800 = inf * 0
+    ])
+    def test_unscaled_large_order_matches_mpmath(self, nu, x):
+        with mpmath.workdps(30):
+            exact = mpmath.besselk(nu, x)
+        got = bessel_k(nu, x)
+        if exact > sys.float_info.max:
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(float(exact), rel=1e-12)
 
 
 def _k0_exact(X):
@@ -246,9 +227,3 @@ class TestOrderZero:
         xs = np.concatenate([np.linspace(1e-6, 60.0, 6001), np.geomspace(1e-300, 1e5, 2001)])
         got = np.array([scaled_k_terms(0.0, float(x))[1] for x in xs])
         np.testing.assert_allclose(got, special.k0e(xs), rtol=4e-15, atol=0.0)
-
-    def test_no_table_is_built(self, monkeypatch):
-        monkeypatch.setattr(bessel, "_NODES", {})
-        for x in (5e-324, 1e-300, 0.5, 1.0, 7.0, 1e5):
-            scaled_k_terms(0.0, x)
-        assert bessel._NODES == {}

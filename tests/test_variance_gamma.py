@@ -33,6 +33,18 @@ PARAM_SETS = [
 ]
 
 
+def _mp_density(x, r, theta, sigma, dps):
+    """The VG(r, theta, sigma, 0) density at x != 0 in mpmath at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        x_, theta_, sigma_ = map(mpmath.mpf, (x, theta, sigma))
+        nu = mpmath.mpf(r - 1) / 2
+        root = mpmath.sqrt(theta_ ** 2 + sigma_ ** 2)
+        return float(mpmath.exp(theta_ * x_ / sigma_ ** 2)
+                     * mpmath.besselk(nu, root * abs(x_) / sigma_ ** 2)
+                     * (abs(x_) / (2 * root)) ** nu
+                     / (sigma_ * mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(r) / 2)))
+
+
 def _quad_over_r(fn, params):
     # split at the location parameter: the density can be singular there
     left, _ = integrate.quad(fn, -np.inf, params.mu, limit=400)
@@ -171,15 +183,16 @@ class TestDensity:
         # at r = 1 vg_pdf calls k0_scaled directly: the general form's
         # nu (log z - shift ln 2) and m terms are zeros there, so both agree bitwise
         def general(x, params):
-            nu, scale, tilt_scale, log_norm = params._density_terms
+            nu, scale, tilt_scale, tilt_decay, log_norm = params._density_terms
             dev = abs(x - params.mu)
             z = scale * dev
             if z == math.inf:
                 return 0.0
+            tilt = tilt_scale * (x - params.mu)
             shift = 128 if z < sys.float_info.min else 0
             z_scaled = scale * math.ldexp(dev, shift)
             m, s = scaled_k_terms(nu, z_scaled, shift)
-            log_value = (tilt_scale * (x - params.mu) - z + log_norm
+            log_value = ((dev * tilt_decay if tilt > 0.0 else tilt - z) + log_norm
                          + nu * (math.log(z_scaled) - shift * math.log(2.0)) + m + math.log(s))
             return 0.0 if log_value <= -745.0 else math.exp(log_value)
 
@@ -221,18 +234,49 @@ class TestDensity:
         (-1e-150, 3.5, 2e-150, 1e-150),
         (1.0, 1.0, 0.3, 1e150),
         (-2e150, 3.5, 3e149, 1e150),
+        # theta^2 overflows, root = hypot(theta, sigma) does not: was NumericRange
+        (1.0, 1.0, 1e160, 1e150),
+        (1e-150, 3.5, 1e160, 1e150),
     ])
     def test_extreme_scales_inside_the_range_match_mpmath(self, x, r, theta, sigma):
-        with mpmath.workdps(40):
-            x_, theta_, sigma_ = map(mpmath.mpf, (x, theta, sigma))
-            nu = mpmath.mpf(r - 1) / 2
-            root = mpmath.sqrt(theta_ ** 2 + sigma_ ** 2)
-            want = (mpmath.exp(theta_ * x_ / sigma_ ** 2)
-                    * mpmath.besselk(nu, root * abs(x_) / sigma_ ** 2)
-                    * (abs(x_) / (2 * root)) ** nu
-                    / (sigma_ * mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(r) / 2)))
         # exp of a log near +-345 keeps about 1e-13
-        assert vg_pdf(x, VgParams(r, theta, sigma, 0.0)) == pytest.approx(float(want), rel=1e-12)
+        want = _mp_density(x, r, theta, sigma, 40)
+        assert vg_pdf(x, VgParams(r, theta, sigma, 0.0)) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [1e-3, 1e-6, 1e-8])
+    @pytest.mark.parametrize("x, r, theta", [
+        (1.0, 1.0, 0.3), (3.0, 1.0, 0.3), (-1.0, 1.0, -0.3), (1.0, 2.0, 0.3), (1.0, 3.5, 0.3),
+    ])
+    def test_small_scale_where_the_tilt_meets_the_decay(self, x, r, theta, sigma):
+        # theta (x - mu) > 0: tilt - z = (|theta| - root) dev / sigma^2 is formed
+        # as -dev / (|theta| + root); the difference lost 2e-5 at sigma = 1e-6.
+        # The reference cancels e^{3e15} against K_0 at sigma = 1e-8: 50 digits
+        # are not enough there
+        want = _mp_density(x, r, theta, sigma, 80)
+        assert vg_pdf(x, VgParams(r, theta, sigma, 0.0)) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 4.0])
+    def test_vanishing_scale_is_the_scaled_chi_square(self, x):
+        # as sigma -> 0, VG(1, theta, sigma, 0) tends to theta chi^2_1, whose
+        # density at x is e^{-x / 2 theta} / sqrt(2 pi theta x); at sigma = 1e-150
+        # the two differ by O(sigma^2).  Was 0.728 at x = 1
+        theta = 0.3
+        want = math.exp(-x / (2.0 * theta)) / math.sqrt(2.0 * math.pi * theta * x)
+        params = VgParams(1.0, theta, 1e-150, 0.0)
+        assert vg_pdf(x, params) == pytest.approx(want, rel=1e-12)
+        assert vg_pdf(-x, params) == 0.0
+
+    @pytest.mark.parametrize("r", [1.5, 3.0, 21.0])
+    def test_location_limit_where_theta_squared_overflows(self, r):
+        # the x = mu limit Gamma(nu) (sigma^2 / root^2)^nu / (2 sigma sqrt(pi)
+        # Gamma(r/2)), with root = hypot(1e160, 1e150): theta^2 is not formed
+        theta, sigma = 1e160, 1e150
+        with mpmath.workdps(40):
+            nu = mpmath.mpf(r - 1) / 2
+            ratio = mpmath.mpf(sigma) ** 2 / (mpmath.mpf(theta) ** 2 + mpmath.mpf(sigma) ** 2)
+            want = float(mpmath.gamma(nu) * ratio ** nu
+                         / (2 * sigma * mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(r) / 2)))
+        assert vg_pdf(0.0, VgParams(r, theta, sigma, 0.0)) == pytest.approx(want, rel=1e-12)
 
     def test_density_terms_are_built_once_per_parameter_set(self, monkeypatch):
         built = []
