@@ -11,10 +11,11 @@ Replications are independent: replication ``i`` always uses the stream
 ``SeedSequence(master_seed, spawn_key=(i,))``, and aggregation runs in
 replication order, so reports are byte-identical (runtime aside) for any
 worker count.  Every path-pair simulation goes through one simulate-and-reduce
-loop, ``_simulate_reduce``: it simulates one estimator row block of
-``form.block_rows(T)`` pairs (about 512 KB per path array) at a time and keeps
-only what the experiment reduces it to, so a run holds one block per worker
-whatever ``reps`` is.
+sweep, ``_simulate_reduce``: it draws each replication's normals once for the
+whole ``T_list`` (``simulate.simulate_bm_blocks``), forms its pair at every T
+from them, and reduces each T in row blocks of ``form.block_rows(T)`` pairs
+(about 512 KB per path array).  It keeps only what the experiment reduces the
+pairs to, so a run holds one block per T per worker whatever ``reps`` is.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ import numpy as np
 from . import bm, form, gbm
 from .errors import DomainError
 from .profiles import CorrelationProfile, TimeGrid, build_profile
-from .simulate import (check_exponent, check_integer, check_positive, replication_rng,
-                       simulate_bm_batch)
+# simulate_bm_batch is not called here; bench/spans.py traces dyncorr.harness.simulate_bm_batch
+from .simulate import (check_exponent, check_integer, check_positive, replication_rng,  # noqa: F401
+                       simulate_bm_batch, simulate_bm_blocks)
 
 # Estimator experiments: the params class each needs and the GBM variant it
 # requires (None: either).  The CLI reads this table to parse [params].
@@ -61,8 +63,8 @@ class ExperimentConfig:
     ``ESTIMATOR_EXPERIMENTS`` names for the experiment, of the required
     variant if any; moment_checks and exp_abs_bound take none.  Each rule
     raises :class:`DomainError` here, before anything is simulated.
-    ``n_jobs`` threads map over the row blocks of the estimator experiments
-    and never affect the statistics; the block size follows from T alone.
+    ``n_jobs`` threads map over chunks of replications and never affect the
+    statistics; the block size follows from T alone.
     """
 
     experiment: str
@@ -157,35 +159,50 @@ def _stats(values: np.ndarray) -> dict:
     return {"mean": mean, "var": var, "se": math.sqrt(var / n), "n": n}
 
 
-def _simulate_reduce(profile, T: int, seed: int, reps: int, reduce, n_jobs: int = 1):
-    """``reduce(x, y)`` of ``reps`` simulated pairs, one row block at a time.
+def _simulate_reduce(profile, T_list: tuple, seed: int, reps: int, reduce, n_jobs: int = 1):
+    """``reduce(x, y)`` of ``reps`` simulated pairs at each T of the ascending
+    ``T_list``, one row block at a time: a list with one result per T.
 
-    Each block is the ``(rows, T)`` batch of replications ``off..off+rows-1``;
-    ``reduce`` returns an array whose last axis runs over its rows, and the
-    results are joined along that axis in replication order, whatever the
-    worker count.
+    Threads map over chunks of consecutive replications: at most one block of
+    the shortest T, and at least ``n_jobs`` chunks where ``reps`` allows.  In a
+    chunk each replication draws its normals once for every T
+    (``simulate_bm_blocks``), and each T's pairs are reduced in blocks of
+    ``form.block_rows(T)`` rows.  ``reduce`` returns an array whose last axis
+    runs over a block's rows, and each T's results are joined along that
+    axis in replication order, whatever the worker count; an error names its
+    T.
     """
-    grid, rows = TimeGrid(T), form.block_rows(T)
+    rows = tuple(form.block_rows(T) for T in T_list)
+    chunk = min(rows[0], -(-reps // n_jobs))
 
-    def one(off):
-        return reduce(*simulate_bm_batch(profile, grid, seed, min(rows, reps - off), off))
+    def one(start):
+        parts = [[] for _ in T_list]
+        replications = range(start, min(start + chunk, reps))
+        for k, x, y in simulate_bm_blocks(profile, T_list, rows, seed, replications):
+            try:
+                parts[k].append(reduce(x, y))
+            except Exception as exc:
+                exc.args = (f"T={T_list[k]}: {exc}",)
+                raise
+        return parts
 
-    offsets = range(0, reps, rows)
+    starts = range(0, reps, chunk)
     if n_jobs == 1:
-        parts = [one(off) for off in offsets]
+        chunks = [one(start) for start in starts]
     else:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            parts = list(pool.map(one, offsets))
-    return np.concatenate(parts, axis=-1)
+            chunks = list(pool.map(one, starts))
+    return [np.concatenate([part for c in chunks for part in c[k]], axis=-1)
+            for k in range(len(T_list))]
 
 
-def _replicates(config: ExperimentConfig, T: int):
-    """Per-replication (gamma, sigma_a_sq, sigma_b_sq) arrays at t_eval."""
+def _replicates(config: ExperimentConfig) -> list:
+    """Per T of the sweep, per-replication (gamma, sigma_a_sq, sigma_b_sq) at t_eval."""
     def components(x, y):
         return np.stack(config.params.components(x, y, config.t_eval))
 
-    return tuple(_simulate_reduce(config.profile, T, config.master_seed, config.reps,
-                                  components, config.n_jobs))
+    return _simulate_reduce(config.profile, config.T_list, config.master_seed, config.reps,
+                            components, config.n_jobs)
 
 
 def oracle_values(params, profile: CorrelationProfile, t: int, T: int) -> dict:
@@ -243,12 +260,7 @@ def _run_estimator(config: ExperimentConfig) -> McReport:
     params, t = config.params, config.t_eval
     a, b, _ = params.LABELS
     cells, checks = [], []
-    for T in config.T_list:
-        try:
-            g, sa, sb = _replicates(config, T)
-        except Exception as exc:
-            exc.args = (f"T={T}: {exc}",)
-            raise
+    for T, (g, sa, sb) in zip(config.T_list, _replicates(config)):
         valid = (sa > 0) & (sb > 0)
         rho = form.rho_hat(g[valid], sa[valid], sb[valid])
         oracle = oracle_values(params, config.profile, t, T)
@@ -374,8 +386,8 @@ def check_product_moments(profile, t_list, reps: int, seed: int) -> McReport:
     profile = build_profile(profile, TimeGrid(T))
     rho = profile.rho(T)
     cols = np.array(t_list) - 1
-    products = _simulate_reduce(profile, T, seed, reps,
-                                lambda x, y: (x[:, cols] * y[:, cols]).T)
+    products, = _simulate_reduce(profile, (T,), seed, reps,
+                                 lambda x, y: (x[:, cols] * y[:, cols]).T)
     cells, checks = [], []
     for t, z in zip(t_list, products):
         mc = _stats(z)

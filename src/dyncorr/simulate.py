@@ -1,11 +1,24 @@
 """Correlated path-pair generation on the integer grid.
 
 RNG policy: every path pair is drawn from a Philox counter-based bit
-generator seeded through ``numpy.random.SeedSequence``.  Replication ``i``
-of a run with master seed ``s`` uses ``SeedSequence(s, spawn_key=(i,))``,
-so serial and parallel sweeps produce identical streams.  Gaussians come
-from ``Generator.standard_normal`` (numpy's ziggurat); given the pinned
-generator this is bitwise reproducible per platform.
+generator keyed as ``numpy.random.SeedSequence`` keys it.  Replication ``i``
+of a run with master seed ``s`` uses the stream of
+``Philox(SeedSequence(s, spawn_key=(i,)))``, so serial and parallel sweeps
+produce identical streams.  The key is derived here, in one place
+(:func:`_philox_keys`): the seed's part of SeedSequence's hash mix once per
+seed, then each replication's words, vectorised over a chunk of
+replications; a chunk sets its keys in turn on one reused ``Philox`` through
+its ``state``.  Gaussians come from ``Generator.standard_normal`` (numpy's
+ziggurat); given the pinned generator this is bitwise reproducible per
+platform.
+
+A pair of length ``T`` is made from the first ``2T`` normals of its stream:
+x is the cumulative sum of the first ``T``, y is coupled to it through the
+next ``T``.  The normals are drawn in order, so the first ``2T`` of a longer
+draw are the same numbers.  One row generator, :func:`simulate_bm_blocks`,
+makes the pairs of several lengths from one draw of ``2 max(T)`` normals
+per replication: the harness sweeps its ``T_list`` with it, and
+:func:`simulate_bm_batch` is its one-length case.
 """
 
 from __future__ import annotations
@@ -80,8 +93,8 @@ def frozen_cache(build):
     its result read-only: the result itself, or each member of a tuple result.
 
     The one cache of the package's t-independent builds (lag tables, weights,
-    oracle rows, the GBM grid, the increment coupling), which every row block
-    and curve point shares, so no caller can write into another's entry.  The
+    oracle rows, the GBM grid, the increment coupling, a seed's part of the
+    stream keys), which every row block and curve point shares, so no caller can write into another's entry.  The
     cache is outermost: a hit returns the entry without entering the wrapper,
     and ``cache_clear`` works as on any ``lru_cache``.
     """
@@ -144,18 +157,104 @@ class GbmPathPair:
         return self.w, self.u
 
 
+# SeedSequence's hash constants (numpy.random.bit_generator): the mix of the
+# entropy words and of the pool into the generated state.
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+
+
+def _words(n: int) -> int:
+    """Number of 32-bit words SeedSequence reads from the integer ``n >= 0``."""
+    return max(1, -(-n.bit_length() // 32))
+
+
+@frozen_cache
+def _seed_pool(seed: int):
+    """The seed's part of the hash mix: the pool of ``SeedSequence(seed)`` and
+    the mixing constant after it.
+
+    With a spawn key, SeedSequence pads the seed's words to the pool size with
+    zeros, which mix as the pool's missing words do, and mixes the key's words
+    after them; so this pool is where every replication of ``seed`` starts.
+    """
+    mixes = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, _words(seed) - _POOL_SIZE)
+    return np.random.SeedSequence(seed).pool, _INIT_A * pow(_MULT_A, mixes, 1 << 32) & _MASK
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int):
+    """SeedSequence's hash of the uint32 array ``value`` at the constant
+    ``const``, and the constant after it."""
+    const, old = const * mult & _MASK, const
+    value = (value ^ np.uint32(old)) * np.uint32(const)
+    return value ^ (value >> np.uint32(16)), const
+
+
+def _philox_keys(seed: int, replications: range) -> np.ndarray:
+    """``(n, 2)`` uint64 Philox keys of ``replications`` under ``seed``:
+    ``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``.
+
+    The package's one key derivation.  The replications are mixed together
+    in uint32 arithmetic, a run of equal word counts at a time.
+    """
+    pool, const = _seed_pool(seed)
+    keys = np.empty((len(replications), 2), dtype=np.uint64)
+    start = 0
+    while start < len(replications):
+        first = replications[start]
+        n_words = _words(first)
+        stop = min(len(replications), start + (1 << 32 * n_words) - first)
+        group = replications[start:stop]
+        mixer = np.repeat(pool[:, None], len(group), axis=1)
+        c = const
+        for j in range(n_words):
+            word = np.array([(i >> 32 * j) & _MASK for i in group], dtype=np.uint32)
+            for dst in mixer:
+                hashed, c = _hashmix(word, c, _MULT_A)
+                mixed = _MIX_L * dst - _MIX_R * hashed
+                dst[...] = mixed ^ (mixed >> np.uint32(16))
+        c, state = _INIT_B, []
+        for src in mixer:   # generate_state(2, np.uint64): four words, two keys
+            hashed, c = _hashmix(src, c, _MULT_B)
+            state.append(hashed.astype(np.uint64))
+        keys[start:stop, 0] = state[0] | state[1] << np.uint64(32)
+        keys[start:stop, 1] = state[2] | state[3] << np.uint64(32)
+        start = stop
+    return keys
+
+
+def _streams(seed: int, replications: range):
+    """Yield, for each of ``replications`` in turn, a generator at the start of
+    its stream (see the module docstring).
+
+    The one stream maker of the package: every yield is the same
+    ``Generator``, over one ``Philox`` whose key is set through its ``state``
+    (counter 0, empty buffer), so a caller draws from one stream before it
+    asks for the next.  A negative seed or replication raises
+    :class:`DomainError`.
+    """
+    if seed < 0 or replications.start < 0:
+        raise DomainError("seed and replication must be >= 0, got "
+                          f"seed={seed!r}, replication={replications.start!r}")
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    state = bits.state
+    for key in _philox_keys(seed, replications):
+        state["state"]["key"] = key
+        bits.state = state
+        yield rng
+
+
 def replication_rng(master_seed: int, replication: int = 0) -> np.random.Generator:
     """Deterministic per-replication generator (see module docstring).
 
-    Every stream is made here, so a seed or replication that is not an
-    integer, or is negative, raises :class:`DomainError` here too."""
+    A seed or replication that is not an integer, or is negative, raises
+    :class:`DomainError`."""
     master_seed = check_integer("seed", master_seed)
     replication = check_integer("replication", replication)
-    if master_seed < 0 or replication < 0:
-        raise DomainError("seed and replication must be >= 0, got "
-                          f"seed={master_seed!r}, replication={replication!r}")
-    ss = np.random.SeedSequence(master_seed, spawn_key=(replication,))
-    return np.random.Generator(np.random.Philox(ss))
+    return next(_streams(master_seed, range(replication, replication + 1)))
 
 
 @frozen_cache
@@ -183,26 +282,55 @@ def simulate_bm_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack ``reps`` independent pairs into (reps, T) arrays by increment coupling.
 
-    Row ``i`` draws only from ``replication_rng(seed, rep_offset + i)``, so it
-    is bitwise the same in a batch of any size or offset: chunked and parallel
-    sweeps agree with serial ones, and :func:`simulate_bm_pair` is a one-row
-    batch.
+    Row ``i`` draws only from replication ``rep_offset + i``'s stream, so it
+    is bitwise the same in a batch of any size or offset, and at the same
+    length of any sweep: chunked and parallel sweeps agree with serial ones,
+    and :func:`simulate_bm_pair` is a one-row batch.  It is the one-length,
+    one-block case of :func:`simulate_bm_blocks`.
     """
     reps, seed = check_integer("reps", reps, 0), check_integer("seed", seed)
     rep_offset = check_integer("rep_offset", rep_offset, 0)
-    r, r_perp = _coupling(profile, grid.T)
-    z = np.empty((2, grid.T))   # one row's normals, reused
-    x = np.empty((reps, grid.T))
-    y = np.empty((reps, grid.T))
-    for i in range(reps):
-        replication_rng(seed, rep_offset + i).standard_normal(out=z)
-        np.cumsum(z[0], out=x[i])
-        # dy = r dx + r_perp z1; r = 1 gives dy identical to dx bitwise (the r_perp term is 0)
-        z[0] *= r
-        z[1] *= r_perp
-        z[1] += z[0]
-        np.cumsum(z[1], out=y[i])
-    return x, y
+    for _, x, y in simulate_bm_blocks(profile, (grid.T,), (reps,), seed,
+                                      range(rep_offset, rep_offset + reps)):
+        return x, y
+    return np.empty((0, grid.T)), np.empty((0, grid.T))
+
+
+def simulate_bm_blocks(profile: CorrelationProfile, lengths: tuple, rows: tuple, seed: int,
+                       replications: range):
+    """Yield ``(k, x, y)``: the ``(n, lengths[k])`` pairs of the next block of at
+    most ``rows[k]`` consecutive ``replications`` at length ``lengths[k]``.
+
+    The one row generator of the package (see the module docstring), for
+    checked arguments; ``lengths`` ascend.  Each replication opens its stream
+    once and draws ``2 max(lengths)`` normals into one buffer; at each length
+    ``T`` its x is the cumulative sum of the first ``T`` and its y is coupled
+    through the next ``T``.  A block is yielded as soon as its last row is
+    written and is not held after that, so each length's blocks come in
+    replication order.
+    """
+    couplings = [_coupling(profile, T) for T in lengths]
+    z = np.empty(2 * lengths[-1])           # one replication's normals, reused
+    dz = np.empty((2, lengths[-1]))         # its coupled y increments
+    n = len(replications)
+    blocks = [None] * len(lengths)
+    for j, rng in enumerate(_streams(seed, replications)):
+        rng.standard_normal(out=z)
+        for k, T in enumerate(lengths):
+            (r, r_perp), i = couplings[k], j % rows[k]
+            if not i:
+                size = min(rows[k], n - j)
+                blocks[k] = np.empty((size, T)), np.empty((size, T))
+            x, y = blocks[k]
+            np.cumsum(z[:T], out=x[i])
+            # dy = r dx + r_perp z1; r = 1 gives dy identical to dx bitwise (the r_perp term is 0)
+            np.multiply(z[:T], r, out=dz[0, :T])
+            np.multiply(z[T:2 * T], r_perp, out=dz[1, :T])
+            dz[1, :T] += dz[0, :T]
+            np.cumsum(dz[1, :T], out=y[i])
+            if i + 1 == len(x):
+                blocks[k] = None
+                yield k, x, y
 
 
 def simulate_gbm_pair(bm: BmPathPair, sigma: float) -> GbmPathPair:

@@ -107,9 +107,16 @@ def vg_pdf(x: float, params: VgParams) -> float:
     # difference of two large terms; it is formed as -dev / (|theta| + root)
     tilt_z = dev * tilt_decay if tilt > 0.0 else tilt - z
     # below the normal range z keeps only a few bits: the sum and nu log z take
-    # it 2^128 larger, formed from dev exactly
-    shift = _SUBNORMAL_SHIFT if z < _TINY else 0
-    z_scaled = scale * math.ldexp(dev, shift) if shift else z
+    # it 2^128 larger, formed from dev exactly; where scale is below 2^-75 that
+    # can still underflow, and an even shift sized from scale carries it
+    z_scaled, shift = z, 0
+    if z < _TINY:
+        shift = _SUBNORMAL_SHIFT
+        z_scaled = scale * math.ldexp(dev, shift)
+        if z_scaled < _TINY:
+            # scale >= 2^(e - 1) and dev >= 2^-1074, so z 2^shift >= 2^-1021
+            shift = (55 - math.frexp(scale)[1]) & ~1
+            z_scaled = scale * math.ldexp(dev, shift)
     # the tilt e^{theta dev / sigma^2} and the Bessel decay e^{-root dev /
     # sigma^2} cancel in the tails but overflow alone, so K is e^-z times e^z K
     if nu:

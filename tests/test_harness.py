@@ -37,7 +37,7 @@ from dyncorr import (
     simulate_bm_batch,
     simulate_gbm_pair,
 )
-from dyncorr import harness
+from dyncorr import harness, simulate
 from dyncorr.form import _BLOCK_ELEMENTS
 
 BM_PARAMS = BmEstimatorParams(0.5, 1.0)
@@ -192,7 +192,7 @@ class TestDeterminism:
         assert report_key(a) == report_key(b)
 
     def test_threads_do_not_change_statistics(self):
-        # T = 20000 takes three rows per block: 17 blocks for the threads
+        # chunks of at most ceil(50 / n_jobs) replications: 3 or 4 for the threads
         def key(n_jobs):
             return report_key(run_experiment(
                 small_config(T_list=(100, 20000), n_jobs=n_jobs)
@@ -214,29 +214,72 @@ class TestDeterminism:
 
 class TestBlocks:
     def test_every_simulation_holds_one_block(self, monkeypatch):
-        calls = []
+        # one sweep opens each replication's stream once, for every T, and
+        # hands each T's pairs to the reduction in blocks within _BLOCK_ELEMENTS
+        opened, blocks = [], []
+        streams, make_blocks = simulate._streams, harness.simulate_bm_blocks
 
-        def recording(profile, grid, seed, reps, rep_offset=0):
-            calls.append((reps, grid.T))
-            return simulate_bm_batch(profile, grid, seed, reps, rep_offset)
+        def recording_streams(seed, replications):
+            opened.extend(replications)
+            return streams(seed, replications)
 
-        monkeypatch.setattr(harness, "simulate_bm_batch", recording)
+        def recording_blocks(*args):
+            for k, x, y in make_blocks(*args):
+                blocks.append(x.shape)
+                yield k, x, y
+
+        monkeypatch.setattr(simulate, "_streams", recording_streams)
+        monkeypatch.setattr(harness, "simulate_bm_blocks", recording_blocks)
         t_list = (100, 20000)
-        for config in (
-            small_config(T_list=t_list, reps=20),
-            small_config(experiment="gbm_consistency_v2", T_list=t_list, t_eval=5,
-                         reps=20, params=GbmEstimatorParams(1, 16, 2, 0.1, "v2")),
-            small_config(experiment="moment_checks", T_list=t_list, reps=20,
-                         params=None),
+        for config, lengths in (
+            (small_config(T_list=t_list, reps=20), t_list),
+            (small_config(experiment="gbm_consistency_v2", T_list=t_list, t_eval=5,
+                          reps=20, params=GbmEstimatorParams(1, 16, 2, 0.1, "v2")), t_list),
+            (small_config(experiment="moment_checks", T_list=t_list, reps=20,
+                          params=None), (20000,)),
         ):
-            calls.clear()
+            opened.clear()
+            blocks.clear()
             run_experiment(config)
-            # the calls cover every replication at each simulated T
+            assert sorted(opened) == list(range(20))
+            # the blocks cover every replication at each simulated T
             by_T = {}
-            for n, T in calls:
+            for n, T in blocks:
                 by_T[T] = by_T.get(T, 0) + n
-            assert by_T[20000] == 20 and set(by_T.values()) == {20}
-            assert all(n == 1 or n * T <= _BLOCK_ELEMENTS for n, T in calls)
+            assert by_T == dict.fromkeys(lengths, 20)
+            assert all(n == 1 or n * T <= _BLOCK_ELEMENTS for n, T in blocks)
+
+
+SWEEP_PARAMS = {
+    "bm_consistency": BM_PARAMS,
+    "gbm_consistency_v1": GbmEstimatorParams(1, 12, 2, 0.1, "v1"),
+    "gbm_consistency_v2": GbmEstimatorParams(1, 16, 2, 0.1, "v2"),
+}
+
+
+class TestSweep:
+    # one draw of 2 * 150 normals per replication makes its pairs at every T;
+    # y's normals at T = 100 (101..200) straddle the two halves of that draw
+    @pytest.mark.parametrize("n_jobs", [1, 3])
+    @pytest.mark.parametrize("experiment", list(SWEEP_PARAMS))
+    def test_each_length_is_its_own_batch(self, experiment, n_jobs):
+        params, reps = SWEEP_PARAMS[experiment], 700
+        config = small_config(experiment=experiment, T_list=(60, 100, 150), t_eval=5,
+                              reps=reps, params=params, master_seed=11, n_jobs=n_jobs)
+        for T, got in zip(config.T_list, harness._replicates(config)):
+            x, y = simulate_bm_batch(config.profile, TimeGrid(T), 11, reps)
+            want = params.components(x, y, config.t_eval)
+            assert got.shape == (3, reps)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    def test_products_are_the_batch_products(self):
+        profile = build_profile("capped:0.5,10", TimeGrid(40))
+        report = check_product_moments(profile, (3, 40), 500, 5)
+        x, y = simulate_bm_batch(profile, TimeGrid(40), 5, 500)
+        for cell, t in zip(report.cells, (3, 40)):
+            want = x[:, t - 1] * y[:, t - 1]
+            assert cell["product_mean"]["mean"] == float(want.mean())
 
 
 class TestExperiments:

@@ -179,6 +179,36 @@ class TestIndexAndRng:
         assert np.array_equal(a, b)
 
 
+# seeds and replications across the 32-bit word boundaries SeedSequence splits
+# integers at, with multi-word seeds (2^70 + 3: three words; 2^130 + 7: five,
+# more than the pool) and replications (2^64 + 1: three words)
+_RNG = np.random.default_rng(25)
+KEY_SEEDS = [0, 2**32 - 1, 2**32, 2**70 + 3, 2**130 + 7,
+             *map(int, _RNG.integers(0, 2**63, 3))]
+KEY_REPLICATIONS = [0, 2**32 - 1, 2**32, 2**64 + 1, *map(int, _RNG.integers(0, 2**40, 2))]
+
+
+class TestKeys:
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_keys_are_seedsequence_states(self, seed):
+        # each chunk is three replications: 2^32 - 1 .. 2^32 + 1 crosses from one
+        # word to two within a chunk
+        for first in KEY_REPLICATIONS:
+            got = simulate._philox_keys(seed, range(first, first + 3))
+            want = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+                    for i in range(first, first + 3)]
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS[:5])
+    def test_first_normals_are_the_replications_streams(self, seed):
+        for first in KEY_REPLICATIONS:
+            x, _ = simulate_bm_batch(CONST_HALF, TimeGrid(3), seed, 2, first)
+            for i, row in enumerate(x):
+                spawn = np.random.SeedSequence(seed, spawn_key=(first + i,))
+                want = np.random.Generator(np.random.Philox(spawn)).standard_normal()
+                assert row[0] == replication_rng(seed, first + i).standard_normal() == want
+
+
 PAIR = simulate_bm_pair(CONST_HALF, TimeGrid(60), 3)
 
 # every t-independent build of the package, each through simulate.frozen_cache
@@ -195,6 +225,7 @@ FROZEN_BUILDS = {
     "grid_v1": lambda: gbm._grid(60, GbmEstimatorParams(1.0, 12.0, 2.0, 0.1, "v1")),
     "grid_v2": lambda: gbm._grid(60, GbmEstimatorParams(1.0, 16.0, 2.0, 0.1, "v2")),
     "coupling": lambda: simulate._coupling(CONST_HALF, 60),
+    "seed_pool": lambda: simulate._seed_pool(2**70 + 3),
 }
 
 

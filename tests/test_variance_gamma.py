@@ -243,6 +243,14 @@ class TestDensity:
         want = _mp_density(x, r, theta, sigma, 40)
         assert vg_pdf(x, VgParams(r, theta, sigma, 0.0)) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("x", [1e-300, 5e-324])
+    def test_tiny_scale_next_to_the_location_matches_mpmath(self, x, r):
+        # root / sigma^2 = 1e-150: z = 1e-150 |x| stays below the normal range
+        # even 2^128 larger, which raised DomainError (bessel_k at x = 0.0)
+        want = _mp_density(x, r, 0.0, 1e150, 40)
+        assert vg_pdf(x, VgParams(r, 0.0, 1e150, 0.0)) == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("sigma", [1e-3, 1e-6, 1e-8])
     @pytest.mark.parametrize("x, r, theta", [
         (1.0, 1.0, 0.3), (3.0, 1.0, 0.3), (-1.0, 1.0, -0.3), (1.0, 2.0, 0.3), (1.0, 3.5, 0.3),
