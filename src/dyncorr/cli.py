@@ -344,6 +344,19 @@ def experiment():
     """Seeded Monte Carlo experiment runs."""
 
 
+# the [experiment] keys as configparser reads them, lowercased; chunk_size is
+# the removed option's key, which older configs still carry, and is ignored
+_EXPERIMENT_KEYS = ("profile", "t_list", "t_eval", "reps", "seed", "n_jobs", "chunk_size")
+
+
+def _check_keys(path: str, section: str, keys, known) -> None:
+    """Exit 1 naming every key of ``section`` that is not in ``known``, which
+    would otherwise be dropped without a word."""
+    unknown = ", ".join(repr(key) for key in keys if key not in known)
+    if unknown:
+        raise click.ClickException(f"{path}: unknown [{section}] key(s) {unknown}")
+
+
 def _parse_experiment_config(name: str, path: str, seed: int | None) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     with open(path) as handle:
@@ -351,6 +364,7 @@ def _parse_experiment_config(name: str, path: str, seed: int | None) -> Experime
     if "experiment" not in parser:
         raise click.ClickException(f"{path}: missing [experiment] section")
     sec = parser["experiment"]
+    _check_keys(path, "experiment", sec, _EXPERIMENT_KEYS)
     try:
         t_list = tuple(int(v) for v in sec["T_list"].split(","))
         kwargs = dict(
@@ -370,6 +384,7 @@ def _parse_experiment_config(name: str, path: str, seed: int | None) -> Experime
         # experiment names, if any, before its default
         cls, variant = ESTIMATOR_EXPERIMENTS[name]
         params_sec = parser["params"] if "params" in parser else {}
+        _check_keys(path, "params", params_sec, [f.name for f in dataclasses.fields(cls)])
         try:
             kwargs["params"] = cls(**{
                 f.name: (float(params_sec[f.name]) if f.default is dataclasses.MISSING

@@ -382,7 +382,7 @@ def _expected(profile, t: int, params: GbmEstimatorParams, T: int):
     if params.variant == "v2" and params.b <= 2:
         warnings.warn(f"b = {params.b} <= 2: the step-product expectation series "
                       "grows with T instead of converging",
-                      NonconvergentSeriesWarning, stacklevel=4)   # past _quiet
+                      NonconvergentSeriesWarning, stacklevel=4)   # past form.quiet and oracle
     # one row per correlation: the profile's, then 1 for the variance
     rows = np.ones((2, T))
     rows[0] = r

@@ -92,7 +92,7 @@ class CorrelationProfile:
             raise DomainError(f"table profile has {len(self.table)} values, {T} requested")
         else:
             values = np.asarray(self.table[:T], dtype=float)
-        _validate(values)
+        _check_unit(values, ProfileOutOfRange)
         return values
 
     def increments(self, T: int) -> np.ndarray:
@@ -110,21 +110,16 @@ def _increments(rho: np.ndarray) -> np.ndarray:
     t = np.arange(1, len(rho) + 1, dtype=float)
     gamma = t * rho  # cumulative covariance t * rho_t, with rho_0 := 0
     r = np.diff(gamma, prepend=0.0)
-    bad = np.nonzero(np.abs(r) > 1.0 + _EDGE_TOL)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise IncrementInfeasible(i + 1, float(r[i]))
+    _check_unit(r, IncrementInfeasible)
     return np.clip(r, -1.0, 1.0)
 
 
-def _validate(rho: np.ndarray) -> None:
-    if not np.all(np.isfinite(rho)):
-        i = int(np.nonzero(~np.isfinite(rho))[0][0])
-        raise ProfileOutOfRange(i + 1, float(rho[i]))
-    bad = np.nonzero(np.abs(rho) > 1.0 + _EDGE_TOL)[0]
+def _check_unit(values: np.ndarray, error) -> None:
+    """Raise ``error(i, value)`` at the first 1-based ``i`` whose value is not
+    in [-1, 1] up to rounding, a NaN included."""
+    bad = np.flatnonzero(~(np.abs(values) <= 1.0 + _EDGE_TOL))
     if bad.size:
-        i = int(bad[0])
-        raise ProfileOutOfRange(i + 1, float(rho[i]))
+        raise error(int(bad[0]) + 1, float(values[bad[0]]))
 
 
 def build_profile(spec: CorrelationProfile | str, grid: TimeGrid) -> CorrelationProfile:

@@ -1,14 +1,13 @@
 """Correlated path-pair generation on the integer grid.
 
 RNG policy: every path pair is drawn from a Philox counter-based bit
-generator keyed as ``numpy.random.SeedSequence`` keys it.  Replication ``i``
-of a run with master seed ``s`` uses the stream of
+generator keyed by ``numpy.random.SeedSequence``.  Replication ``i`` of a run
+with master seed ``s`` uses the stream of
 ``Philox(SeedSequence(s, spawn_key=(i,)))``, so serial and parallel sweeps
-produce identical streams.  The key is derived here, in one place
-(:func:`_philox_keys`): the seed's part of SeedSequence's hash mix once per
-seed, then each replication's words, vectorised over a chunk of
-replications; a chunk sets its keys in turn on one reused ``Philox`` through
-its ``state``.  Gaussians come from ``Generator.standard_normal`` (numpy's
+produce identical streams.  One stream maker, :func:`_streams`, sets each
+replication's key, ``SeedSequence(s, spawn_key=(i,)).generate_state(2,
+np.uint64)``, in turn on one reused ``Philox`` through its ``state``.
+Gaussians come from ``Generator.standard_normal`` (numpy's
 ziggurat); given the pinned generator this is bitwise reproducible per
 platform.
 
@@ -93,8 +92,8 @@ def frozen_cache(build):
     its result read-only: the result itself, or each member of a tuple result.
 
     The one cache of the package's t-independent builds (lag tables, weights,
-    oracle rows, the GBM grid, the increment coupling, a seed's part of the
-    stream keys), which every row block and curve point shares, so no caller can write into another's entry.  The
+    oracle rows, the GBM grid, the increment coupling), which every row block
+    and curve point shares, so no caller can write into another's entry.  The
     cache is outermost: a hit returns the entry without entering the wrapper,
     and ``cache_clear`` works as on any ``lru_cache``.
     """
@@ -157,74 +156,6 @@ class GbmPathPair:
         return self.w, self.u
 
 
-# SeedSequence's hash constants (numpy.random.bit_generator): the mix of the
-# entropy words and of the pool into the generated state.
-_MASK = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_POOL_SIZE = 4
-
-
-def _words(n: int) -> int:
-    """Number of 32-bit words SeedSequence reads from the integer ``n >= 0``."""
-    return max(1, -(-n.bit_length() // 32))
-
-
-@frozen_cache
-def _seed_pool(seed: int):
-    """The seed's part of the hash mix: the pool of ``SeedSequence(seed)`` and
-    the mixing constant after it.
-
-    With a spawn key, SeedSequence pads the seed's words to the pool size with
-    zeros, which mix as the pool's missing words do, and mixes the key's words
-    after them; so this pool is where every replication of ``seed`` starts.
-    """
-    mixes = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, _words(seed) - _POOL_SIZE)
-    return np.random.SeedSequence(seed).pool, _INIT_A * pow(_MULT_A, mixes, 1 << 32) & _MASK
-
-
-def _hashmix(value: np.ndarray, const: int, mult: int):
-    """SeedSequence's hash of the uint32 array ``value`` at the constant
-    ``const``, and the constant after it."""
-    const, old = const * mult & _MASK, const
-    value = (value ^ np.uint32(old)) * np.uint32(const)
-    return value ^ (value >> np.uint32(16)), const
-
-
-def _philox_keys(seed: int, replications: range) -> np.ndarray:
-    """``(n, 2)`` uint64 Philox keys of ``replications`` under ``seed``:
-    ``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``.
-
-    The package's one key derivation.  The replications are mixed together
-    in uint32 arithmetic, a run of equal word counts at a time.
-    """
-    pool, const = _seed_pool(seed)
-    keys = np.empty((len(replications), 2), dtype=np.uint64)
-    start = 0
-    while start < len(replications):
-        first = replications[start]
-        n_words = _words(first)
-        stop = min(len(replications), start + (1 << 32 * n_words) - first)
-        group = replications[start:stop]
-        mixer = np.repeat(pool[:, None], len(group), axis=1)
-        c = const
-        for j in range(n_words):
-            word = np.array([(i >> 32 * j) & _MASK for i in group], dtype=np.uint32)
-            for dst in mixer:
-                hashed, c = _hashmix(word, c, _MULT_A)
-                mixed = _MIX_L * dst - _MIX_R * hashed
-                dst[...] = mixed ^ (mixed >> np.uint32(16))
-        c, state = _INIT_B, []
-        for src in mixer:   # generate_state(2, np.uint64): four words, two keys
-            hashed, c = _hashmix(src, c, _MULT_B)
-            state.append(hashed.astype(np.uint64))
-        keys[start:stop, 0] = state[0] | state[1] << np.uint64(32)
-        keys[start:stop, 1] = state[2] | state[3] << np.uint64(32)
-        start = stop
-    return keys
-
-
 def _streams(seed: int, replications: range):
     """Yield, for each of ``replications`` in turn, a generator at the start of
     its stream (see the module docstring).
@@ -232,16 +163,19 @@ def _streams(seed: int, replications: range):
     The one stream maker of the package: every yield is the same
     ``Generator``, over one ``Philox`` whose key is set through its ``state``
     (counter 0, empty buffer), so a caller draws from one stream before it
-    asks for the next.  A negative seed or replication raises
-    :class:`DomainError`.
+    asks for the next.  A seed that is not an integer, and a negative seed
+    or replication, raise :class:`DomainError`: the one seed rule of every
+    stream.
     """
+    seed = check_integer("seed", seed)
     if seed < 0 or replications.start < 0:
         raise DomainError("seed and replication must be >= 0, got "
                           f"seed={seed!r}, replication={replications.start!r}")
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)
     state = bits.state
-    for key in _philox_keys(seed, replications):
+    for i in replications:
+        key = np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
         state["state"]["key"] = key
         bits.state = state
         yield rng
@@ -252,7 +186,6 @@ def replication_rng(master_seed: int, replication: int = 0) -> np.random.Generat
 
     A seed or replication that is not an integer, or is negative, raises
     :class:`DomainError`."""
-    master_seed = check_integer("seed", master_seed)
     replication = check_integer("replication", replication)
     return next(_streams(master_seed, range(replication, replication + 1)))
 
@@ -288,7 +221,7 @@ def simulate_bm_batch(
     and :func:`simulate_bm_pair` is a one-row batch.  It is the one-length,
     one-block case of :func:`simulate_bm_blocks`.
     """
-    reps, seed = check_integer("reps", reps, 0), check_integer("seed", seed)
+    reps = check_integer("reps", reps, 0)
     rep_offset = check_integer("rep_offset", rep_offset, 0)
     for _, x, y in simulate_bm_blocks(profile, (grid.T,), (reps,), seed,
                                       range(rep_offset, rep_offset + reps)):

@@ -552,6 +552,26 @@ class TestExperimentRun:
             assert "chunk_size" not in manifest["config"]
         assert results["old"] == results["new"]
 
+    # misspelled keys were dropped: rep = 3 and n_job = 2 ran the default 500
+    # replications on one thread, and sigmaa = 3 was never read
+    @pytest.mark.parametrize("name, old, new, message", [
+        ("bm_consistency", "reps = 60\n", "rep = 3\nn_job = 2\n",
+         "unknown [experiment] key(s) 'rep', 'n_job'"),
+        ("bm_consistency", "p = 1\n", "p = 1\nsigmaa = 3\n", "unknown [params] key(s) 'sigmaa'"),
+        ("gbm_consistency_v2", "q = 0.5\np = 1\n", "a = 1\nb = 16\nc = 2\nsigma = 0.1\nq = 1\n",
+         "unknown [params] key(s) 'q'"),
+    ])
+    def test_unknown_keys_exit_naming_key_and_file(self, runner, tmp_path, name, old, new,
+                                                   message):
+        cfg = self.write_config(tmp_path, self.CONFIG.replace(old, new))
+        out = tmp_path / "run"
+        result = runner.invoke(main, ["experiment", "run", "--name", name,
+                                      "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {cfg}: {message}\n" in result.output
+        assert not out.exists()
+
     def test_variant_defaults_to_the_experiments(self, runner, tmp_path):
         # gbm_consistency_v2 without a variant key runs v2, as with the key
         text = ("[experiment]\nprofile = constant:0.5\nT_list = 20,40\nt_eval = 5\n"

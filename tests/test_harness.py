@@ -382,9 +382,15 @@ class TestStandaloneChecks:
             check_exp_abs_bound((sigma,), (1,), 50, 1)
 
     # a fractional seed ended in a bare TypeError from SeedSequence
-    def test_exp_abs_bound_rejects_fractional_seed(self):
-        with pytest.raises(DomainError, match="seed must be an integer, got 1.5"):
-            check_exp_abs_bound((0.5,), (1,), 5, 1.5)
+    # (exp_abs_bound); product moments never checked its seed, and ended in a
+    # bare AttributeError (1.5) or TypeError ('3')
+    @pytest.mark.parametrize("check, first", [(check_exp_abs_bound, (0.5,)),
+                                              (check_product_moments, "constant:0.5")],
+                             ids=["exp_abs_bound", "product_moments"])
+    @pytest.mark.parametrize("seed", [1.5, "3"])
+    def test_checks_reject_non_integer_seed(self, check, first, seed):
+        with pytest.raises(DomainError, match=f"seed must be an integer, got {seed!r}"):
+            check(first, (1,), 5, seed)
 
     # a time that is not an integer was simulated at 1.5 and reported as t = 1
     # (exp_abs_bound) or truncated to 1 (product moments); reps = 5.5 failed in numpy

@@ -189,20 +189,12 @@ KEY_REPLICATIONS = [0, 2**32 - 1, 2**32, 2**64 + 1, *map(int, _RNG.integers(0, 2
 
 
 class TestKeys:
+    # each start takes three replications: 2^32 - 1 .. 2^32 + 1 crosses from one
+    # word to two within a batch
     @pytest.mark.parametrize("seed", KEY_SEEDS)
-    def test_keys_are_seedsequence_states(self, seed):
-        # each chunk is three replications: 2^32 - 1 .. 2^32 + 1 crosses from one
-        # word to two within a chunk
-        for first in KEY_REPLICATIONS:
-            got = simulate._philox_keys(seed, range(first, first + 3))
-            want = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
-                    for i in range(first, first + 3)]
-            np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("seed", KEY_SEEDS[:5])
     def test_first_normals_are_the_replications_streams(self, seed):
         for first in KEY_REPLICATIONS:
-            x, _ = simulate_bm_batch(CONST_HALF, TimeGrid(3), seed, 2, first)
+            x, _ = simulate_bm_batch(CONST_HALF, TimeGrid(3), seed, 3, first)
             for i, row in enumerate(x):
                 spawn = np.random.SeedSequence(seed, spawn_key=(first + i,))
                 want = np.random.Generator(np.random.Philox(spawn)).standard_normal()
@@ -225,7 +217,6 @@ FROZEN_BUILDS = {
     "grid_v1": lambda: gbm._grid(60, GbmEstimatorParams(1.0, 12.0, 2.0, 0.1, "v1")),
     "grid_v2": lambda: gbm._grid(60, GbmEstimatorParams(1.0, 16.0, 2.0, 0.1, "v2")),
     "coupling": lambda: simulate._coupling(CONST_HALF, 60),
-    "seed_pool": lambda: simulate._seed_pool(2**70 + 3),
 }
 
 
