@@ -1,8 +1,9 @@
 """Command-line interface: simulation, estimation, oracles and experiments.
 
-Exit codes: 0 success, 1 runtime or I/O error, 2 usage error, 3 experiment
-assertion failure.  The master seed defaults to the decimal value of the
-``DYNCORR_SEED`` environment variable, falling back to 0.
+Exit codes: 0 success, 1 runtime or I/O error or a failed allocation, 2 usage
+error, 3 experiment assertion failure.  The master seed defaults to the
+decimal value of the ``DYNCORR_SEED`` environment variable, falling back
+to 0.
 
 CSV files and printed numbers use 17 significant digits, so each reads back
 as the same double.  Experiment runs write ``report.json`` and ``curves.csv``
@@ -46,7 +47,8 @@ def _fmt(value: float) -> str:
 
 
 def _runtime_errors(fn):
-    """Map package and I/O errors to exit code 1 with a clean message."""
+    """Map package and I/O errors, and a failed allocation, to exit code 1
+    with a clean message."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -56,6 +58,11 @@ def _runtime_errors(fn):
             # a package error of a command that reads a file names the file
             where = kwargs.get("in_path") if isinstance(exc, DyncorrError) else None
             raise click.ClickException(f"{where}: {exc}" if where else str(exc)) from exc
+        except MemoryError as exc:
+            # numpy's message names the shape it could not allocate; a bare
+            # MemoryError has none
+            message = str(exc) or "allocation failed"
+            raise click.ClickException(f"out of memory: {message}") from exc
 
     return wrapper
 
@@ -378,13 +385,15 @@ def _parse_experiment_config(name: str, path: str, seed: int | None) -> Experime
         )
     except (KeyError, ValueError) as exc:
         raise click.ClickException(f"{path}: bad [experiment] section: {exc}") from exc
-    if name in ESTIMATOR_EXPERIMENTS:
+    # an experiment that takes no params knows no [params] key
+    params_sec = parser["params"] if "params" in parser else {}
+    cls, variant = ESTIMATOR_EXPERIMENTS.get(name, (None, None))
+    known = [f.name for f in dataclasses.fields(cls)] if cls else ()
+    _check_keys(path, "params", params_sec, known)
+    if cls is not None:
         # required fields are numbers; a field with a default (the GBM
         # variant) keeps its text, and falls back to the variant the
         # experiment names, if any, before its default
-        cls, variant = ESTIMATOR_EXPERIMENTS[name]
-        params_sec = parser["params"] if "params" in parser else {}
-        _check_keys(path, "params", params_sec, [f.name for f in dataclasses.fields(cls)])
         try:
             kwargs["params"] = cls(**{
                 f.name: (float(params_sec[f.name]) if f.default is dataclasses.MISSING

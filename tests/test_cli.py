@@ -461,6 +461,29 @@ class TestOracleAndVg:
             0.16992850657617492, 7.313115960296517e-15)]
 
 
+# a failed allocation (numpy raises a MemoryError subclass naming the shape)
+# ended in a traceback; nothing large is allocated here, the callee raises
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,) "
+                 "and data type float64"),
+     "out of memory: Unable to allocate 7.45 GiB for an array with shape (1000000000,) "
+     "and data type float64"),
+    (MemoryError(), "out of memory: allocation failed"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("callee, command", [("vg_pdf", ["pdf", "--x", "1"]),
+                                             ("vg_moments", ["moments"])])
+def test_memory_error_exits_1_with_one_line(runner, monkeypatch, callee, command, exc, message):
+    def fail(*_):
+        raise exc
+
+    monkeypatch.setattr(f"dyncorr.cli.{callee}", fail)
+    result = runner.invoke(main, ["vg", *command, "--r", "1", "--theta", "0", "--sigma", "1",
+                                  "--mu", "0"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {message}\n"
+
+
 class TestOracleRange:
     def test_bm_non_finite_expectation_exits_1(self, runner):
         # v^{2q} overflows for q = 100: an error, not "expected_gamma nan"
@@ -560,6 +583,9 @@ class TestExperimentRun:
         ("bm_consistency", "p = 1\n", "p = 1\nsigmaa = 3\n", "unknown [params] key(s) 'sigmaa'"),
         ("gbm_consistency_v2", "q = 0.5\np = 1\n", "a = 1\nb = 16\nc = 2\nsigma = 0.1\nq = 1\n",
          "unknown [params] key(s) 'q'"),
+        # experiments that take no params: sigma = 3 ran sigma 0.5 and 1.0
+        ("exp_abs_bound", "q = 0.5\np = 1\n", "sigma = 3\n", "unknown [params] key(s) 'sigma'"),
+        ("moment_checks", "q = 0.5\np = 1\n", "q = 1\n", "unknown [params] key(s) 'q'"),
     ])
     def test_unknown_keys_exit_naming_key_and_file(self, runner, tmp_path, name, old, new,
                                                    message):
@@ -703,7 +729,10 @@ class TestExperimentRun:
     # without a profile the run ended in a traceback (AttributeError on None)
     @pytest.mark.parametrize("name", ["bm_consistency", "moment_checks"])
     def test_missing_profile_is_runtime_error(self, runner, tmp_path, name):
-        cfg = self.write_config(tmp_path, self.CONFIG.replace("profile = capped:0.5,10\n", ""))
+        text = self.CONFIG.replace("profile = capped:0.5,10\n", "")
+        if name == "moment_checks":   # which takes no [params] section
+            text = text[:text.index("[params]")]
+        cfg = self.write_config(tmp_path, text)
         result = runner.invoke(main, ["experiment", "run", "--name", name, "--config", str(cfg),
                                       "--out", str(tmp_path / "run")])
         assert result.exit_code == 1

@@ -14,7 +14,6 @@ from dyncorr import (
     PathOverflow,
     TimeGrid,
     bm,
-    form,
     gbm,
     gbm_transform,
     replication_rng,
@@ -201,8 +200,6 @@ class TestKeys:
                 assert row[0] == replication_rng(seed, first + i).standard_normal() == want
 
 
-PAIR = simulate_bm_pair(CONST_HALF, TimeGrid(60), 3)
-
 # every t-independent build of the package, each through simulate.frozen_cache
 FROZEN_BUILDS = {
     "lags": lambda: bm._lags(60),
@@ -210,7 +207,6 @@ FROZEN_BUILDS = {
     "causal_lag_spectrum": lambda: bm._lag_spectrum(60, True),
     "anchor_sums": lambda: bm._anchor_sums(60, 0.5, 1.0),
     "products": lambda: bm._products(60, 0.5, 1.0),
-    "pair_curve": lambda: form._pair_curve(BmEstimatorParams(0.5, 1.0), PAIR),
     "oracle_rows": lambda: bm._oracle_rows(CONST_HALF, 60, 0.5, 1.0),
     "oracle_rows_rho_1": lambda: bm._oracle_rows(None, 60, 0.5, 1.0),
     "oracle_curve": lambda: bm._oracle_curve(CONST_HALF, 60, BmEstimatorParams(0.5, 1.0)),
