@@ -44,14 +44,14 @@ it also pays the block's numpy calls on ``(1,)`` arrays: 32 us at T = 50 and
 43 us at T = 2000 (numpy 2.4.6, one BLAS thread, 2-core VM).
 
 :func:`estimate_bm` reads the pair's whole curve instead
-(:meth:`BmEstimatorParams.curve`, O(T log T) by FFT), built once per
-``(params, pair)`` and held by the pair (``form.curve_point``).  The curve
-is within 2e-12 / 2e-11 / 1e-10 of the term-magnitude sum at T = 2e3 /
-2e4 / 2e5, worst at ``q = 1``.  One point of a fresh pair costs the whole
-curve, against one ``components`` call: 0.35 ms against 0.15 at T = 2000,
-3.7 against 0.2 ms at 1e4 and 50 against 1.4 ms at 1e5 (numpy 2.4.6, one
-BLAS thread, 2-core VM).  So one ``u`` over many pairs belongs in a batch
-``components`` call, as the harness makes.
+(:meth:`BmEstimatorParams.curve`, O(T log T) by FFT), cached per
+``(params, pair)`` by ``form.curve_point``.  The curve is within 2e-12 /
+2e-11 / 1e-10 of the term-magnitude sum at T = 2e3 / 2e4 / 2e5, worst at
+``q = 1``.  One point of a fresh pair costs the whole curve, against one
+``components`` call: 0.35 ms against 0.15 at T = 2000, 3.7 against 0.2 ms
+at 1e4 and 50 against 1.4 ms at 1e5 (numpy 2.4.6, one BLAS thread, 2-core
+VM).  So one ``u`` over many pairs belongs in a batch ``components`` call,
+as the harness makes.
 
 The expectation formulas below are exact under increment coupling
 (``Cov(X_s, Y_t) = min(s, t) * rho_{min(s, t)}``), which is precisely how

@@ -32,11 +32,10 @@ out, measured with numpy 2.4.6 (OpenBLAS 0.3.31) on 2 cores:
 * a BLAS product ``x @ w`` is not, at any T.
 
 The estimates of a pair, ``bm.estimate_bm`` and ``gbm.estimate_gbm``, read
-the pair's whole ``params.curve``, built once per ``(params, pair)`` and held
-by the pair itself, so it lives exactly as long as the pair and any number
-of pairs can be interleaved.  Each point is then three Python floats read
-through memoryviews of the curve's read-only columns (:func:`curve_point`),
-and a point whose curve entry is not finite comes from ``params.components``.
+the pair's whole ``params.curve``, built once per ``(params, pair)`` and
+cached.  Each point is then three Python floats read through memoryviews of
+the curve's read-only columns (:func:`curve_point`), and a point whose curve
+entry is not finite comes from ``params.components``.
 
 Every correlation ratio, of the estimates, of the ``rho_hat_*`` views and of
 the harness's replications, is :func:`rho_hat`,
@@ -53,7 +52,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateVariance, DomainError, NumericRange
-from .simulate import check_index
+from .simulate import check_index, frozen_cache
 
 # The package's one numpy error state: every reduction, curve and oracle of
 # both families runs under it.  Out-of-range sums, and the empty sum over
@@ -189,34 +188,39 @@ def rho_hat(gamma, var_a, var_b):
     return gamma / sqrt(var_a) / sqrt(var_b)
 
 
-def curve_point(params, pair, t: int) -> tuple:
-    """``(gamma, var_a, var_b)`` of ``pair`` at ``t`` as Python floats: the
-    pair's curve, or ``params.components`` where the curve is not finite,
-    which returns the value or raises :class:`NumericRange`.
-
-    The estimate views of both families.  The pair holds its curves
-    (``pair._curves``, from params to curve): a missing one is built here
-    with ``params.curve``, and each column is kept as a read-only float64
-    copy read through a ``memoryview``, whose items are Python floats.  One
-    point of a fresh pair costs its whole curve; single-point work over many
-    pairs belongs in a batch ``components`` call.
-    """
-    t = check_index(t, pair.paths[0].shape[-1])
-    curve = pair._curves.get(params)
-    if curve is None:
-        columns = tuple(map(_float_column, params.curve(*pair.paths)))
-        curve = pair._curves.setdefault(params, columns)
-    g, va, vb = curve[0][t - 1], curve[1][t - 1], curve[2][t - 1]
-    if math.isfinite(g) and math.isfinite(va) and math.isfinite(vb):
-        return g, va, vb
-    return params.components(*pair.paths, t)
-
-
 def _float_column(values) -> memoryview:
     """A read-only float64 copy of ``values``, as a memoryview of its items."""
     column = np.array(values, dtype=float)
     column.setflags(write=False)
     return memoryview(column)
+
+
+@frozen_cache
+def _pair_curve(params, pair):
+    """``params.curve`` over the pair's paths, as three read-only memoryview
+    columns, whose items are Python floats.
+
+    Built once per ``(params, pair)``: pairs hash by identity and hold
+    read-only arrays, so an entry cannot go stale.
+    """
+    return tuple(map(_float_column, params.curve(*pair.paths)))
+
+
+def curve_point(params, pair, t: int) -> tuple:
+    """``(gamma, var_a, var_b)`` of ``pair`` at ``t`` as Python floats: the
+    pair's cached curve, or ``params.components`` where the curve is not
+    finite, which returns the value or raises :class:`NumericRange`.
+
+    The estimate views of both families.  One point of a fresh pair costs
+    its whole curve; single-point work over many pairs belongs in a batch
+    ``components`` call.
+    """
+    t = check_index(t, pair.paths[0].shape[-1])
+    gamma, var_a, var_b = _pair_curve(params, pair)
+    g, va, vb = gamma[t - 1], var_a[t - 1], var_b[t - 1]
+    if math.isfinite(g) and math.isfinite(va) and math.isfinite(vb):
+        return g, va, vb
+    return params.components(*pair.paths, t)
 
 
 def finite_moments(moments: list, t: int):

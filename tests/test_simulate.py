@@ -14,6 +14,7 @@ from dyncorr import (
     PathOverflow,
     TimeGrid,
     bm,
+    form,
     gbm,
     gbm_transform,
     replication_rng,
@@ -200,6 +201,8 @@ class TestKeys:
                 assert row[0] == replication_rng(seed, first + i).standard_normal() == want
 
 
+PAIR = simulate_bm_pair(CONST_HALF, TimeGrid(60), 3)
+
 # every t-independent build of the package, each through simulate.frozen_cache
 FROZEN_BUILDS = {
     "lags": lambda: bm._lags(60),
@@ -207,6 +210,7 @@ FROZEN_BUILDS = {
     "causal_lag_spectrum": lambda: bm._lag_spectrum(60, True),
     "anchor_sums": lambda: bm._anchor_sums(60, 0.5, 1.0),
     "products": lambda: bm._products(60, 0.5, 1.0),
+    "pair_curve": lambda: form._pair_curve(BmEstimatorParams(0.5, 1.0), PAIR),
     "oracle_rows": lambda: bm._oracle_rows(CONST_HALF, 60, 0.5, 1.0),
     "oracle_rows_rho_1": lambda: bm._oracle_rows(None, 60, 0.5, 1.0),
     "oracle_curve": lambda: bm._oracle_curve(CONST_HALF, 60, BmEstimatorParams(0.5, 1.0)),
@@ -221,11 +225,16 @@ class TestFrozenCache:
     def test_every_build_is_read_only_and_shared(self, build):
         first = build()
         arrays = [v for v in (first if isinstance(first, tuple) else (first,))
-                  if isinstance(v, np.ndarray)]
+                  if isinstance(v, (np.ndarray, memoryview))]
         assert arrays
         for arr in arrays:
+            # a memoryview member (the pair curve's columns) views a read-only array
             with pytest.raises(ValueError):
-                arr[...] = 0.0
+                np.asarray(arr)[...] = 0.0
+            if isinstance(arr, memoryview):
+                assert arr.readonly
+                with pytest.raises(TypeError):
+                    arr[0] = 0.0
         assert build() is first
 
     def test_hits_skip_the_build_and_cache_clear_resets(self):
