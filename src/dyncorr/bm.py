@@ -109,6 +109,13 @@ class BmEstimatorParams:
         check_finite(q=self.q, p=self.p)
         if not (self.q >= 0 and self.p >= 0):
             raise DomainError(f"q and p must be >= 0, got q={self.q}, p={self.p}")
+        # hashed once, as CorrelationProfile: every curve and oracle cache lookup
+        # hashes its params.  Numbers hash the same in every process, so a pickled
+        # copy stays valid.
+        object.__setattr__(self, "_hash", hash((self.q, self.p)))
+
+    def __hash__(self):
+        return self._hash
 
     def in_consistency_range(self) -> bool:
         """Range in which the estimator is weakly consistent (p > q = 1/2)."""

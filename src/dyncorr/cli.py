@@ -20,6 +20,7 @@ import datetime
 import functools
 import hashlib
 import json
+import operator
 import os
 from pathlib import Path
 
@@ -212,12 +213,16 @@ def _times(values, T: int) -> list:
     return [t for v in values for t in (range(1, T + 1) if v == "all" else (v,))]
 
 
-def _write_estimates(out, header: str, estimate, pair, times: list, params) -> None:
+def _write_estimates(out, header: str, estimate, series: type, pair, times: list,
+                     params) -> None:
     """The header and one CSV line per time: the time, then each field of
-    ``estimate(pair, t, params)`` in order, the GBM flags joined by ``;``."""
+    ``estimate(pair, t, params)``, a ``series`` instance, in order, the GBM
+    flags joined by ``;``.  The fields are read by name (``astuple`` would
+    deep-copy every field of every row)."""
+    values = operator.attrgetter(*(f.name for f in dataclasses.fields(series)))
     lines = [header] + [
         ",".join([str(t), *(";".join(v) if isinstance(v, tuple) else _fmt(v)
-                            for v in dataclasses.astuple(estimate(pair, t, params)))])
+                            for v in values(estimate(pair, t, params)))])
         for t in times]
     Path(out).write_text("\n".join(lines) + "\n")
     click.echo(f"wrote {out} ({len(times)} row(s))")
@@ -244,8 +249,8 @@ def estimate_bm_cmd(q, p, u_list, in_path, out):
     if not params.in_consistency_range():
         click.echo(f"note: (q={q}, p={p}) lies outside the consistency range", err=True)
     pair = BmPathPair(cols["x"], cols["y"])
-    _write_estimates(out, "u,gamma_hat,sigma_x_sq,sigma_y_sq,rho_hat", bm.estimate_bm, pair,
-                     _times(u_list, len(pair.x)), params)
+    _write_estimates(out, "u,gamma_hat,sigma_x_sq,sigma_y_sq,rho_hat", bm.estimate_bm,
+                     bm.EstimateSeries, pair, _times(u_list, len(pair.x)), params)
 
 
 @estimate.command("gbm")
@@ -266,7 +271,7 @@ def estimate_gbm_cmd(variant, a, b, c, sigma, t_list, in_path, out):
         )
     pair = simulate_gbm_pair(BmPathPair(cols["w"], cols["u"]), sigma)
     _write_estimates(out, "t,gamma_hat,sigma_w_sq,sigma_u_sq,rho_hat,flags", gbm.estimate_gbm,
-                     pair, _times(t_list, len(pair.w)), params)
+                     gbm.GbmEstimateSeries, pair, _times(t_list, len(pair.w)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +442,7 @@ def _curves_rows(cells) -> list:
 def _config_entries(config: ExperimentConfig) -> dict:
     """Every field of ``config`` but the experiment, in field order: the
     profile as its spec string and the params as their fields."""
-    forms = {"profile": CorrelationProfile.spec_string, "params": vars}
+    forms = {"profile": CorrelationProfile.spec_string, "params": dataclasses.asdict}
     entries = {}
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)

@@ -211,12 +211,15 @@ def curve_point(params, pair, t: int) -> tuple:
     pair's cached curve, or ``params.components`` where the curve is not
     finite, which returns the value or raises :class:`NumericRange`.
 
-    The estimate views of both families.  One point of a fresh pair costs
-    its whole curve; single-point work over many pairs belongs in a batch
-    ``components`` call.
+    The estimate views of both families.  ``t`` is checked after the
+    lookup, against the length of the cached columns (the pair's ``T``), so
+    a point reads no array attribute of the pair.  One point of a fresh
+    pair, a ``t`` outside ``1..T`` included, costs its whole curve;
+    single-point work over many pairs belongs in a batch ``components``
+    call.
     """
-    t = check_index(t, pair.paths[0].shape[-1])
     gamma, var_a, var_b = _pair_curve(params, pair)
+    t = check_index(t, len(gamma))
     g, va, vb = gamma[t - 1], var_a[t - 1], var_b[t - 1]
     if math.isfinite(g) and math.isfinite(va) and math.isfinite(vb):
         return g, va, vb

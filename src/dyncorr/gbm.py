@@ -98,6 +98,13 @@ class GbmEstimatorParams:
         check_positive(sigma=self.sigma)
         if self.variant not in ("v1", "v2"):
             raise DomainError(f"variant must be 'v1' or 'v2', got {self.variant!r}")
+        # hashed once, as CorrelationProfile: every curve and oracle cache lookup
+        # hashes its params.  Only the numbers: a str hashes differently in each
+        # process, and a pickled copy must stay valid.  The variant stays in ==.
+        object.__setattr__(self, "_hash", hash((self.a, self.b, self.c, self.sigma)))
+
+    def __hash__(self):
+        return self._hash
 
     def in_consistency_range(self) -> bool:
         if self.variant == "v1":

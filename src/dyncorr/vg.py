@@ -23,6 +23,7 @@ _LN2 = math.log(2.0)
 _TINY = sys.float_info.min   # the smallest normal double
 _SUBNORMAL_SHIFT = 128       # even, and 2^-1074 2^128 is a normal double
 _MAX_SHAPE = 20001.0         # nu = (r - 1)/2 <= 1e4, the largest order K_nu accepts
+_INF = math.inf              # a global, where math.inf is an attribute lookup per point
 
 
 @dataclass(frozen=True)
@@ -86,12 +87,12 @@ class VgParams:
 def vg_pdf(x: float, params: VgParams) -> float:
     """Density of VG(r, theta, sigma, mu) at x."""
     nu, scale, tilt_scale, tilt_decay, log_norm = params._density_terms
-    if math.isnan(x):
+    if x != x:   # NaN, without a call per point
         raise DomainError("density undefined at x = nan")
     d = x - params.mu
     dev = abs(d)
     z = scale * dev
-    if z == math.inf:   # x = +-inf, or a tail too far out to form the tilt
+    if z == _INF:   # x = +-inf, or a tail too far out to form the tilt
         return 0.0
     tilt = tilt_scale * d
     # at mu, and wherever the O(z^2) correction to the tilted x = mu limit is

@@ -175,22 +175,23 @@ class TestOrderZero:
     """e^x K_0(x), the product-normal density's order, by series and piece table."""
 
     def test_every_piece_at_its_centre_and_ends(self):
-        # piece k spans s = 2/X - 1 in [-1 + k/8, -1 + (k + 1)/8], X in [16/(k + 1), 16/k]
-        for k, (c, *_) in enumerate(bessel._K0_PIECES):
-            assert c == -1.0 + (2 * k + 1) / 16
-            ends = (16 / (k + 1), 1e300 if k == 0 else 16 / k)
+        # piece k spans s = 2/X - 1 in [-1 + k/32, -1 + (k + 1)/32], X in [64/(k + 1), 64/k]
+        assert len(bessel._K0_PIECES) == 64
+        for k, (c, *coefficients) in enumerate(bessel._K0_PIECES):
+            assert c == -1.0 + (2 * k + 1) / 64 and len(coefficients) == 7
+            ends = (64 / (k + 1), 1e300 if k == 0 else 64 / k)
             for X in (2.0 / (c + 1.0), *ends):
                 assert _rel(bessel.k0_scaled(X), _k0_exact(X)) < 1e-15, (k, X)
 
-    @pytest.mark.parametrize("k", range(1, 16))
+    @pytest.mark.parametrize("k", range(1, 64))
     def test_either_side_of_each_join(self, k):
-        X = 16 / k
+        X = 64 / k
         for x in (math.nextafter(X, 0.0), X, math.nextafter(X, math.inf)):
             assert _rel(bessel.k0_scaled(x), _k0_exact(x)) < 1e-15, x
 
     @pytest.mark.parametrize("x", [1.0, math.nextafter(1.0, 0.0), 1e5, 1e300])
     def test_split_and_far_tail(self, x):
-        # X = 1 takes the clamp to piece 15 (s = 1); just below it, the series
+        # X = 1 takes the clamp to piece 63 (s = 1); just below it, the series
         assert _rel(bessel.k0_scaled(x), _k0_exact(x)) < 1e-15
 
     @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf, -math.inf])

@@ -9,10 +9,16 @@ curve and take a point whose entry is not finite from ``components``.
 
 import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dyncorr
 from dyncorr import (
     BmEstimatorParams,
     BmPathPair,
@@ -252,3 +258,68 @@ class TestViews:
         base[:] = 0.0
         assert not np.shares_memory(pair.x, base)
         assert estimate_bm(pair, 12, params) == before
+
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from dyncorr import BmEstimatorParams, GbmEstimatorParams
+params = [BmEstimatorParams(0.5, 1.0), GbmEstimatorParams(1.0, 12.0, 2.0, 0.1, "v1"),
+          GbmEstimatorParams(1.0, 16.0, 2.0, 0.1, "v2")]
+sys.stdout.buffer.write(pickle.dumps((hash("v2"), params)))
+"""
+
+
+class TestParamsHash:
+    """Params key every curve and oracle cache, so each hashes its numbers
+    once, as a profile does; GBM's variant is in ``==`` but not the hash."""
+
+    PARAMS = [BmEstimatorParams(0.5, 1.0), *GBM.values()]
+
+    @pytest.mark.parametrize("params", PARAMS, ids=["bm", "v1", "v2"])
+    def test_equal_params_hash_equal(self, params):
+        twin = type(params)(**dataclasses.asdict(params))
+        assert twin is not params and twin == params and hash(twin) == hash(params)
+        assert {params: 1}[twin] == 1
+
+    @pytest.mark.parametrize("params", PARAMS, ids=["bm", "v1", "v2"])
+    def test_replace_keeps_the_rule(self, params):
+        name = dataclasses.fields(params)[1].name
+        changed = dataclasses.replace(params, **{name: 2.5 * getattr(params, name)})
+        assert changed != params
+        assert hash(changed) == hash(type(params)(**dataclasses.asdict(changed)))
+        back = dataclasses.replace(changed, **{name: getattr(params, name)})
+        assert back == params and hash(back) == hash(params)
+
+    def test_numbers_are_hashed_once(self):
+        calls = []
+
+        class Counted(float):
+            def __hash__(self):
+                calls.append(self)
+                return float.__hash__(self)
+
+        for params in (BmEstimatorParams(Counted(0.5), Counted(1.0)),
+                       GbmEstimatorParams(*map(Counted, (1.0, 16.0, 2.0, 0.1)), "v2")):
+            first = hash(params)
+            before = len(calls)
+            assert hash(params) == first and len(calls) == before
+
+    def test_variants_of_the_same_numbers_are_unequal(self):
+        v1 = GBM["v1"]
+        v2 = dataclasses.replace(v1, variant="v2")
+        assert v1 != v2 and hash(v1) == hash(v2)
+        assert {v1: "v1", v2: "v2"}[v2] == "v2"
+
+    def test_pickle_from_another_hash_seed_loads_equal(self):
+        # a str hashes differently under another PYTHONHASHSEED; the numbers do not
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(dyncorr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _PICKLE_SCRIPT], env=env,
+                             capture_output=True, check=True)
+        their_str_hash, loaded = pickle.loads(run.stdout)
+        assert their_str_hash != hash("v2")
+        for got, fresh in zip(loaded, self.PARAMS, strict=True):
+            assert got == fresh and hash(got) == hash(fresh)
+            assert {fresh: 1}[got] == 1

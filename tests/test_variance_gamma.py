@@ -117,9 +117,11 @@ class TestDensity:
         params = VgParams(20001.0, 0.0, 1.0, 0.0)
         assert vg_pdf(1.0, params) == pytest.approx(vg_pdf(1e-30, params), rel=1e-4)
 
-    def test_nan_point_rejected(self):
-        with pytest.raises(DomainError):
-            vg_pdf(math.nan, VgParams(2.0, 0.0, 1.0, 0.0))
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    @pytest.mark.parametrize("x", [float("nan"), np.float64("nan")], ids=["float", "float64"])
+    def test_nan_point_rejected(self, x, r):
+        with pytest.raises(DomainError, match="density undefined at x = nan"):
+            vg_pdf(x, VgParams(r, 0.3, 1.0, 0.0))
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf])
     def test_infinite_point_has_zero_density(self, x):
