@@ -45,7 +45,8 @@ it also pays the block's numpy calls on ``(1,)`` arrays: 32 us at T = 50 and
 
 :func:`estimate_bm` reads the pair's whole curve instead
 (:meth:`BmEstimatorParams.curve`, O(T log T) by FFT), cached per
-``(params, pair)`` by ``form.curve_point``.  The curve is within 2e-12 /
+``(params, pair)`` by ``form.curve_point``; any pair serves, a
+``GbmPathPair``'s driving paths too.  The curve is within 2e-12 /
 2e-11 / 1e-10 of the term-magnitude sum at T = 2e3 / 2e4 / 2e5, worst at
 ``q = 1``.  One point of a fresh pair costs the whole curve, against one
 ``components`` call: 0.35 ms against 0.15 at T = 2000, 3.7 against 0.2 ms
@@ -72,8 +73,9 @@ causal one (``d >= 0``) for the oracle curve.
 :meth:`BmEstimatorParams.oracle_curve` gives the oracle's sums at every
 ``t`` by one such batch of the same rows, and :func:`expected_ratio_q`
 reads the ratio curve built from it, once per ``(params, profile, T)`` and
-cached; an entry that is not finite comes from the per-t oracle.  One ``t``
-of a fresh ``(params, profile, T)`` costs the whole curve, against one per-t
+cached as a read-only memoryview column, as the estimates' curve is (see
+``dyncorr.form``); an entry that is not finite comes from the per-t oracle.
+One ``t`` of a fresh ``(params, profile, T)`` costs the whole curve, against one per-t
 call on a fresh grid: 0.7 against 0.11 ms at T = 2000, 6.1 against 0.35 ms
 at 1e4, 76 against 4.5 ms at 1e5 and 1.4 against 0.13 s at 1e6, with a peak
 RSS of 441 against 176 MB (numpy 2.4.6, one BLAS thread, 2-core VM).  So
@@ -89,10 +91,10 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DegenerateVariance, DomainError
-from .form import (curve_point, expected_ratio, finite_moments, quiet, rho_hat, rowdot,
-                   rowwise, same_shape)
+from .form import (curve_point, expected_ratio, finite_moments, pair_paths, quiet, rho_hat,
+                   rowdot, rowwise, same_shape)
 from .profiles import CorrelationProfile
-from .simulate import BmPathPair, check_finite, check_index, check_integer, frozen_cache
+from .simulate import BmPathPair, check_finite, check_index, check_integer, frozen_cache, read_only
 
 
 @dataclass(frozen=True)
@@ -310,10 +312,11 @@ def _weights(T: int, u: int, q: float, p: float):
 def gamma_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams) -> float:
     """Covariance component of the estimator at time ``u``.
 
-    Accepts a :class:`BmPathPair` or two arrays of the same shape
+    Accepts a pair (``form.pair_paths``: a :class:`BmPathPair`, or a
+    ``GbmPathPair``'s driving paths) or two arrays of the same shape
     ``(..., T)``; with a batch the leading axes are preserved.
     """
-    return params.components(*_coerce_pair(pair_or_x, y), u)[0]
+    return params.components(*pair_paths(pair_or_x, y), u)[0]
 
 
 def sigma_sq_hat_bm(path, *, u: int, params: BmEstimatorParams) -> float:
@@ -327,7 +330,7 @@ def rho_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams):
     Cauchy-Schwarz over the weighted sum bounds the result by 1 in
     magnitude whenever both variance components are positive.
     """
-    g, sx, sy = params.components(*_coerce_pair(pair_or_x, y), u)
+    g, sx, sy = params.components(*pair_paths(pair_or_x, y), u)
     if np.any(np.asarray(sx) <= 0.0) or np.any(np.asarray(sy) <= 0.0):
         raise DegenerateVariance(
             f"zero variance estimate at u={u}; constant path has no correlation"
@@ -344,14 +347,6 @@ def estimate_bm(pair: BmPathPair, u: int, params: BmEstimatorParams) -> Estimate
         label = params.LABELS[0] if sx <= 0.0 else params.LABELS[1]
         raise DegenerateVariance(f"series {label} has a zero variance estimate at u={u}")
     return EstimateSeries(g, sx, sy, rho_hat(g, sx, sy))
-
-
-def _coerce_pair(pair_or_x, y):
-    if isinstance(pair_or_x, BmPathPair):
-        return pair_or_x.paths
-    if y is None:
-        raise DomainError("need either a BmPathPair or two arrays")
-    return pair_or_x, y
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +422,9 @@ def expected_ratio_q(
     convergence trend is only visible for time-varying profiles.
 
     Read from the grid's cached ratio curve (:func:`_oracle_curve`), as a
-    Python float (``ndarray.item``); an entry the curve does not resolve
-    comes from :meth:`BmEstimatorParams.oracle`, which returns the ratio or
+    Python float by one index into its memoryview column, as
+    ``form.curve_point`` reads the estimates; an entry the curve does not
+    resolve comes from :meth:`BmEstimatorParams.oracle`, which returns the ratio or
     raises.  One ``t`` of a fresh ``(params, profile, T)`` costs the whole
     curve, so single-``t`` work belongs on ``params.oracle``.  The cache
     holds two keys, so interleaving three ``(profile, T, params)`` keys
@@ -438,13 +434,15 @@ def expected_ratio_q(
     """
     T = check_integer("T", T, least=2)
     t = check_index(t, T)
-    ratio = _oracle_curve(profile, T, params).item(t - 1)
+    ratio = _oracle_curve(profile, T, params)[t - 1]
     return ratio if math.isfinite(ratio) else expected_ratio(profile, t, params, T)
 
 
 @frozen_cache
 def _oracle_curve(profile, T: int, params: BmEstimatorParams):
     """``E[gamma_hat] / E[sigma_sq_hat]`` at every time ``1..T``, from
-    :meth:`BmEstimatorParams.oracle_curve`: NaN where that curve is."""
+    :meth:`BmEstimatorParams.oracle_curve`: NaN where that curve is.  A
+    read-only float64 memoryview column (``simulate.read_only``), as
+    ``form``'s pair curve."""
     num, den = params.oracle_curve(profile, T)
-    return num / den
+    return memoryview(read_only(num / den))

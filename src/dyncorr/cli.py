@@ -56,8 +56,8 @@ def _runtime_errors(fn):
         try:
             return fn(*args, **kwargs)
         except (DyncorrError, OSError, ValueError) as exc:
-            # a package error of a command that reads a file names the file
-            where = kwargs.get("in_path") if isinstance(exc, DyncorrError) else None
+            # a package or parse error of a command that reads a file names the file
+            where = kwargs.get("in_path") if isinstance(exc, (DyncorrError, ValueError)) else None
             raise click.ClickException(f"{where}: {exc}" if where else str(exc)) from exc
         except MemoryError as exc:
             # numpy's message names the shape it could not allocate; a bare
@@ -174,17 +174,26 @@ def simulate_gbm_cmd(profile, T, sigma, seed, replication, out):
 # estimate
 
 def _read_csv_columns(path, expected: tuple) -> dict:
-    """The expected columns as float arrays of at least 2 finite values."""
-    lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
-    # genfromtxt skips blank lines too; with none left it warns, then raises IndexError
-    data = np.genfromtxt(lines, delimiter=",", names=True) if lines else np.empty(0)
-    missing = [c for c in expected if c not in (data.dtype.names or ())]
+    """The expected columns as float arrays of at least 2 finite values.
+
+    Blank lines are skipped, and the first line left is the header: names
+    split at commas and stripped of blanks and quotes, after a leading
+    ``#`` as ``np.savetxt`` writes one.  One ``np.loadtxt`` reads the header
+    row with the data (``#`` starts a comment): a field that is not a number
+    reads as NaN, so the header sets the width of every row, and a ragged
+    row raises naming it.
+    """
+    lines = [line for line in Path(path).read_text().splitlines() if line.strip()] or [""]
+    lines[0] = lines[0].strip().removeprefix("#")
+    names = [name.strip(' "') for name in lines[0].split(",")]
+    missing = [c for c in expected if c not in names]
     if missing:
         raise click.ClickException(
             f"{path}: missing column(s) {', '.join(missing)}; expected header "
             + ",".join(expected)
         )
-    cols = {c: np.atleast_1d(data[c]) for c in expected}
+    data = np.loadtxt(lines, delimiter=",", ndmin=2, converters=_float_or_nan)[1:]
+    cols = {c: data[:, names.index(c)] for c in expected}
     for name, values in cols.items():
         if values.size < 2:
             raise click.ClickException(
@@ -197,6 +206,13 @@ def _read_csv_columns(path, expected: tuple) -> dict:
                 f"in data row {bad[0] + 1}"
             )
     return cols
+
+
+def _float_or_nan(field: str) -> float:
+    try:
+        return float(field)
+    except ValueError:
+        return float("nan")
 
 
 class _Time(click.ParamType):

@@ -31,11 +31,19 @@ out, measured with numpy 2.4.6 (OpenBLAS 0.3.31) on 2 cores:
   equal row by row between a 6-row block and one-row calls from T = 9000 on;
 * a BLAS product ``x @ w`` is not, at any T.
 
+Every view of both families takes its two paths by one rule,
+:func:`pair_paths`: anything with ``paths`` (a ``BmPathPair`` or a
+``GbmPathPair``) is a pair, whose paths it reads, and otherwise the view
+needs two arrays.  GBM adds one check of its own, a ``GbmPathPair``'s
+``sigma`` against ``params.sigma``.
+
 The estimates of a pair, ``bm.estimate_bm`` and ``gbm.estimate_gbm``, read
 the pair's whole ``params.curve``, built once per ``(params, pair)`` and
-cached.  Each point is then three Python floats read through memoryviews of
-the curve's read-only columns (:func:`curve_point`), and a point whose curve
-entry is not finite comes from ``params.components``.
+cached.  Both cached whole curves, this one and ``bm``'s oracle ratio curve,
+are read-only float64 columns made by ``simulate.read_only`` and held as
+memoryviews, so a point is a Python float read by indexing, with no numpy
+call (:func:`curve_point`); a point whose curve entry is not finite comes
+from ``params.components``.
 
 Every correlation ratio, of the estimates, of the ``rho_hat_*`` views and of
 the harness's replications, is :func:`rho_hat`,
@@ -52,7 +60,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateVariance, DomainError, NumericRange
-from .simulate import check_index, frozen_cache
+from .simulate import check_index, frozen_cache, read_only
 
 # The package's one numpy error state: every reduction, curve and oracle of
 # both families runs under it.  Out-of-range sums, and the empty sum over
@@ -93,8 +101,6 @@ def rowdot(a, b):
     ``_DOT_CHUNK``, added left to right, so a row's value is bitwise the same
     in a batch of any shape and under any BLAS thread count.
     """
-    if a.shape[-1] <= _DOT_CHUNK:   # one chunk: spare the slicing
-        return np.vecdot(a, b)
     acc = np.vecdot(a[..., :_DOT_CHUNK], b[..., :_DOT_CHUNK])
     for k in range(_DOT_CHUNK, a.shape[-1], _DOT_CHUNK):
         acc += np.vecdot(a[..., k:k + _DOT_CHUNK], b[..., k:k + _DOT_CHUNK])
@@ -108,13 +114,15 @@ def rowwise(x, y, t: int, kernel):
 
     The one reduction of every estimator.  ``kernel(paths, t)`` sees the
     whole ``(n, T)`` batch of each distinct path (one when ``y is x``) once,
-    to build its weights and check its range, and returns ``(series, c, A,
-    sign)``.  ``series(rows, out)`` writes each path's series ``E`` of the
-    row slice ``rows`` into ``out``, a reused ``(len(paths), rows, T)``
-    buffer, and returns each path's ``(rows,)`` anchors ``a``.  ``c`` is the
-    cross-weight vector or None, ``A`` the scalar anchor weight and ``sign``
-    1.0 or -1.0.  Each block takes three reductions (:func:`form_sums`)
-    and :func:`epilogue` finishes it on the block's arrays.  A ``(T,)``
+    to build its weights, and returns ``(series, c, A, sign)``.
+    ``series(rows, out)`` writes each path's series ``E`` of the row slice
+    ``rows`` into ``out``, a reused ``(len(paths), rows, T)`` buffer, and
+    returns each path's ``(rows,)`` anchors ``a``; GBM's ``series`` checks
+    each block's exponents there, before it exponentiates them.  ``c`` is
+    the cross-weight vector or None, ``A`` the scalar anchor weight and
+    ``sign`` 1.0 or -1.0.  Each block takes three reductions
+    (:func:`form_sums`) and :func:`epilogue` finishes it on the block's
+    arrays.  A ``(T,)``
     input is a one-row batch whose components come back as Python floats.
     A non-finite component raises :class:`NumericRange`.
     """
@@ -188,22 +196,30 @@ def rho_hat(gamma, var_a, var_b):
     return gamma / sqrt(var_a) / sqrt(var_b)
 
 
-def _float_column(values) -> memoryview:
-    """A read-only float64 copy of ``values``, as a memoryview of its items."""
-    column = np.array(values, dtype=float)
-    column.setflags(write=False)
-    return memoryview(column)
+def pair_paths(pair_or_x, y=None, arrays: str = "two arrays") -> tuple:
+    """The two paths of a view's input: ``pair_or_x.paths`` of anything that
+    has them (either pair type), else ``(pair_or_x, y)``; one array without a
+    second raises :class:`DomainError` asking for ``arrays``.
+
+    The one pair rule of every view of both families.
+    """
+    if hasattr(pair_or_x, "paths"):
+        return pair_or_x.paths
+    if y is None:
+        raise DomainError(f"need either a path pair or {arrays}")
+    return pair_or_x, y
 
 
 @frozen_cache
 def _pair_curve(params, pair):
-    """``params.curve`` over the pair's paths, as three read-only memoryview
-    columns, whose items are Python floats.
+    """``params.curve`` over the pair's paths (:func:`pair_paths`), as three
+    read-only float64 memoryview columns (``simulate.read_only``), whose
+    items are Python floats.
 
     Built once per ``(params, pair)``: pairs hash by identity and hold
     read-only arrays, so an entry cannot go stale.
     """
-    return tuple(map(_float_column, params.curve(*pair.paths)))
+    return tuple(memoryview(read_only(c)) for c in params.curve(*pair_paths(pair)))
 
 
 def curve_point(params, pair, t: int) -> tuple:
@@ -211,12 +227,14 @@ def curve_point(params, pair, t: int) -> tuple:
     pair's cached curve, or ``params.components`` where the curve is not
     finite, which returns the value or raises :class:`NumericRange`.
 
-    The estimate views of both families.  ``t`` is checked after the
-    lookup, against the length of the cached columns (the pair's ``T``), so
-    a point reads no array attribute of the pair.  One point of a fresh
-    pair, a ``t`` outside ``1..T`` included, costs its whole curve;
-    single-point work over many pairs belongs in a batch ``components``
-    call.
+    The estimate views of both families; a pair of either type serves
+    either family's params.  Each component is one index into its
+    memoryview column, as ``bm.expected_ratio_q`` reads its ratio.  ``t``
+    is checked after the lookup, against the length of the cached columns
+    (the pair's ``T``), so a point reads no array attribute of the pair.
+    One point of a fresh pair, a ``t`` outside ``1..T`` included, costs its
+    whole curve; single-point work over many pairs belongs in a batch
+    ``components`` call.
     """
     gamma, var_a, var_b = _pair_curve(params, pair)
     t = check_index(t, len(gamma))

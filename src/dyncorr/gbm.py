@@ -34,12 +34,13 @@ so nothing larger than a raw path exponential is formed:
 :meth:`GbmEstimatorParams.curve`, is three sums per path and the anchors of
 every ``t``, O(T) and bitwise equal to ``components`` at each ``t``;
 :func:`estimate_gbm` reads the pair's cached curve through
-``form.curve_point``, as ``bm.estimate_bm`` does.  Each anchor is
-exponentiated per row with its scale inside the exponent, so it neither
-overflows nor underflows before the product.  A block whose exponents leave the safe double range
-raises :class:`NumericRange` before any of them is exponentiated, and so do
-sums that still overflow.  Weight tails that underflow are dropped (they are
-decaying positive factors).
+``form.curve_point``, as ``bm.estimate_bm`` does, and every view takes its
+paths by ``form.pair_paths`` after one check of a ``GbmPathPair``'s sigma.
+Each anchor is exponentiated per row with its scale inside the exponent,
+so it neither overflows nor underflows before the product.  A block whose
+exponents leave the safe double range raises :class:`NumericRange` before
+any of them is exponentiated, and so do sums that still overflow.  Weight
+tails that underflow are dropped (they are decaying positive factors).
 
 The oracle is the expectation of the same form, read from the same cached
 terms (see ``_expected``): one call gives the covariance and the variance,
@@ -69,8 +70,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DegenerateVariance, DomainError, NegativeVarianceEstimate
-from .form import (curve_point, epilogue, expected_ratio, finite_moments, form_sums, quiet, rho_hat,
-                   rowdot, rowwise, same_shape)
+from .form import (curve_point, epilogue, expected_ratio, finite_moments, form_sums, pair_paths,
+                   quiet, rho_hat, rowdot, rowwise, same_shape)
 from .profiles import CorrelationProfile
 from .simulate import (MAX_EXPONENT, GbmPathPair, check_correlation, check_exponent, check_finite,
                        check_index, check_integer, check_positive, frozen_cache)
@@ -236,13 +237,20 @@ def _grid(T: int, params: GbmEstimatorParams):
 
 
 def gamma_hat_gbm_v1(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
-    """First-variant covariance estimate (sum of bracket products)."""
-    return replace(params, variant="v1").components(*_coerce(pair_or_w, u, params), t)[0]
+    """First-variant covariance estimate (sum of bracket products).
+
+    Accepts a pair (``form.pair_paths``: a :class:`GbmPathPair`, whose sigma
+    must be ``params.sigma``, or a ``BmPathPair`` as the driving paths) or
+    two driving-BM arrays of the same shape ``(..., T)``, as every GBM view.
+    """
+    paths = pair_paths(_check_sigma(pair_or_w, params), u, "two driving-BM arrays")
+    return replace(params, variant="v1").components(*paths, t)[0]
 
 
 def gamma_hat_gbm_v2(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
     """Second-variant covariance estimate (anchor minus step products)."""
-    return replace(params, variant="v2").components(*_coerce(pair_or_w, u, params), t)[0]
+    paths = pair_paths(_check_sigma(pair_or_w, params), u, "two driving-BM arrays")
+    return replace(params, variant="v2").components(*paths, t)[0]
 
 
 def sigma_sq_hat_gbm(path, *, t: int, params: GbmEstimatorParams):
@@ -257,7 +265,8 @@ def sigma_sq_hat_gbm(path, *, t: int, params: GbmEstimatorParams):
 
 def rho_hat_gbm(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
     """Correlation ratio gamma_hat / (sigma_hat_W sigma_hat_U)."""
-    g, s_w, s_u = params.components(*_coerce(pair_or_w, u, params), t)
+    paths = pair_paths(_check_sigma(pair_or_w, params), u, "two driving-BM arrays")
+    g, s_w, s_u = params.components(*paths, t)
     if np.any(np.asarray(s_w) < 0.0) or np.any(np.asarray(s_u) < 0.0):
         raise NegativeVarianceEstimate(
             f"negative variance estimate at t={t} (variant v2, small-T pathology)"
@@ -276,14 +285,14 @@ def estimate_gbm(pair: GbmPathPair, t: int, params: GbmEstimatorParams) -> GbmEs
     """The components and ``rho_hat`` at ``t``, with what is wrong with them as flags.
 
     The components are read from the pair's curve (see
-    ``form.curve_point``).  A negative or zero variance gives
-    ``rho_hat = NaN`` and the flag ``negative_variance`` or
-    ``degenerate_variance``.  A ``rho_hat`` beyond ``RHO_LIMIT`` in
+    ``form.curve_point``); a ``BmPathPair`` serves as the driving paths, and
+    a :class:`GbmPathPair`'s sigma must be ``params.sigma``.  A negative or
+    zero variance gives ``rho_hat = NaN`` and the flag ``negative_variance``
+    or ``degenerate_variance``.  A ``rho_hat`` beyond ``RHO_LIMIT`` in
     magnitude, possible for v2 whose variances are differences, keeps its
     value and is flagged ``rho_out_of_range``.
     """
-    _coerce(pair, None, params)   # the sigma check
-    g, s_w, s_u = curve_point(params, pair, t)
+    g, s_w, s_u = curve_point(params, _check_sigma(pair, params), t)
     flags = ()
     if s_w < 0 or s_u < 0:
         flags, rho = ("negative_variance",), float("nan")
@@ -296,14 +305,13 @@ def estimate_gbm(pair: GbmPathPair, t: int, params: GbmEstimatorParams) -> GbmEs
     return GbmEstimateSeries(g, s_w, s_u, rho, flags)
 
 
-def _coerce(pair_or_w, u, params):
-    if isinstance(pair_or_w, GbmPathPair):
-        if abs(pair_or_w.sigma - params.sigma) > 1e-12:
-            raise DomainError("params.sigma does not match pair.sigma")
-        return pair_or_w.paths
-    if u is None:
-        raise DomainError("need either a GbmPathPair or two driving-BM arrays")
-    return pair_or_w, u
+def _check_sigma(pair, params):
+    """``pair``, once a :class:`GbmPathPair`'s sigma is checked against
+    ``params.sigma``: GBM's one check beyond ``form.pair_paths``.  Any other
+    input has no sigma of its own and passes as it is."""
+    if isinstance(pair, GbmPathPair) and abs(pair.sigma - params.sigma) > 1e-12:
+        raise DomainError("params.sigma does not match pair.sigma")
+    return pair
 
 
 # ---------------------------------------------------------------------------

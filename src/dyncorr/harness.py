@@ -83,12 +83,13 @@ class ExperimentConfig:
             )
         if self.profile is None and self.experiment != "exp_abs_bound":
             raise DomainError(f"{self.experiment} needs a correlation profile")
-        if self.experiment in ESTIMATOR_EXPERIMENTS:
-            cls, variant = ESTIMATOR_EXPERIMENTS[self.experiment]
-            if not isinstance(self.params, cls):
-                raise DomainError(f"{self.experiment} needs {cls.__name__}")
-            if variant and self.params.variant != variant:
-                raise DomainError(f"{self.experiment} requires variant {variant!r}")
+        # the experiments that take no params take None, of its own type
+        cls, variant = ESTIMATOR_EXPERIMENTS.get(self.experiment, (type(None), None))
+        if not isinstance(self.params, cls):
+            raise DomainError(f"{self.experiment} needs {cls.__name__}, "
+                              f"got {type(self.params).__name__}")
+        if variant and self.params.variant != variant:
+            raise DomainError(f"{self.experiment} requires variant {variant!r}")
         t_list = tuple(check_integer("T_list entry", T) for T in self.T_list)
         if not t_list or any(a >= c for a, c in zip(t_list, t_list[1:])):
             raise DomainError("T_list must be nonempty and strictly ascending")

@@ -76,10 +76,15 @@ def check_positive(**values) -> None:
             raise DomainError(f"{name} must be positive, got {value!r}")
 
 
-def _read_only(values) -> np.ndarray:
+def read_only(values) -> np.ndarray:
     """``values`` as a read-only float array: itself if it already is one that
     owns its memory, else a copy, so that no later write by the caller
-    reaches it (a read-only view can share a writable array's memory)."""
+    reaches it (a read-only view can share a writable array's memory).
+
+    The one read-only copy rule of the package: the paths of both pair
+    types, and the columns of both cached whole curves (``form``'s pair
+    curve and ``bm``'s oracle ratio curve).
+    """
     arr = np.asarray(values, dtype=float)
     if arr.flags.writeable or not arr.flags.owndata:
         arr = arr.copy()
@@ -123,8 +128,8 @@ class BmPathPair:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _read_only(self.x))
-        object.__setattr__(self, "y", _read_only(self.y))
+        object.__setattr__(self, "x", read_only(self.x))
+        object.__setattr__(self, "y", read_only(self.y))
 
     @property
     def paths(self) -> tuple:
@@ -148,7 +153,7 @@ class GbmPathPair:
 
     def __post_init__(self):
         for name in ("r_path", "s_path", "w", "u"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     @property
     def paths(self) -> tuple:

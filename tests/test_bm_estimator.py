@@ -15,6 +15,7 @@ import pytest
 from dyncorr import bm
 from dyncorr import (
     BmEstimatorParams,
+    BmPathPair,
     CorrelationProfile,
     DegenerateVariance,
     DomainError,
@@ -30,6 +31,7 @@ from dyncorr import (
     sigma_sq_hat_bm,
     simulate_bm_batch,
     simulate_bm_pair,
+    simulate_gbm_pair,
 )
 
 CONST_HALF = CorrelationProfile("constant", (0.5,))
@@ -220,6 +222,21 @@ class TestPointEstimator:
     def test_one_array_without_a_second_is_rejected(self):
         with pytest.raises(DomainError, match="two arrays"):
             gamma_hat_bm(np.linspace(0.0, 1.0, 10), u=2, params=BmEstimatorParams(0.5, 1.0))
+
+    # a GbmPathPair raised DomainError in the views, while estimate_bm read it;
+    # every BM view now reads its driving paths
+    def test_a_gbm_pair_is_its_driving_paths(self):
+        gbm_pair = simulate_gbm_pair(simulate_bm_pair(CONST_HALF, TimeGrid(30), 4), 0.1)
+        params = BmEstimatorParams(0.5, 1.0)
+        for u in (1, 7, 30):
+            got = gamma_hat_bm(gbm_pair, u=u, params=params)
+            assert got.hex() == gamma_hat_bm(*gbm_pair.paths, u=u, params=params).hex()
+            got = rho_hat_bm(gbm_pair, u=u, params=params)
+            assert got.hex() == rho_hat_bm(*gbm_pair.paths, u=u, params=params).hex()
+            got = estimate_bm(gbm_pair, u, params)
+            want = estimate_bm(BmPathPair(*gbm_pair.paths), u, params)
+            assert [v.hex() for v in dataclasses.astuple(got)] == [
+                v.hex() for v in dataclasses.astuple(want)]
 
     @pytest.mark.parametrize("x_shape, y_shape", [((3, 20), (20,)), ((20,), (2, 20)),
                                                   ((20,), (21,)), ((2, 20), (3, 20))])

@@ -176,8 +176,20 @@ class TestEstimate:
         # genfromtxt warned "Empty input file", then raised IndexError
         ("bm", "", "missing column(s) t, x, y"),
         ("gbm", "\n  \n\n", "missing column(s)"),
+        # the fields np.loadtxt cannot parse read as NaN, as genfromtxt read them
+        ("bm", "t,x,y\n1,0.5,0.1\n2,abc,0.3\n3,0.2,0.4\n",
+         "column x has a non-finite or unparsable value in data row 2"),
+        ("bm", "t,x,y\n1,0.5,0.1\n2,,0.3\n3,0.2,0.4\n",
+         "column x has a non-finite or unparsable value in data row 2"),
+        ("bm", "t,x,y\n1,0.5,0.1\n2,inf,0.3\n3,0.2,0.4\n",
+         "column x has a non-finite or unparsable value in data row 2"),
+        # a ragged row is named by its line, blank lines aside and the header line 1
+        ("bm", "t,x,y\n1,0.5,0.1\n\n2,0.3\n3,0.2,0.4\n", "from 3 to 2 at row 3"),
+        ("bm", "t,x,y\n1,0.5,0.1\n2,0.1,0.3,9\n3,0.2,0.4\n", "from 3 to 4 at row 3"),
+        ("bm", "t,x,y\n1,0.5,0.1,9\n2,0.1,0.3,9\n", "from 3 to 4 at row 2"),
     ], ids=["bm-nan", "bm-one-row", "bm-constant", "bm-constant-y", "gbm-inf",
-            "gbm-overflow", "bm-empty", "gbm-blank-lines"])
+            "gbm-overflow", "bm-empty", "gbm-blank-lines", "bm-abc", "bm-empty-field",
+            "bm-inf", "bm-short-row", "bm-long-row", "bm-rows-wider-than-header"])
     @pytest.mark.filterwarnings("error")
     def test_bad_input_is_clean_runtime_error(self, runner, tmp_path, kind, text, message):
         bad = tmp_path / "bad.csv"
@@ -191,6 +203,26 @@ class TestEstimate:
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
         assert str(bad) in result.output
+
+    # spaced and quoted names, a leading "#" (as np.savetxt writes the header),
+    # blank lines and comments read as the plain file does
+    @pytest.mark.parametrize("header, gap", [("t, x, y", "\n\n"), ('"t","x","y"', "\n"),
+                                             ("# t,x,y", "\n# a comment\n")],
+                             ids=["spaced", "quoted", "savetxt"])
+    @pytest.mark.filterwarnings("error")
+    def test_header_forms_and_blank_lines_read_as_plain(self, runner, tmp_path, header, gap):
+        plain, other = tmp_path / "p.csv", tmp_path / "o.csv"
+        invoke(runner, ["simulate", "bm", "--profile", "capped:0.5,10", "--T", "40",
+                        "--seed", "2", "--out", str(plain)])
+        first, *rows = plain.read_text().splitlines()
+        assert first == "t,x,y"
+        other.write_text(header + gap + "\n".join(rows[:20]) + gap + "\n".join(rows[20:]))
+        for path in (plain, other):
+            result = invoke(runner, ["estimate", "bm", "--q", "0.5", "--p", "1", "--u", "all",
+                                     "--in", str(path), "--out", str(path.with_suffix(".est"))])
+            assert result.exit_code == 0
+        assert (plain.with_suffix(".est").read_bytes()
+                == other.with_suffix(".est").read_bytes())
 
     @pytest.mark.parametrize("kind, params", [
         ("bm", BmEstimatorParams(0.5, 1.0)),

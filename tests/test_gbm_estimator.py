@@ -548,6 +548,36 @@ class TestPointEstimators:
             gamma_hat_gbm_v1(np.linspace(0.0, 1.0, 10), t=2,
                              params=GbmEstimatorParams(1.0, 12.0, 2.0, 0.1))
 
+    # no test reached the sigma check of any GBM view
+    @pytest.mark.parametrize("view", [
+        lambda pair, params: gamma_hat_gbm_v1(pair, t=3, params=params),
+        lambda pair, params: gamma_hat_gbm_v2(pair, t=3, params=params),
+        lambda pair, params: rho_hat_gbm(pair, t=3, params=params),
+        lambda pair, params: estimate_gbm(pair, 3, params),
+    ], ids=["gamma_hat_gbm_v1", "gamma_hat_gbm_v2", "rho_hat_gbm", "estimate_gbm"])
+    def test_pair_sigma_must_match_params(self, view):
+        pair = simulate_gbm_pair(simulate_bm_pair(CONST_HALF, TimeGrid(20), 1), 0.1)
+        with pytest.raises(DomainError, match="params.sigma does not match pair.sigma"):
+            view(pair, GbmEstimatorParams(1.0, 16.0, 2.0, 0.2, "v2"))
+
+    # a BmPathPair raised DomainError in the views; it is now the driving
+    # paths.  v2's variances are negative at T = 30, so rho_hat_gbm is v1's.
+    @pytest.mark.parametrize("variant, b, views", [
+        ("v1", 12.0, (gamma_hat_gbm_v1, rho_hat_gbm)), ("v2", 16.0, (gamma_hat_gbm_v2,))],
+        ids=["v1", "v2"])
+    def test_a_bm_pair_is_its_driving_paths(self, variant, b, views):
+        bm_pair = simulate_bm_pair(CONST_HALF, TimeGrid(30), 4)
+        gbm_pair = simulate_gbm_pair(bm_pair, 0.1)
+        params = GbmEstimatorParams(1.0, b, 2.0, 0.1, variant)
+        for t in (1, 7, 30):
+            for view in views:
+                got = view(bm_pair, t=t, params=params)
+                assert got.hex() == view(*bm_pair.paths, t=t, params=params).hex()
+            got, want = estimate_gbm(bm_pair, t, params), estimate_gbm(gbm_pair, t, params)
+            assert [v.hex() for v in dataclasses.astuple(got)[:4]] == [
+                v.hex() for v in dataclasses.astuple(want)[:4]]
+            assert got.flags == want.flags
+
     def test_estimate_holds_only_its_values(self):
         pair = simulate_gbm_pair(simulate_bm_pair(CONST_HALF, TimeGrid(20), 1), 0.1)
         series = estimate_gbm(pair, 5, GbmEstimatorParams(1.0, 12.0, 2.0, 0.1))

@@ -133,10 +133,14 @@ class TestConfigValidation:
         ("gbm_variance_decay", BM_PARAMS),
         ("gbm_consistency_v1", GbmEstimatorParams(1, 16, 2, 0.1, "v2")),
         ("gbm_consistency_v2", GbmEstimatorParams(1, 12, 2, 0.1, "v1")),
-    ], ids=["bm-gets-gbm", "bm-gets-none", "gbm-gets-bm", "v1-gets-v2", "v2-gets-v1"])
+        ("moment_checks", BM_PARAMS),
+        ("exp_abs_bound", GbmEstimatorParams(1, 12, 2, 0.1)),
+    ], ids=["bm-gets-gbm", "bm-gets-none", "gbm-gets-bm", "v1-gets-v2", "v2-gets-v1",
+            "moment-checks-gets-bm", "exp-abs-bound-gets-gbm"])
     def test_wrong_family_or_variant_rejected_at_config(self, experiment, params):
-        # rejected before any simulation runs
-        with pytest.raises(DomainError):
+        # rejected before any simulation runs; the two experiments that take
+        # no params dropped them without a word
+        with pytest.raises(DomainError, match=f"^{experiment} "):
             small_config(experiment=experiment, params=params)
 
 

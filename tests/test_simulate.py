@@ -228,11 +228,12 @@ class TestFrozenCache:
                   if isinstance(v, (np.ndarray, memoryview))]
         assert arrays
         for arr in arrays:
-            # a memoryview member (the pair curve's columns) views a read-only array
+            # a memoryview (a column of the pair curve or the oracle ratio curve)
+            # views a read-only float64 array
             with pytest.raises(ValueError):
                 np.asarray(arr)[...] = 0.0
             if isinstance(arr, memoryview):
-                assert arr.readonly
+                assert arr.readonly and arr.format == "d" and arr.ndim == 1
                 with pytest.raises(TypeError):
                     arr[0] = 0.0
         assert build() is first
