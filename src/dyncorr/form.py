@@ -234,9 +234,14 @@ def curve_point(params, pair, t: int) -> tuple:
     (the pair's ``T``), so a point reads no array attribute of the pair.
     One point of a fresh pair, a ``t`` outside ``1..T`` included, costs its
     whole curve; single-point work over many pairs belongs in a batch
-    ``components`` call.
+    ``components`` call.  Arrays in place of a pair, which cannot key the
+    cache, raise :func:`pair_paths`' :class:`DomainError`.
     """
-    gamma, var_a, var_b = _pair_curve(params, pair)
+    try:
+        gamma, var_a, var_b = _pair_curve(params, pair)
+    except TypeError:   # an unhashable key: arrays, or a tuple of them
+        pair_paths(pair)   # raises, unless ``pair`` has paths
+        raise
     t = check_index(t, len(gamma))
     g, va, vb = gamma[t - 1], var_a[t - 1], var_b[t - 1]
     if math.isfinite(g) and math.isfinite(va) and math.isfinite(vb):

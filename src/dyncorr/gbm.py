@@ -181,7 +181,7 @@ class GbmEstimatorParams:
         return series, c, A, sign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GbmEstimateSeries:
     """One estimator evaluation: components, the correlation ratio and its flags."""
 
@@ -190,6 +190,11 @@ class GbmEstimateSeries:
     sigma_u_sq_hat: float
     rho_hat: float
     flags: tuple = ()
+
+
+# estimate_gbm fills a record slot by slot, as bm.estimate_bm does
+_SET_GAMMA, _SET_VAR_W, _SET_VAR_U, _SET_RHO, _SET_FLAGS = (
+    getattr(GbmEstimateSeries, name).__set__ for name in GbmEstimateSeries.__slots__)
 
 
 def _finish_series(out, m, mean, scale):
@@ -302,7 +307,13 @@ def estimate_gbm(pair: GbmPathPair, t: int, params: GbmEstimatorParams) -> GbmEs
         rho = rho_hat(g, s_w, s_u)
         if abs(rho) > RHO_LIMIT:
             flags = ("rho_out_of_range",)
-    return GbmEstimateSeries(g, s_w, s_u, rho, flags)
+    e = object.__new__(GbmEstimateSeries)
+    _SET_GAMMA(e, g)
+    _SET_VAR_W(e, s_w)
+    _SET_VAR_U(e, s_u)
+    _SET_RHO(e, rho)
+    _SET_FLAGS(e, flags)
+    return e
 
 
 def _check_sigma(pair, params):

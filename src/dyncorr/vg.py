@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 # bessel_k is not called here; bench/spans.py traces dyncorr.vg.bessel_k
-from .bessel import bessel_k, k0_scaled, scaled_k_terms  # noqa: F401
+from .bessel import K0_PIECES, bessel_k, k0_scaled, scaled_k_terms  # noqa: F401
 from .errors import DomainError, NumericRange
 from .simulate import check_correlation, check_finite, check_positive
 
@@ -126,7 +126,17 @@ def vg_pdf(x: float, params: VgParams) -> float:
         m, s = scaled_k_terms(abs(nu), z_scaled, shift)
         log_value = (tilt_z + log_norm
                      + nu * (math.log(z_scaled) - shift * _LN2) + m + math.log(s))
-    else:   # r = 1, the product-normal density: the terms left out are zeros, m = 0
+    # r = 1, the product-normal density: the terms left out are zeros, m = 0
+    elif z >= 1.0:
+        # unshifted, on the table: k0_scaled's piece and Horner sum, formed here
+        # without the call, so e^z K_0(z) is bitwise k0_scaled(z)
+        s = 2.0 / z - 1.0
+        k = int(32.0 * (s + 1.0))   # s = 1 at z = 1 is the top end of piece 63
+        c, a0, a1, a2, a3, a4, a5, a6 = K0_PIECES[k if k < 64 else 63]
+        h = s - c
+        k0 = (a0 + h * (a1 + h * (a2 + h * (a3 + h * (a4 + h * (a5 + h * a6)))))) / math.sqrt(z)
+        log_value = tilt_z + log_norm + math.log(k0)
+    else:   # the series, shifted or not
         log_value = tilt_z + log_norm + math.log(k0_scaled(z_scaled, shift))
     if log_value <= -745.0:
         return 0.0

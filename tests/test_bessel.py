@@ -176,8 +176,8 @@ class TestOrderZero:
 
     def test_every_piece_at_its_centre_and_ends(self):
         # piece k spans s = 2/X - 1 in [-1 + k/32, -1 + (k + 1)/32], X in [64/(k + 1), 64/k]
-        assert len(bessel._K0_PIECES) == 64
-        for k, (c, *coefficients) in enumerate(bessel._K0_PIECES):
+        assert len(bessel.K0_PIECES) == 64
+        for k, (c, *coefficients) in enumerate(bessel.K0_PIECES):
             assert c == -1.0 + (2 * k + 1) / 64 and len(coefficients) == 7
             ends = (64 / (k + 1), 1e300 if k == 0 else 64 / k)
             for X in (2.0 / (c + 1.0), *ends):

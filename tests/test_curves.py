@@ -24,6 +24,9 @@ from dyncorr import (
     BmPathPair,
     CorrelationProfile,
     DegenerateVariance,
+    DomainError,
+    EstimateSeries,
+    GbmEstimateSeries,
     GbmEstimatorParams,
     GbmPathPair,
     IndexOutOfRange,
@@ -145,6 +148,15 @@ class TestViews:
         # numpy integers are times
         assert params.components(*pair.paths, np.int64(2)) == params.components(*pair.paths, 2)
 
+    @pytest.mark.parametrize("case", [0, 1], ids=["bm", "gbm"])
+    @pytest.mark.parametrize("given", ["array", "tuple"])
+    def test_arrays_in_place_of_a_pair_raise(self, case, given):
+        # arrays cannot key the pair's cached curve: this was a bare TypeError
+        estimate, pair, params = _pairs()[case]
+        paths = pair.paths[0] if given == "array" else pair.paths
+        with pytest.raises(DomainError, match="need either a path pair"):
+            estimate(paths, 5, params)
+
     # the out-of-range paths of test_reductions: a value per family that
     # passes every exponent check but overflows a sum, a NaN and an inf
     _OVERFLOW = {"bm": (0, slice(None), 1e200), "v1": (0, 19, 690.0), "v2": (1, 20, 650.0)}
@@ -174,7 +186,7 @@ class TestViews:
                     estimate(pair, t, params)
                 continue
             got = estimate(pair, t, params)
-            assert np.array_equal(list(vars(got).values())[:3], want)
+            assert np.array_equal(dataclasses.astuple(got)[:3], want)
         assert raised
 
     def test_non_finite_entry_defers_to_components(self, monkeypatch):
@@ -258,6 +270,42 @@ class TestViews:
         base[:] = 0.0
         assert not np.shares_memory(pair.x, base)
         assert estimate_bm(pair, 12, params) == before
+
+
+class TestRecords:
+    """The estimate records are frozen, slotted dataclasses whose slots the
+    views fill one by one: each must be the record its class builds."""
+
+    _FIELDS = {EstimateSeries: ("gamma_hat", "sigma_x_sq_hat", "sigma_y_sq_hat", "rho_hat"),
+               GbmEstimateSeries: ("gamma_hat", "sigma_w_sq_hat", "sigma_u_sq_hat", "rho_hat",
+                                   "flags")}
+
+    @pytest.mark.parametrize("case", range(3), ids=["bm", "v1", "v2"])
+    @pytest.mark.parametrize("t", [1, 7, 40])
+    def test_a_view_record_is_the_class_record(self, case, t):
+        estimate, pair, params = _pairs()[case]
+        got = estimate(pair, t, params)
+        cls = EstimateSeries if case == 0 else GbmEstimateSeries
+        names = self._FIELDS[cls]
+        values = tuple(getattr(got, name) for name in names)
+        built = cls(*values)
+        assert type(got) is cls
+        assert tuple(f.name for f in dataclasses.fields(got)) == names
+        assert dataclasses.astuple(got) == values
+        assert got == built and hash(got) == hash(built)
+        assert repr(got) == repr(built) == (
+            f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")")
+        loaded = pickle.loads(pickle.dumps(got))
+        assert type(loaded) is cls and loaded == got and hash(loaded) == hash(got)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.rho_hat = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del got.gamma_hat
+        assert not hasattr(got, "__dict__")
+
+    def test_gbm_flags_default_to_empty(self):
+        record = GbmEstimateSeries(1.0, 2.0, 3.0, 0.5)
+        assert record.flags == () and record == GbmEstimateSeries(1.0, 2.0, 3.0, 0.5, ())
 
 
 _PICKLE_SCRIPT = """

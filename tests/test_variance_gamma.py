@@ -182,8 +182,9 @@ class TestDensity:
         assert vg_pdf(x, params) == pytest.approx(float(want), rel=1e-12)
 
     def test_product_normal_order_is_the_general_log_space_form(self):
-        # at r = 1 vg_pdf calls k0_scaled directly: the general form's
-        # nu (log z - shift ln 2) and m terms are zeros there, so both agree bitwise
+        # at r = 1 vg_pdf reads k0_scaled's table piece in place from z = 1 on and
+        # calls k0_scaled below it: the general form's nu (log z - shift ln 2) and
+        # m terms are zeros there, so both agree bitwise
         def general(x, params):
             nu, scale, tilt_scale, tilt_decay, log_norm = params._density_terms
             dev = abs(x - params.mu)
@@ -208,6 +209,15 @@ class TestDensity:
         params = VgParams(1.0, 0.3, 1.0, 0.0)
         devs = 10 ** rng.uniform(-323.5, -308.0, 200)
         cases += [(d, params) for d in devs] + [(-d, params) for d in devs]
+        # z one ulp either side of every piece edge 64/k, z = 1 among them (the
+        # series below it, the clamp of k = 64 to piece 63 at it): theta = 0 and
+        # sigma = 1 make z = |x| exactly
+        params = VgParams(1.0, 0.0, 1.0, 0.0)
+        assert params._density_terms[1] == 1.0
+        for k in range(1, 65):
+            edge = 64 / k
+            for z in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                cases += [(z, params), (-z, params)]
         params = VgParams(1.0, -0.4, 2.0, 0.25)
         cases += [(x, params) for x in (-3e3, 3e3, 1e300, -1e300, math.inf, -math.inf)]
         for x, params in cases:
