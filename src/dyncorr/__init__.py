@@ -31,6 +31,7 @@ from .errors import (
     PathOverflow,
     ProfileOutOfRange,
 )
+from .form import CurveEstimate, estimate_curve
 from .gbm import (
     GbmEstimateSeries,
     GbmEstimatorParams,
@@ -77,6 +78,7 @@ __all__ = [
     "DegenerateVariance", "DomainError", "DyncorrError", "IncrementInfeasible",
     "IndexOutOfRange", "NegativeVarianceEstimate", "NumericRange",
     "PathOverflow", "ProfileOutOfRange",
+    "CurveEstimate", "estimate_curve",
     "GbmEstimatorParams", "NonconvergentSeriesWarning",
     "estimate_gbm", "expected_gamma_gbm_v1", "expected_gamma_gbm_v2",
     "expected_ratio_gbm", "expected_sigma_sq_gbm_v1", "expected_sigma_sq_gbm_v2",

@@ -43,9 +43,9 @@ and sums.  A ``(T,)`` call is a one-row batch that returns Python floats, so
 it also pays the block's numpy calls on ``(1,)`` arrays: 32 us at T = 50 and
 43 us at T = 2000 (numpy 2.4.6, one BLAS thread, 2-core VM).
 
-:func:`estimate_bm` reads the pair's whole curve instead
-(:meth:`BmEstimatorParams.curve`, O(T log T) by FFT), cached per
-``(params, pair)`` by ``form.curve_point``; any pair serves, a
+:func:`estimate_bm` reads the pair's whole curve estimate instead
+(``form.estimate_curve``, built from :meth:`BmEstimatorParams.curve`,
+O(T log T) by FFT, and cached per ``(params, pair)``); any pair serves, a
 ``GbmPathPair``'s driving paths too.  The curve is within 2e-12 /
 2e-11 / 1e-10 of the term-magnitude sum at T = 2e3 / 2e4 / 2e5, worst at
 ``q = 1``.  One point of a fresh pair costs the whole curve, against one
@@ -91,8 +91,9 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DegenerateVariance, DomainError
-from .form import (curve_point, expected_ratio, finite_moments, pair_paths, quiet, rho_hat,
-                   rowdot, rowwise, same_shape)
+from .form import (NOT_POSITIVE_A, RAISES, VARIANCE_FAULTS, estimate_curve, expected_ratio,
+                   finite_moments, pair_paths, quiet, raise_again, rho_hat, rowdot, rowwise,
+                   same_shape)
 from .profiles import CorrelationProfile
 from .simulate import BmPathPair, check_finite, check_index, check_integer, frozen_cache, read_only
 
@@ -132,6 +133,11 @@ class BmEstimatorParams:
         """
         return rowwise(x, y, t, self._kernel)
 
+    def pair_paths(self, pair_or_x, y=None) -> tuple:
+        """The two paths of a view's input: ``form.pair_paths``, with no check
+        of its own."""
+        return pair_paths(pair_or_x, y)
+
     def oracle(self, profile: CorrelationProfile, t: int, T: int):
         """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` at time ``t`` of a length-``T`` grid."""
         return _expected(profile, t, self, T)
@@ -165,7 +171,7 @@ class BmEstimatorParams:
         var[~(var > _CURVE_RTOL * scale)] = np.nan
         return moments[0], var
 
-    @quiet   # a non-finite entry is the view's to resolve (see form.curve_point)
+    @quiet   # a non-finite entry is the estimate's to resolve (see form.estimate_curve)
     def curve(self, x, y):
         """``(gamma_hat, sigma_x_sq_hat, sigma_y_sq_hat)`` at every time ``1..T``.
 
@@ -185,8 +191,8 @@ class BmEstimatorParams:
         ``1e-10`` of the term-magnitude sum at T = 2e3 / 2e4 / 2e5, worst at
         ``q = 1`` and growing like ``T``.  So a variance within
         ``1e-8`` of its terms is not resolved, and is NaN here, as is any
-        entry the sums make non-finite: :func:`estimate_bm` takes those
-        points from :meth:`components`.
+        entry the sums make non-finite: ``form.estimate_curve`` takes those
+        entries from :meth:`components`.
         """
         x, y = same_shape(x, y)
         T = x.shape[-1]
@@ -347,17 +353,22 @@ def rho_hat_bm(pair_or_x, y=None, *, u: int, params: BmEstimatorParams):
 
 def estimate_bm(pair: BmPathPair, u: int, params: BmEstimatorParams) -> EstimateSeries:
     """The components and ``rho_hat`` of ``pair`` at ``u``, read from the pair's
-    curve (see ``form.curve_point``); a zero variance raises
-    :class:`DegenerateVariance`."""
-    g, sx, sy = curve_point(params, pair, u)
-    if sx <= 0.0 or sy <= 0.0:
-        label = params.LABELS[0] if sx <= 0.0 else params.LABELS[1]
+    cached curve estimate (``form.estimate_curve``); a variance that is not
+    positive raises :class:`DegenerateVariance` naming its series.  A BM
+    estimate keeps no flag of a ratio out of range."""
+    gamma, var_x, var_y, rho, code = estimate_curve(pair, params).views
+    t = check_index(u, len(code)) - 1
+    fault = code[t] & (VARIANCE_FAULTS | RAISES)
+    if fault:
+        if fault == RAISES:
+            raise_again(params, pair, t + 1)
+        label = params.LABELS[0] if fault & NOT_POSITIVE_A else params.LABELS[1]
         raise DegenerateVariance(f"series {label} has a zero variance estimate at u={u}")
     e = object.__new__(EstimateSeries)
-    _SET_GAMMA(e, g)
-    _SET_VAR_X(e, sx)
-    _SET_VAR_Y(e, sy)
-    _SET_RHO(e, rho_hat(g, sx, sy))
+    _SET_GAMMA(e, gamma[t])
+    _SET_VAR_X(e, var_x[t])
+    _SET_VAR_Y(e, var_y[t])
+    _SET_RHO(e, rho[t])
     return e
 
 
@@ -435,7 +446,7 @@ def expected_ratio_q(
 
     Read from the grid's cached ratio curve (:func:`_oracle_curve`), as a
     Python float by one index into its memoryview column, as
-    ``form.curve_point`` reads the estimates; an entry the curve does not
+    :func:`estimate_bm` reads the estimates; an entry the curve does not
     resolve comes from :meth:`BmEstimatorParams.oracle`, which returns the ratio or
     raises.  One ``t`` of a fresh ``(params, profile, T)`` costs the whole
     curve, so single-``t`` work belongs on ``params.oracle``.  The cache
@@ -454,7 +465,7 @@ def expected_ratio_q(
 def _oracle_curve(profile, T: int, params: BmEstimatorParams):
     """``E[gamma_hat] / E[sigma_sq_hat]`` at every time ``1..T``, from
     :meth:`BmEstimatorParams.oracle_curve`: NaN where that curve is.  A
-    read-only float64 memoryview column (``simulate.read_only``), as
-    ``form``'s pair curve."""
+    read-only float64 memoryview column (``simulate.read_only``), as the
+    columns of ``form.estimate_curve``."""
     num, den = params.oracle_curve(profile, T)
     return memoryview(read_only(num / den))

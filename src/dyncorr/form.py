@@ -35,15 +35,18 @@ Every view of both families takes its two paths by one rule,
 :func:`pair_paths`: anything with ``paths`` (a ``BmPathPair`` or a
 ``GbmPathPair``) is a pair, whose paths it reads, and otherwise the view
 needs two arrays.  GBM adds one check of its own, a ``GbmPathPair``'s
-``sigma`` against ``params.sigma``.
+``sigma`` against ``params.sigma``, in its ``params.pair_paths``.
 
-The estimates of a pair, ``bm.estimate_bm`` and ``gbm.estimate_gbm``, read
-the pair's whole ``params.curve``, built once per ``(params, pair)`` and
-cached.  Both cached whole curves, this one and ``bm``'s oracle ratio curve,
-are read-only float64 columns made by ``simulate.read_only`` and held as
-memoryviews, so a point is a Python float read by indexing, with no numpy
-call (:func:`curve_point`); a point whose curve entry is not finite comes
-from ``params.components``.
+The estimate of a pair is one whole curve, :func:`estimate_curve`: a
+:class:`CurveEstimate` of read-only ``(T,)`` columns, the components,
+``rho_hat`` and a flag code, built once per ``(params, pair)`` from
+``params.curve`` and cached.  An entry the curve does not resolve comes
+from ``params.components`` at the build, and the ratio and the codes are
+formed there for every time by one rule, :func:`flag_codes`, which the
+harness's replications share.  The point estimates of both families,
+``bm.estimate_bm`` and ``gbm.estimate_gbm``, only index the record: its
+columns are held as memoryviews, as ``bm``'s cached oracle ratio curve is,
+so a point is one code and four Python floats read with no numpy call.
 
 Every correlation ratio, of the estimates, of the ``rho_hat_*`` views and of
 the harness's replications, is :func:`rho_hat`,
@@ -56,11 +59,12 @@ the split root gives ``rho_hat = 0.9999999999999999``.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, DomainError, NumericRange
-from .simulate import check_index, frozen_cache, read_only
+from .errors import DegenerateVariance, DomainError, DyncorrError, NumericRange
+from .simulate import check_index, frozen_cache
 
 # The package's one numpy error state: every reduction, curve and oracle of
 # both families runs under it.  Out-of-range sums, and the empty sum over
@@ -210,43 +214,119 @@ def pair_paths(pair_or_x, y=None, arrays: str = "two arrays") -> tuple:
     return pair_or_x, y
 
 
-@frozen_cache
-def _pair_curve(params, pair):
-    """``params.curve`` over the pair's paths (:func:`pair_paths`), as three
-    read-only float64 memoryview columns (``simulate.read_only``), whose
-    items are Python floats.
+# |rho_hat| beyond this is out of range, not rounding: v2's variances are
+# differences and bound nothing (see ``dyncorr.gbm``)
+RHO_LIMIT = 1.0 + 1e-12
 
-    Built once per ``(params, pair)``: pairs hash by identity and hold
-    read-only arrays, so an entry cannot go stale.
+# The bits of a point's flag code, set by :func:`flag_codes`: a variance of
+# series a or b that is not positive (zero, negative or NaN) or negative, and
+# a ratio beyond ``RHO_LIMIT``.  ``RAISES`` alone marks a curve entry whose
+# ``params.components`` call raised.
+NOT_POSITIVE_A, NEGATIVE_A, NOT_POSITIVE_B, NEGATIVE_B, RHO_OUT_OF_RANGE, RAISES = (
+    1, 2, 4, 8, 16, 32)
+# a point with one of these has no ratio
+VARIANCE_FAULTS = NOT_POSITIVE_A | NOT_POSITIVE_B
+
+
+@quiet   # a variance that is not positive makes its ratio NaN or inf
+def flag_codes(gamma, var_a, var_b):
+    """``(rho_hat, code)`` of component arrays of one shape: the one flag rule
+    of both families, of the curve estimates and of the harness.
+
+    ``rho_hat`` is :func:`rho_hat`, NaN where a variance is not positive, and
+    ``code`` an ``int8`` array of the bits above; a ratio that is NaN is not
+    out of range.
     """
-    return tuple(memoryview(read_only(c)) for c in params.curve(*pair_paths(pair)))
+    rho = rho_hat(gamma, var_a, var_b)
+    not_a, not_b = ~(var_a > 0.0), ~(var_b > 0.0)
+    np.copyto(rho, np.nan, where=not_a | not_b)
+    code = np.zeros(rho.shape, np.int8)
+    for bit, hit in ((NOT_POSITIVE_A, not_a), (NEGATIVE_A, var_a < 0.0),
+                     (NOT_POSITIVE_B, not_b), (NEGATIVE_B, var_b < 0.0),
+                     (RHO_OUT_OF_RANGE, np.abs(rho) > RHO_LIMIT)):
+        code |= hit.view(np.int8) * bit
+    return rho, code
 
 
-def curve_point(params, pair, t: int) -> tuple:
-    """``(gamma, var_a, var_b)`` of ``pair`` at ``t`` as Python floats: the
-    pair's cached curve, or ``params.components`` where the curve is not
-    finite, which returns the value or raises :class:`NumericRange`.
+@dataclass(frozen=True, eq=False)
+class CurveEstimate:
+    """The estimate of a pair at every time ``1..T``, of either family: the
+    components, ``rho_hat`` and the flag code of :func:`flag_codes`, each a
+    read-only ``(T,)`` array.
 
-    The estimate views of both families; a pair of either type serves
-    either family's params.  Each component is one index into its
-    memoryview column, as ``bm.expected_ratio_q`` reads its ratio.  ``t``
-    is checked after the lookup, against the length of the cached columns
-    (the pair's ``T``), so a point reads no array attribute of the pair.
-    One point of a fresh pair, a ``t`` outside ``1..T`` included, costs its
-    whole curve; single-point work over many pairs belongs in a batch
-    ``components`` call.  Arrays in place of a pair, which cannot key the
-    cache, raise :func:`pair_paths`' :class:`DomainError`.
+    Where ``params.components`` raised, the code is ``RAISES`` and the
+    values are NaN.  The record makes the arrays it is given read-only, as
+    ``simulate.frozen_cache`` does, and holds each as a memoryview in
+    ``views``, whose items are Python floats (ints for ``code``), so a point
+    is read with no numpy call.  Records compare by identity.
+    """
+
+    __slots__ = ("gamma_hat", "sigma_a_sq_hat", "sigma_b_sq_hat", "rho_hat", "code", "views")
+
+    gamma_hat: np.ndarray
+    sigma_a_sq_hat: np.ndarray
+    sigma_b_sq_hat: np.ndarray
+    rho_hat: np.ndarray
+    code: np.ndarray
+
+    def __post_init__(self):
+        columns = (self.gamma_hat, self.sigma_a_sq_hat, self.sigma_b_sq_hat, self.rho_hat,
+                   self.code)
+        for c in columns:
+            c.setflags(write=False)
+        object.__setattr__(self, "views", tuple(map(memoryview, columns)))
+
+    def __reduce__(self):   # the memoryviews do not pickle: rebuild them
+        return CurveEstimate, (self.gamma_hat, self.sigma_a_sq_hat, self.sigma_b_sq_hat,
+                               self.rho_hat, self.code)
+
+
+def estimate_curve(pair, params) -> CurveEstimate:
+    """The :class:`CurveEstimate` of ``pair`` under either family's
+    ``params``, built once per ``(params, pair)`` and cached (two entries).
+
+    The one whole-curve estimate of the package, and the one source of both
+    families' point estimates, ``bm.estimate_bm`` and ``gbm.estimate_gbm``.
+    Pairs hash by identity and hold read-only arrays, so an entry cannot go
+    stale.  The build takes the pair's paths by ``params.pair_paths`` (GBM
+    checks the pair's sigma there) and reads the whole ``params.curve``.  An
+    entry of it that is not finite comes from ``params.components``, once,
+    and one whose ``components`` call raises is coded ``RAISES``.  Arrays in
+    place of a pair, which cannot key the cache, raise :func:`pair_paths`'
+    :class:`DomainError`.
     """
     try:
-        gamma, var_a, var_b = _pair_curve(params, pair)
+        return _curve_estimate(params, pair)
     except TypeError:   # an unhashable key: arrays, or a tuple of them
         pair_paths(pair)   # raises, unless ``pair`` has paths
         raise
-    t = check_index(t, len(gamma))
-    g, va, vb = gamma[t - 1], var_a[t - 1], var_b[t - 1]
-    if math.isfinite(g) and math.isfinite(va) and math.isfinite(vb):
-        return g, va, vb
-    return params.components(*pair.paths, t)
+
+
+@frozen_cache
+def _curve_estimate(params, pair) -> CurveEstimate:
+    """:func:`estimate_curve`'s build."""
+    paths = params.pair_paths(pair)
+    gamma, var_a, var_b = columns = [np.array(c, dtype=float) for c in params.curve(*paths)]
+    unresolved = ~(np.isfinite(gamma) & np.isfinite(var_a) & np.isfinite(var_b))
+    raised = []
+    for i in np.flatnonzero(unresolved).tolist():
+        try:
+            gamma[i], var_a[i], var_b[i] = params.components(*paths, i + 1)
+        except DyncorrError:
+            raised.append(i)
+            for c in columns:
+                c[i] = np.nan
+    rho, code = flag_codes(gamma, var_a, var_b)
+    code[raised] = RAISES
+    return CurveEstimate(gamma, var_a, var_b, rho, code)
+
+
+def raise_again(params, pair, t: int):
+    """Raise the error of ``params.components`` at ``t`` of a point coded
+    ``RAISES`` by calling it again: the pair's paths are read-only, so it
+    raises as it did at the build."""
+    params.components(*pair.paths, t)
+    raise AssertionError(f"components at time {t} raised at the curve build only")
 
 
 def finite_moments(moments: list, t: int):

@@ -33,9 +33,10 @@ so nothing larger than a raw path exponential is formed:
 ``(T, params)`` behind ``simulate.frozen_cache``.  So a whole curve,
 :meth:`GbmEstimatorParams.curve`, is three sums per path and the anchors of
 every ``t``, O(T) and bitwise equal to ``components`` at each ``t``;
-:func:`estimate_gbm` reads the pair's cached curve through
-``form.curve_point``, as ``bm.estimate_bm`` does, and every view takes its
-paths by ``form.pair_paths`` after one check of a ``GbmPathPair``'s sigma.
+:func:`estimate_gbm` reads the pair's cached curve estimate
+(``form.estimate_curve``), as ``bm.estimate_bm`` does, and every view takes
+its paths by :meth:`GbmEstimatorParams.pair_paths`: ``form.pair_paths``
+after one check of a ``GbmPathPair``'s sigma.
 Each anchor is exponentiated per row with its scale inside the exponent,
 so it neither overflows nor underflows before the product.  A block whose
 exponents leave the safe double range raises :class:`NumericRange` before
@@ -70,8 +71,10 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DegenerateVariance, DomainError, NegativeVarianceEstimate
-from .form import (curve_point, epilogue, expected_ratio, finite_moments, form_sums, pair_paths,
-                   quiet, rho_hat, rowdot, rowwise, same_shape)
+from .form import RHO_LIMIT  # noqa: F401  (the bound of estimate_gbm's rho_out_of_range)
+from .form import (NEGATIVE_A, NEGATIVE_B, RAISES, RHO_OUT_OF_RANGE, VARIANCE_FAULTS, epilogue,
+                   estimate_curve, expected_ratio, finite_moments, form_sums, pair_paths, quiet,
+                   raise_again, rho_hat, rowdot, rowwise, same_shape)
 from .profiles import CorrelationProfile
 from .simulate import (MAX_EXPONENT, GbmPathPair, check_correlation, check_exponent, check_finite,
                        check_index, check_integer, check_positive, frozen_cache)
@@ -121,6 +124,15 @@ class GbmEstimatorParams:
         """
         return rowwise(w, u, t, self._kernel)
 
+    def pair_paths(self, pair_or_w, u=None) -> tuple:
+        """The two driving paths of a view's input (``form.pair_paths``), once
+        a :class:`GbmPathPair`'s sigma is checked against ``self.sigma``:
+        GBM's one check of its own.  Any other input has no sigma and passes
+        as it is."""
+        if isinstance(pair_or_w, GbmPathPair) and abs(pair_or_w.sigma - self.sigma) > 1e-12:
+            raise DomainError("params.sigma does not match pair.sigma")
+        return pair_paths(pair_or_w, u, "two driving-BM arrays")
+
     def oracle(self, profile: CorrelationProfile, t: int, T: int):
         """Exact ``(E[gamma_hat], E[sigma_sq_hat])`` of this variant at time ``t``.
 
@@ -129,7 +141,7 @@ class GbmEstimatorParams:
         """
         return _expected(profile, t, self, T)
 
-    @quiet   # a non-finite entry is the view's to resolve (see form.curve_point)
+    @quiet   # a non-finite entry is the estimate's to resolve (see form.estimate_curve)
     def curve(self, w, u):
         """``(gamma_hat, sigma_w_sq_hat, sigma_u_sq_hat)`` of this variant at
         every time ``1..T``.
@@ -248,13 +260,13 @@ def gamma_hat_gbm_v1(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
     must be ``params.sigma``, or a ``BmPathPair`` as the driving paths) or
     two driving-BM arrays of the same shape ``(..., T)``, as every GBM view.
     """
-    paths = pair_paths(_check_sigma(pair_or_w, params), u, "two driving-BM arrays")
+    paths = params.pair_paths(pair_or_w, u)
     return replace(params, variant="v1").components(*paths, t)[0]
 
 
 def gamma_hat_gbm_v2(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
     """Second-variant covariance estimate (anchor minus step products)."""
-    paths = pair_paths(_check_sigma(pair_or_w, params), u, "two driving-BM arrays")
+    paths = params.pair_paths(pair_or_w, u)
     return replace(params, variant="v2").components(*paths, t)[0]
 
 
@@ -270,7 +282,7 @@ def sigma_sq_hat_gbm(path, *, t: int, params: GbmEstimatorParams):
 
 def rho_hat_gbm(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
     """Correlation ratio gamma_hat / (sigma_hat_W sigma_hat_U)."""
-    paths = pair_paths(_check_sigma(pair_or_w, params), u, "two driving-BM arrays")
+    paths = params.pair_paths(pair_or_w, u)
     g, s_w, s_u = params.components(*paths, t)
     if np.any(np.asarray(s_w) < 0.0) or np.any(np.asarray(s_u) < 0.0):
         raise NegativeVarianceEstimate(
@@ -281,48 +293,42 @@ def rho_hat_gbm(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
     return rho_hat(g, s_w, s_u)
 
 
-# |rho_hat| beyond this is out of range, not rounding: estimate_gbm's flag
-# and the harness's count
-RHO_LIMIT = 1.0 + 1e-12
-
-
 def estimate_gbm(pair: GbmPathPair, t: int, params: GbmEstimatorParams) -> GbmEstimateSeries:
     """The components and ``rho_hat`` at ``t``, with what is wrong with them as flags.
 
-    The components are read from the pair's curve (see
-    ``form.curve_point``); a ``BmPathPair`` serves as the driving paths, and
-    a :class:`GbmPathPair`'s sigma must be ``params.sigma``.  A negative or
-    zero variance gives ``rho_hat = NaN`` and the flag ``negative_variance``
-    or ``degenerate_variance``.  A ``rho_hat`` beyond ``RHO_LIMIT`` in
-    magnitude, possible for v2 whose variances are differences, keeps its
-    value and is flagged ``rho_out_of_range``.
+    Read from the pair's cached curve estimate (``form.estimate_curve``),
+    whose build checks a :class:`GbmPathPair`'s sigma against
+    ``params.sigma``; a ``BmPathPair`` serves as the driving paths.  A
+    negative or zero variance gives ``rho_hat = NaN`` and the flag
+    ``negative_variance`` or ``degenerate_variance``.  A ``rho_hat`` beyond
+    ``RHO_LIMIT`` in magnitude, possible for v2 whose variances are
+    differences, keeps its value and is flagged ``rho_out_of_range``.
     """
-    g, s_w, s_u = curve_point(params, _check_sigma(pair, params), t)
-    flags = ()
-    if s_w < 0 or s_u < 0:
-        flags, rho = ("negative_variance",), float("nan")
-    elif s_w == 0 or s_u == 0:
-        flags, rho = ("degenerate_variance",), float("nan")
-    else:
-        rho = rho_hat(g, s_w, s_u)
-        if abs(rho) > RHO_LIMIT:
-            flags = ("rho_out_of_range",)
+    gamma, var_w, var_u, rho, code = estimate_curve(pair, params).views
+    i = check_index(t, len(code)) - 1
+    flag = code[i]
+    if flag == RAISES:
+        raise_again(params, pair, i + 1)
     e = object.__new__(GbmEstimateSeries)
-    _SET_GAMMA(e, g)
-    _SET_VAR_W(e, s_w)
-    _SET_VAR_U(e, s_u)
-    _SET_RHO(e, rho)
-    _SET_FLAGS(e, flags)
+    _SET_GAMMA(e, gamma[i])
+    _SET_VAR_W(e, var_w[i])
+    _SET_VAR_U(e, var_u[i])
+    _SET_RHO(e, rho[i])
+    _SET_FLAGS(e, _FLAGS[flag])
     return e
 
 
-def _check_sigma(pair, params):
-    """``pair``, once a :class:`GbmPathPair`'s sigma is checked against
-    ``params.sigma``: GBM's one check beyond ``form.pair_paths``.  Any other
-    input has no sigma of its own and passes as it is."""
-    if isinstance(pair, GbmPathPair) and abs(pair.sigma - params.sigma) > 1e-12:
-        raise DomainError("params.sigma does not match pair.sigma")
-    return pair
+def _flags(code: int) -> tuple:
+    """The flags of a ``form.flag_codes`` code: a negative variance before a
+    zero one, before a ratio out of range."""
+    if code & (NEGATIVE_A | NEGATIVE_B):
+        return ("negative_variance",)
+    if code & VARIANCE_FAULTS:
+        return ("degenerate_variance",)
+    return ("rho_out_of_range",) if code & RHO_OUT_OF_RANGE else ()
+
+
+_FLAGS = tuple(map(_flags, range(RAISES)))
 
 
 # ---------------------------------------------------------------------------

@@ -262,8 +262,9 @@ def _run_estimator(config: ExperimentConfig) -> McReport:
     a, b, _ = params.LABELS
     cells, checks = [], []
     for T, (g, sa, sb) in zip(config.T_list, _replicates(config)):
-        valid = (sa > 0) & (sb > 0)
-        rho = form.rho_hat(g[valid], sa[valid], sb[valid])
+        rho, code = form.flag_codes(g, sa, sb)
+        valid = (code & form.VARIANCE_FAULTS) == 0
+        rho = rho[valid]
         oracle = oracle_values(params, config.profile, t, T)
         cell = {
             "T": T, "t": t,
@@ -275,7 +276,7 @@ def _run_estimator(config: ExperimentConfig) -> McReport:
                             if rho.size > 1 else float("nan")),
             "n_invalid_variance": int(np.sum(~valid)),
             # v2's variances are differences, so its |rho_hat| can exceed 1
-            **({"n_rho_out_of_range": int(np.sum(np.abs(rho) > gbm.RHO_LIMIT))}
+            **({"n_rho_out_of_range": int(np.count_nonzero(code & form.RHO_OUT_OF_RANGE))}
                if isinstance(params, gbm.GbmEstimatorParams) else {}),
             "oracle": oracle,
         }

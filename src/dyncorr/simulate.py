@@ -82,8 +82,7 @@ def read_only(values) -> np.ndarray:
     reaches it (a read-only view can share a writable array's memory).
 
     The one read-only copy rule of the package: the paths of both pair
-    types, and the columns of both cached whole curves (``form``'s pair
-    curve and ``bm``'s oracle ratio curve).
+    types, and the column of ``bm``'s cached oracle ratio curve.
     """
     arr = np.asarray(values, dtype=float)
     if arr.flags.writeable or not arr.flags.owndata:
@@ -114,7 +113,7 @@ def frozen_cache(build):
 
 
 # A pair hashes by identity (eq=False) and holds read-only arrays, so the
-# estimator curve cached per pair (``form._pair_curve``) cannot go stale.
+# curve estimate cached per pair (``form.estimate_curve``) cannot go stale.
 
 @dataclass(frozen=True, eq=False)
 class BmPathPair:

@@ -3,8 +3,9 @@
 ``BmEstimatorParams.curve`` expands the kernel into FFT convolutions, so it is
 held to the per-point ``components`` within 1e-10 of the term-magnitude sum;
 ``GbmEstimatorParams.curve`` reduces the same series as ``components`` and is
-held to it bitwise.  ``estimate_bm`` and ``estimate_gbm`` read a pair's cached
-curve and take a point whose entry is not finite from ``components``.
+held to it bitwise.  ``estimate_curve`` builds a pair's whole estimate once
+from its curve, taking an entry that is not finite from ``components``, and
+``estimate_bm`` and ``estimate_gbm`` read their points from it.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from dyncorr import (
     BmEstimatorParams,
     BmPathPair,
     CorrelationProfile,
+    CurveEstimate,
     DegenerateVariance,
     DomainError,
     EstimateSeries,
@@ -33,6 +35,7 @@ from dyncorr import (
     NumericRange,
     TimeGrid,
     estimate_bm,
+    estimate_curve,
     estimate_gbm,
     expected_ratio_gbm,
     expected_ratio_q,
@@ -40,7 +43,7 @@ from dyncorr import (
     simulate_bm_pair,
     simulate_gbm_pair,
 )
-from dyncorr import bm, form
+from dyncorr import bm, form, gbm
 
 PROFILE = CorrelationProfile("capped", (0.5, 10.0))
 QP = [(0.5, 1.0), (0.5, 0.75), (0.25, 1.0), (1.0, 2.0), (0.0, 0.5)]
@@ -176,18 +179,26 @@ class TestViews:
             estimate, pair = estimate_bm, BmPathPair(*paths)
         else:   # the estimators read only the driving paths
             estimate, pair = estimate_gbm, GbmPathPair(*paths, *paths, params.sigma)
-        raised = 0
+        raised = []
         for t in range(1, T + 1):
             try:
                 want = params.components(*paths, t)
             except NumericRange:
-                raised += 1
+                raised.append(t)
                 with pytest.raises(NumericRange):
                     estimate(pair, t, params)
                 continue
             got = estimate(pair, t, params)
             assert np.array_equal(dataclasses.astuple(got)[:3], want)
         assert raised
+        # the curve estimate codes exactly those times, and no others; GBM's
+        # whole curve raises on an infinite path, where every time raises
+        try:
+            code = estimate_curve(pair, params).code
+        except NumericRange:
+            assert family != "bm" and raised == list(range(1, T + 1))
+        else:
+            assert (np.flatnonzero(code == form.RAISES) + 1).tolist() == raised
 
     def test_non_finite_entry_defers_to_components(self, monkeypatch):
         pair = simulate_bm_pair(PROFILE, TimeGrid(30), 3)
@@ -213,10 +224,14 @@ class TestViews:
         y = simulate_bm_pair(PROFILE, TimeGrid(50), 1).y
         params = BmEstimatorParams(0.0, 0.0)
         assert np.isnan(params.curve(x, y)[1]).all()
-        for u in (1, 25, 50):
+        pair = BmPathPair(x, y)
+        for u in range(1, 51):
             assert params.components(x, y, u)[1] == 0.0
             with pytest.raises(DegenerateVariance, match="series x"):
-                estimate_bm(BmPathPair(x, y), u, params)
+                estimate_bm(pair, u, params)
+        # resolved at the build: every time is a zero variance of x, none raised
+        code = estimate_curve(pair, params).code
+        assert (code == form.NOT_POSITIVE_A).all()
 
     def test_estimates_read_one_cached_curve_per_pair(self, monkeypatch):
         calls = []
@@ -224,7 +239,7 @@ class TestViews:
             real = cls.curve
             monkeypatch.setattr(cls, "curve", lambda self, a, b, real=real:
                                 calls.append(self) or real(self, a, b))
-        form._pair_curve.cache_clear()
+        form._curve_estimate.cache_clear()
         for estimate, pair, params in _pairs()[:2]:
             for t in range(1, 41):
                 estimate(pair, t, params)
@@ -270,6 +285,161 @@ class TestViews:
         base[:] = 0.0
         assert not np.shares_memory(pair.x, base)
         assert estimate_bm(pair, 12, params) == before
+
+
+def _point_rule(g, s_a, s_b):
+    """``(rho_hat, flags)`` of one point by the flag rule written out: a
+    negative variance, then a zero one, then a ratio beyond ``RHO_LIMIT``."""
+    if s_a < 0.0 or s_b < 0.0:
+        return float("nan"), ("negative_variance",)
+    if s_a == 0.0 or s_b == 0.0:
+        return float("nan"), ("degenerate_variance",)
+    rho = g / math.sqrt(s_a) / math.sqrt(s_b)
+    return rho, ("rho_out_of_range",) if abs(rho) > gbm.RHO_LIMIT else ()
+
+
+def _flat_pairs(T=50):
+    """A pair whose x path is flat, and its mirror: a zero BM path, and for
+    GBM a driving path at its mean, ``sigma W_k = sigma^2 k / 2`` exactly
+    (sigma = 1/2), whose deviations are all 0."""
+    y = simulate_bm_pair(PROFILE, TimeGrid(T), 1).y
+    flat = {"bm": np.zeros(T), "gbm": 0.25 * np.arange(1.0, T + 1.0)}
+    return {family: (BmPathPair(x, y), BmPathPair(y, x)) for family, x in flat.items()}
+
+
+class TestCurveEstimate:
+    """``estimate_curve``: a pair's estimate at every time, read-only, built
+    once, whose codes are the one flag rule of both families."""
+
+    @pytest.mark.parametrize("case", range(3), ids=["bm", "v1", "v2"])
+    def test_arrays_are_read_only(self, case):
+        _, pair, params = _pairs()[case]
+        record = estimate_curve(pair, params)
+        assert type(record) is CurveEstimate and estimate_curve(pair, params) is record
+        names = [f.name for f in dataclasses.fields(record)]
+        assert names == ["gamma_hat", "sigma_a_sq_hat", "sigma_b_sq_hat", "rho_hat", "code"]
+        for name, view in zip(names, record.views, strict=True):
+            arr = getattr(record, name)
+            assert arr.shape == (40,) and arr.dtype == (np.int8 if name == "code" else float)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+            assert view.readonly and np.array_equal(np.asarray(view), arr, equal_nan=True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.code = np.zeros(40, np.int8)
+        loaded = pickle.loads(pickle.dumps(record))
+        for name in names:
+            got = getattr(loaded, name)
+            assert not got.flags.writeable
+            assert np.array_equal(got, getattr(record, name), equal_nan=True)
+        assert [v.tolist() for v in loaded.views[:3]] == [v.tolist() for v in record.views[:3]]
+
+    @pytest.mark.parametrize("case", range(3), ids=["bm", "v1", "v2"])
+    @pytest.mark.parametrize("T", [40, 200])
+    def test_rho_column_is_the_point_ratio(self, case, T):
+        _, pair, params = _pairs(T)[case]
+        record = estimate_curve(pair, params)
+        for g, s_a, s_b, rho in zip(*record.views[:4]):
+            if s_a > 0.0 and s_b > 0.0:
+                assert rho.hex() == (g / math.sqrt(s_a) / math.sqrt(s_b)).hex()
+            else:
+                assert math.isnan(rho)
+
+    def test_v2_codes_are_the_point_rule(self):
+        # at T = 200 v2 has ratios beyond 1 and negative variances of both series
+        _, pair, params = _pairs(200)[2]
+        record = estimate_curve(pair, params)
+        seen = set()
+        for t, (g, s_w, s_u, rho, code) in enumerate(zip(*record.views), 1):
+            want_rho, want_flags = _point_rule(g, s_w, s_u)
+            got = estimate_gbm(pair, t, params)
+            assert got.flags == want_flags
+            assert np.array_equal([rho, got.rho_hat], [want_rho] * 2, equal_nan=True)
+            assert bool(code & form.RHO_OUT_OF_RANGE) == (want_flags == ("rho_out_of_range",))
+            assert bool(code & form.NEGATIVE_A) == (s_w < 0.0)
+            assert bool(code & form.NEGATIVE_B) == (s_u < 0.0)
+            seen.update(want_flags)
+        assert seen == {"rho_out_of_range", "negative_variance"}
+
+    @pytest.mark.parametrize("family", ["bm", "v1", "v2"])
+    def test_flat_path_codes_are_the_point_rule(self, family):
+        params = BmEstimatorParams(0.5, 1.0) if family == "bm" else GbmEstimatorParams(
+            1.0, 12.0 if family == "v1" else 16.0, 2.0, 0.5, family)
+        for series, pair in zip("xy", _flat_pairs()["bm" if family == "bm" else "gbm"]):
+            record = estimate_curve(pair, params)
+            bit = form.NOT_POSITIVE_A if series == "x" else form.NOT_POSITIVE_B
+            assert (record.code == bit).all()
+            for t, (g, s_a, s_b) in enumerate(zip(*record.views[:3]), 1):
+                assert (s_a if series == "x" else s_b) == 0.0
+                if family == "bm":
+                    with pytest.raises(DegenerateVariance, match=f"series {series} "):
+                        estimate_bm(pair, t, params)
+                else:
+                    got = estimate_gbm(pair, t, params)
+                    assert got.flags == _point_rule(g, s_a, s_b)[1] == ("degenerate_variance",)
+                    assert math.isnan(got.rho_hat)
+
+    @pytest.mark.parametrize("family", ["bm", "gbm"])
+    def test_components_once_per_unresolved_entry(self, monkeypatch, family):
+        estimate, pair, params = _pairs()[0 if family == "bm" else 2]
+        cls = type(params)
+        holes = (3, 9, 17, 40)
+        calls = {"curve": 0, "components": []}
+        real_curve, real_components = cls.curve, cls.components
+
+        def holed(self, a, b):
+            calls["curve"] += 1
+            curve = [np.array(c) for c in real_curve(self, a, b)]
+            for k, t in enumerate(holes):
+                curve[k % 3][t - 1] = (np.nan, np.inf, -np.inf)[k % 3]
+            return curve
+
+        def components(self, a, b, t):
+            calls["components"].append(t)
+            return real_components(self, a, b, t)
+
+        monkeypatch.setattr(cls, "curve", holed)
+        monkeypatch.setattr(cls, "components", components)
+        form._curve_estimate.cache_clear()
+        record = estimate_curve(pair, params)
+        assert calls == {"curve": 1, "components": list(holes)}
+        for t in holes:
+            assert record.views[0][t - 1] == real_components(params, *pair.paths, t)[0]
+        for t in range(1, 41):
+            estimate(pair, t, params)
+        assert calls == {"curve": 1, "components": list(holes)}
+
+    def test_components_once_per_entry_of_an_unresolved_curve(self, monkeypatch):
+        # the q = p = 0 flat path: no variance of x is resolved by the curve
+        x, y = np.full(50, 3.0), simulate_bm_pair(PROFILE, TimeGrid(50), 1).y
+        pair, params = BmPathPair(x, y), BmEstimatorParams(0.0, 0.0)
+        calls = []
+        real = BmEstimatorParams.components
+        monkeypatch.setattr(BmEstimatorParams, "components",
+                            lambda self, a, b, t: calls.append(t) or real(self, a, b, t))
+        estimate_curve(pair, params)
+        assert calls == list(range(1, 51))
+        for u in range(1, 51):
+            with pytest.raises(DegenerateVariance):
+                estimate_bm(pair, u, params)
+        assert calls == list(range(1, 51))
+
+    def test_a_raising_entry_raises_again_on_every_read(self, monkeypatch):
+        paths = np.zeros((2, 40))
+        paths[:] = np.linspace(0.0, 1.0, 40)
+        paths[0, 7] = np.nan
+        pair, params = BmPathPair(*paths), BmEstimatorParams(0.5, 1.0)
+        calls = []
+        real = BmEstimatorParams.components
+        monkeypatch.setattr(BmEstimatorParams, "components",
+                            lambda self, a, b, t: calls.append(t) or real(self, a, b, t))
+        record = estimate_curve(pair, params)
+        assert (record.code == form.RAISES).all() and calls == list(range(1, 41))
+        assert np.isnan(record.gamma_hat).all() and np.isnan(record.rho_hat).all()
+        for _ in range(2):
+            with pytest.raises(NumericRange):
+                estimate_bm(pair, 5, params)
+        assert calls == list(range(1, 41)) + [5, 5]
 
 
 class TestRecords:

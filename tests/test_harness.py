@@ -167,22 +167,26 @@ class TestEstimatorPath:
             e_gamma(profile, t, params, T), e_sigma_sq(t, params, T)
         )
         # one ratio: the harness's per-replication rho_hat of the same six pairs
-        # is the rho_hat view's of each valid pair, and the estimate's bitwise
-        # where its components are the batch's (GBM; BM's come from its FFT curve)
+        # (form.flag_codes forms it for every pair, NaN where a variance is not
+        # positive) is the rho_hat view's of each valid pair, and the estimate's
+        # bitwise where its components are the batch's (GBM; BM's come from its
+        # FFT curve)
         ratios = []
         ratio = harness.form.rho_hat
         monkeypatch.setattr(harness.form, "rho_hat",
                             lambda *a: ratios.append(ratio(*a)) or ratios[-1])
         run_experiment(ExperimentConfig(experiment, profile, (T,), t, 6, params, master_seed=3))
-        valid = np.flatnonzero((got[1] > 0) & (got[2] > 0))
-        assert len(ratios) == 1 and 4 <= len(valid) == len(ratios[0])
+        positive = (got[1] > 0) & (got[2] > 0)
+        valid = np.flatnonzero(positive)
+        assert len(ratios) == 1 and len(ratios[0]) == 6 and 4 <= len(valid)
+        assert np.isnan(ratios[0][~positive]).all()
         if time_kw == "u":
             pairs, estimate, view = [BmPathPair(x[i], y[i]) for i in valid], estimate_bm, rho_hat_bm
         else:
             pairs = [simulate_gbm_pair(BmPathPair(x[i], y[i]), params.sigma) for i in valid]
             estimate, view = estimate_gbm, rho_hat_gbm
         views = [view(pair, **at) for pair in pairs]
-        assert np.array_equal(ratios[0], views)
+        assert np.array_equal(ratios[0][valid], views)
         for pair, rho in zip(pairs, views):
             g, var_a, var_b, got_rho = dataclasses.astuple(estimate(pair, t, params))[:4]
             assert got_rho == g / math.sqrt(var_a) / math.sqrt(var_b)

@@ -72,7 +72,7 @@ def test_no_module_reaches_into_another(module):
 @pytest.mark.parametrize("module, source", [
     ("gbm", "from .bm import _products\n"),
     ("gbm", "from dyncorr.bm import _products\n"),
-    ("harness", "def f():\n    from .form import _pair_curve\n"),
+    ("harness", "def f():\n    from .form import _curve_estimate\n"),
     ("cli", "from . import bm\nbm._lags(5)\n"),
     ("cli", "import dyncorr.bm as bm\nbm._lags(5)\n"),
     ("cli", "import dyncorr.bm\ndyncorr.bm._lags(5)\n"),

@@ -210,7 +210,7 @@ FROZEN_BUILDS = {
     "causal_lag_spectrum": lambda: bm._lag_spectrum(60, True),
     "anchor_sums": lambda: bm._anchor_sums(60, 0.5, 1.0),
     "products": lambda: bm._products(60, 0.5, 1.0),
-    "pair_curve": lambda: form._pair_curve(BmEstimatorParams(0.5, 1.0), PAIR),
+    "pair_curve": lambda: form.estimate_curve(PAIR, BmEstimatorParams(0.5, 1.0)),
     "oracle_rows": lambda: bm._oracle_rows(CONST_HALF, 60, 0.5, 1.0),
     "oracle_rows_rho_1": lambda: bm._oracle_rows(None, 60, 0.5, 1.0),
     "oracle_curve": lambda: bm._oracle_curve(CONST_HALF, 60, BmEstimatorParams(0.5, 1.0)),
@@ -224,16 +224,19 @@ class TestFrozenCache:
     @pytest.mark.parametrize("build", FROZEN_BUILDS.values(), ids=list(FROZEN_BUILDS))
     def test_every_build_is_read_only_and_shared(self, build):
         first = build()
-        arrays = [v for v in (first if isinstance(first, tuple) else (first,))
-                  if isinstance(v, (np.ndarray, memoryview))]
+        # a pair's curve estimate is checked through the memoryviews of its columns
+        record = isinstance(first, form.CurveEstimate)
+        members = first.views if record else first if isinstance(first, tuple) else (first,)
+        arrays = [v for v in members if isinstance(v, (np.ndarray, memoryview))]
         assert arrays
         for arr in arrays:
-            # a memoryview (a column of the pair curve or the oracle ratio curve)
-            # views a read-only float64 array
+            # a memoryview (a column of the curve estimate or the oracle ratio
+            # curve) views a read-only float64 array, or the estimate's int8 code
             with pytest.raises(ValueError):
                 np.asarray(arr)[...] = 0.0
             if isinstance(arr, memoryview):
-                assert arr.readonly and arr.format == "d" and arr.ndim == 1
+                code = record and arr is first.views[-1]
+                assert arr.readonly and arr.format == ("b" if code else "d") and arr.ndim == 1
                 with pytest.raises(TypeError):
                     arr[0] = 0.0
         assert build() is first
