@@ -43,7 +43,10 @@ The estimate of a pair is one whole curve, :func:`estimate_curve`: a
 ``params.curve`` and cached.  An entry the curve does not resolve comes
 from ``params.components`` at the build, and the ratio and the codes are
 formed there for every time by one rule, :func:`flag_codes`, which the
-harness's replications share.  The point estimates of both families,
+harness's replications share.  Its variance bits are
+:func:`variance_faults`, the one test of a variance against zero, which
+both families' ``rho_hat_*`` views and the oracle ratios read too.  The
+point estimates of both families,
 ``bm.estimate_bm`` and ``gbm.estimate_gbm``, only index the record: its
 columns are held as memoryviews, as ``bm``'s cached oracle ratio curve is,
 so a point is one code and four Python floats read with no numpy call.
@@ -218,14 +221,33 @@ def pair_paths(pair_or_x, y=None, arrays: str = "two arrays") -> tuple:
 # differences and bound nothing (see ``dyncorr.gbm``)
 RHO_LIMIT = 1.0 + 1e-12
 
-# The bits of a point's flag code, set by :func:`flag_codes`: a variance of
-# series a or b that is not positive (zero, negative or NaN) or negative, and
-# a ratio beyond ``RHO_LIMIT``.  ``RAISES`` alone marks a curve entry whose
-# ``params.components`` call raised.
+# The bits of a point's flag code: a variance of series a or b that is not
+# positive (zero, negative or NaN) or negative, set by :func:`variance_faults`,
+# and a ratio beyond ``RHO_LIMIT``, set by :func:`flag_codes`.  ``RAISES``
+# alone marks a curve entry whose ``params.components`` call raised.
 NOT_POSITIVE_A, NEGATIVE_A, NOT_POSITIVE_B, NEGATIVE_B, RHO_OUT_OF_RANGE, RAISES = (
     1, 2, 4, 8, 16, 32)
 # a point with one of these has no ratio
 VARIANCE_FAULTS = NOT_POSITIVE_A | NOT_POSITIVE_B
+
+
+# the variance bits as int8 scalars: a bool array times one is an int8 array
+_VARIANCE_BITS = tuple(map(np.int8, (NOT_POSITIVE_A, NEGATIVE_A, NOT_POSITIVE_B, NEGATIVE_B)))
+
+
+def variance_faults(var_a, var_b):
+    """The ``NOT_POSITIVE_A/B`` and ``NEGATIVE_A/B`` bits of a flag code for
+    two variances, as ``int8``: a numpy scalar for Python floats, an array
+    for arrays of one shape.  NaN is not positive.
+
+    The one test of a variance against zero in the package: the codes of
+    :func:`flag_codes` (the curve record's and the harness's), both
+    families' ``rho_hat_*`` views and the oracle ratios read it.
+    """
+    not_a, neg_a, not_b, neg_b = _VARIANCE_BITS
+    # ``^ True`` negates a Python bool and a bool array alike
+    return (((var_a > 0.0) ^ True) * not_a | (var_a < 0.0) * neg_a
+            | ((var_b > 0.0) ^ True) * not_b | (var_b < 0.0) * neg_b)
 
 
 @quiet   # a variance that is not positive makes its ratio NaN or inf
@@ -234,17 +256,13 @@ def flag_codes(gamma, var_a, var_b):
     of both families, of the curve estimates and of the harness.
 
     ``rho_hat`` is :func:`rho_hat`, NaN where a variance is not positive, and
-    ``code`` an ``int8`` array of the bits above; a ratio that is NaN is not
-    out of range.
+    ``code`` an ``int8`` array: the bits of :func:`variance_faults`, and
+    ``RHO_OUT_OF_RANGE`` (a ratio that is NaN is not out of range).
     """
     rho = rho_hat(gamma, var_a, var_b)
-    not_a, not_b = ~(var_a > 0.0), ~(var_b > 0.0)
-    np.copyto(rho, np.nan, where=not_a | not_b)
-    code = np.zeros(rho.shape, np.int8)
-    for bit, hit in ((NOT_POSITIVE_A, not_a), (NEGATIVE_A, var_a < 0.0),
-                     (NOT_POSITIVE_B, not_b), (NEGATIVE_B, var_b < 0.0),
-                     (RHO_OUT_OF_RANGE, np.abs(rho) > RHO_LIMIT)):
-        code |= hit.view(np.int8) * bit
+    code = variance_faults(var_a, var_b)
+    np.copyto(rho, np.nan, where=(code & VARIANCE_FAULTS) != 0)
+    code |= (np.abs(rho) > RHO_LIMIT).view(np.int8) * RHO_OUT_OF_RANGE
     return rho, code
 
 
@@ -341,6 +359,6 @@ def finite_moments(moments: list, t: int):
 def expected_ratio(profile, t: int, params, T: int) -> float:
     """``E[gamma_hat] / E[sigma_sq_hat]`` of either family's ``params.oracle``."""
     num, den = params.oracle(profile, t, T)
-    if den <= 0.0:
+    if variance_faults(den, den):
         raise DegenerateVariance(f"expected variance {den!r} not positive")
     return num / den

@@ -36,7 +36,8 @@ every ``t``, O(T) and bitwise equal to ``components`` at each ``t``;
 :func:`estimate_gbm` reads the pair's cached curve estimate
 (``form.estimate_curve``), as ``bm.estimate_bm`` does, and every view takes
 its paths by :meth:`GbmEstimatorParams.pair_paths`: ``form.pair_paths``
-after one check of a ``GbmPathPair``'s sigma.
+after one check of a ``GbmPathPair``'s sigma.  :func:`rho_hat_gbm` reads
+the variance bits of ``form.variance_faults``, as the curve's codes do.
 Each anchor is exponentiated per row with its scale inside the exponent,
 so it neither overflows nor underflows before the product.  A block whose
 exponents leave the safe double range raises :class:`NumericRange` before
@@ -74,7 +75,7 @@ from .errors import DegenerateVariance, DomainError, NegativeVarianceEstimate
 from .form import RHO_LIMIT  # noqa: F401  (the bound of estimate_gbm's rho_out_of_range)
 from .form import (NEGATIVE_A, NEGATIVE_B, RAISES, RHO_OUT_OF_RANGE, VARIANCE_FAULTS, epilogue,
                    estimate_curve, expected_ratio, finite_moments, form_sums, pair_paths, quiet,
-                   raise_again, rho_hat, rowdot, rowwise, same_shape)
+                   raise_again, rho_hat, rowdot, rowwise, same_shape, variance_faults)
 from .profiles import CorrelationProfile
 from .simulate import (MAX_EXPONENT, GbmPathPair, check_correlation, check_exponent, check_finite,
                        check_index, check_integer, check_positive, frozen_cache)
@@ -281,14 +282,19 @@ def sigma_sq_hat_gbm(path, *, t: int, params: GbmEstimatorParams):
 
 
 def rho_hat_gbm(pair_or_w, u=None, *, t: int, params: GbmEstimatorParams):
-    """Correlation ratio gamma_hat / (sigma_hat_W sigma_hat_U)."""
+    """Correlation ratio gamma_hat / (sigma_hat_W sigma_hat_U).
+
+    The bits of ``form.variance_faults`` over every row of a batch decide:
+    a negative variance raises :class:`NegativeVarianceEstimate`, and else
+    one that is not positive :class:`DegenerateVariance`.
+    """
     paths = params.pair_paths(pair_or_w, u)
     g, s_w, s_u = params.components(*paths, t)
-    if np.any(np.asarray(s_w) < 0.0) or np.any(np.asarray(s_u) < 0.0):
-        raise NegativeVarianceEstimate(
-            f"negative variance estimate at t={t} (variant v2, small-T pathology)"
-        )
-    if np.any(np.asarray(s_w) == 0.0) or np.any(np.asarray(s_u) == 0.0):
+    fault = np.bitwise_or.reduce(variance_faults(s_w, s_u), axis=None)
+    if fault & (NEGATIVE_A | NEGATIVE_B):
+        raise NegativeVarianceEstimate(f"negative variance estimate at t={t} "
+                                       "(variant v2, small-T pathology)")
+    if fault & VARIANCE_FAULTS:
         raise DegenerateVariance(f"zero variance estimate at t={t}")
     return rho_hat(g, s_w, s_u)
 

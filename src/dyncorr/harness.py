@@ -216,7 +216,8 @@ def oracle_values(params, profile: CorrelationProfile, t: int, T: int) -> dict:
     return {
         "expected_gamma": gamma,
         "expected_sigma_sq": sigma_sq,
-        params.LABELS[2]: gamma / sigma_sq if sigma_sq > 0.0 else float("nan"),
+        params.LABELS[2]: (float("nan") if form.variance_faults(sigma_sq, sigma_sq)
+                           else gamma / sigma_sq),
     }
 
 

@@ -56,6 +56,24 @@ def check_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+def check_paths(**paths) -> None:
+    """Raise :class:`DomainError` naming the first of ``paths`` (arrays) that
+    is not one-dimensional, is empty, differs in length from the first or is
+    not finite: the one rule of the paths of both pair types."""
+    T = None
+    for name, path in paths.items():
+        if path.ndim != 1 or not path.size:
+            raise DomainError(f"{name} must be a non-empty one-dimensional path, "
+                              f"got shape {path.shape}")
+        T = T or len(path)
+        if len(path) != T:
+            raise DomainError(f"{name} has {len(path)} values where the pair's first path "
+                              f"has {T}")
+        bad = np.flatnonzero(~np.isfinite(path))
+        if bad.size:
+            raise DomainError(f"{name} must be finite, got {path[bad[0]]} at index {bad[0]}")
+
+
 def check_correlation(**values) -> None:
     """Raise :class:`DomainError` naming the first of ``values`` that is not
     finite, then the first outside ``[-1, 1]``: the guard of every scalar
@@ -120,7 +138,8 @@ class BmPathPair:
     """Correlated Brownian pair X_1..X_T, Y_1..Y_T, sampled or read from a file.
 
     The paths are stored read-only; an input array that is writable, or a
-    view, is copied.
+    view, is copied.  Paths that :func:`check_paths` refuses raise
+    :class:`DomainError`.
     """
 
     x: np.ndarray
@@ -129,6 +148,7 @@ class BmPathPair:
     def __post_init__(self):
         object.__setattr__(self, "x", read_only(self.x))
         object.__setattr__(self, "y", read_only(self.y))
+        check_paths(x=self.x, y=self.y)
 
     @property
     def paths(self) -> tuple:
@@ -141,7 +161,8 @@ class GbmPathPair:
     """Geometric pair R = exp(sigma*W), S = exp(sigma*U) with its driving BM.
 
     The paths are stored read-only; an input array that is writable, or a
-    view, is copied.
+    view, is copied.  Paths that :func:`check_paths` refuses, and a sigma
+    that is not finite and positive, raise :class:`DomainError`.
     """
 
     r_path: np.ndarray
@@ -151,8 +172,11 @@ class GbmPathPair:
     sigma: float
 
     def __post_init__(self):
-        for name in ("r_path", "s_path", "w", "u"):
+        names = ("r_path", "s_path", "w", "u")
+        for name in names:
             object.__setattr__(self, name, read_only(getattr(self, name)))
+        check_paths(**{name: getattr(self, name) for name in names})
+        check_positive(sigma=self.sigma)
 
     @property
     def paths(self) -> tuple:
@@ -276,9 +300,16 @@ def simulate_gbm_pair(bm: BmPathPair, sigma: float) -> GbmPathPair:
 
 
 def gbm_transform(w: np.ndarray, u: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(e^{sigma w}, e^{sigma u})`` of two driving paths.
+
+    ``sigma |w|`` or ``sigma |u|`` beyond ``MAX_EXPONENT``, an infinite
+    value too, raises :class:`PathOverflow`, and a NaN in either path
+    :class:`DomainError` naming it.
+    """
     check_positive(sigma=sigma)
-    check_exponent("max |sigma*W_t|", sigma * max(np.abs(w).max(), np.abs(u).max()),
-                   error=PathOverflow)
+    top_w, top_u = np.abs(w).max(), np.abs(u).max()   # NaN where a path holds one
+    check_exponent("max |sigma*W_t|", sigma * top_w, sigma * top_u, error=PathOverflow)
+    check_finite(w=float(top_w), u=float(top_u))
     return np.exp(sigma * w), np.exp(sigma * u)
 
 

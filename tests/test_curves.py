@@ -9,9 +9,11 @@ from its curve, taking an entry that is not finite from ``components``, and
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,7 @@ from dyncorr import (
     GbmEstimatorParams,
     GbmPathPair,
     IndexOutOfRange,
+    NegativeVarianceEstimate,
     NumericRange,
     TimeGrid,
     estimate_bm,
@@ -39,6 +42,8 @@ from dyncorr import (
     estimate_gbm,
     expected_ratio_gbm,
     expected_ratio_q,
+    rho_hat_bm,
+    rho_hat_gbm,
     simulate_bm_batch,
     simulate_bm_pair,
     simulate_gbm_pair,
@@ -175,10 +180,20 @@ class TestViews:
         paths[:] = np.linspace(0.0, 1.0, T)
         path, k, value = self._OVERFLOW[family] if bad == "overflow" else (0, 7, float(bad))
         paths[path, k] = value
-        if family == "bm":
-            estimate, pair = estimate_bm, BmPathPair(*paths)
-        else:   # the estimators read only the driving paths
-            estimate, pair = estimate_gbm, GbmPathPair(*paths, *paths, params.sigma)
+        # the estimators read only a GbmPathPair's driving paths
+        make = BmPathPair if family == "bm" else (
+            lambda w, u: GbmPathPair(w, u, w, u, params.sigma))
+        if bad != "overflow":
+            # a pair refuses a non-finite path where it is made, naming it;
+            # the array views still raise at every time
+            name = "x" if family == "bm" else "r_path"
+            with pytest.raises(DomainError, match=f"^{name} must be finite, got {bad} at index 7$"):
+                make(*paths)
+            for t in (1, 8, T):
+                with pytest.raises(NumericRange):
+                    params.components(*paths, t)
+            return
+        estimate, pair = (estimate_bm if family == "bm" else estimate_gbm), make(*paths)
         raised = []
         for t in range(1, T + 1):
             try:
@@ -191,14 +206,23 @@ class TestViews:
             got = estimate(pair, t, params)
             assert np.array_equal(dataclasses.astuple(got)[:3], want)
         assert raised
-        # the curve estimate codes exactly those times, and no others; GBM's
-        # whole curve raises on an infinite path, where every time raises
-        try:
-            code = estimate_curve(pair, params).code
-        except NumericRange:
-            assert family != "bm" and raised == list(range(1, T + 1))
-        else:
-            assert (np.flatnonzero(code == form.RAISES) + 1).tolist() == raised
+        # the curve estimate codes exactly those times, and no others
+        code = estimate_curve(pair, params).code
+        assert (np.flatnonzero(code == form.RAISES) + 1).tolist() == raised
+
+    @pytest.mark.parametrize("family", ["v1", "v2"])
+    def test_a_series_beyond_the_exponent_range_raises_at_every_time(self, family):
+        # finite, but sigma W = 800 is past the safe exponent of every series:
+        # the whole GBM curve raises, and so does every estimate
+        params = self._FAMILIES[family]
+        w = np.linspace(0.0, 1.0, 40)
+        w[20] = 800.0
+        pair = GbmPathPair(w, w, w, w, params.sigma)
+        with pytest.raises(NumericRange):
+            estimate_curve(pair, params)
+        for t in (1, 21, 40):
+            with pytest.raises(NumericRange):
+                estimate_gbm(pair, t, params)
 
     def test_non_finite_entry_defers_to_components(self, monkeypatch):
         pair = simulate_bm_pair(PROFILE, TimeGrid(30), 3)
@@ -425,9 +449,10 @@ class TestCurveEstimate:
         assert calls == list(range(1, 51))
 
     def test_a_raising_entry_raises_again_on_every_read(self, monkeypatch):
+        # finite, but too large for the weighted sums at every time
         paths = np.zeros((2, 40))
         paths[:] = np.linspace(0.0, 1.0, 40)
-        paths[0, 7] = np.nan
+        paths[0] = 1e200
         pair, params = BmPathPair(*paths), BmEstimatorParams(0.5, 1.0)
         calls = []
         real = BmEstimatorParams.components
@@ -440,6 +465,81 @@ class TestCurveEstimate:
             with pytest.raises(NumericRange):
                 estimate_bm(pair, 5, params)
         assert calls == list(range(1, 41)) + [5, 5]
+
+
+class TestVarianceFaults:
+    """``form.variance_faults`` is the one test of a variance against zero:
+    ``flag_codes``, and so the curve record and the harness, and both
+    ``rho_hat_*`` views read its bits."""
+
+    _VALUES = [1.0, 5e-324, 0.0, -0.0, -5e-324, -1.0, math.inf, -math.inf, math.nan]
+
+    def test_floats_and_arrays_give_the_same_bits(self):
+        a, b = np.array(list(itertools.product(self._VALUES, repeat=2))).T
+        codes = form.variance_faults(a, b)
+        assert codes.dtype == np.int8 and codes.shape == a.shape
+        for s_a, s_b, code in zip(a.tolist(), b.tolist(), codes.tolist()):
+            got = form.variance_faults(s_a, s_b)
+            assert type(got) is np.int8 and got == code
+            assert bool(got & form.NOT_POSITIVE_A) == (not s_a > 0.0)
+            assert bool(got & form.NEGATIVE_A) == (s_a < 0.0)
+            assert bool(got & form.NOT_POSITIVE_B) == (not s_b > 0.0)
+            assert bool(got & form.NEGATIVE_B) == (s_b < 0.0)
+            assert not got & ~(form.VARIANCE_FAULTS | form.NEGATIVE_A | form.NEGATIVE_B)
+
+    @staticmethod
+    def _batch(family, T, sigma):
+        """16 seeded pairs whose row 3 has a zero variance: a zero BM path, or
+        a driving path at its GBM mean, ``sigma W_k = sigma^2 k / 2``."""
+        x, y = simulate_bm_batch(PROFILE, TimeGrid(T), 1, 16)
+        if family == "bm":
+            x[3] = 0.0
+            params = BmEstimatorParams(0.5, 1.0)
+            return x, y, params, lambda a, b, t: rho_hat_bm(a, b, u=t, params=params)
+        x[3] = 0.5 * sigma * np.arange(1.0, T + 1.0)
+        params = GbmEstimatorParams(1.0, 16.0, 2.0, sigma, "v2")
+        return x, y, params, lambda a, b, t: rho_hat_gbm(a, b, t=t, params=params)
+
+    @staticmethod
+    def _expect(family, code, t):
+        """The error and message a view raises for a code, or None."""
+        if family == "v2" and code & (form.NEGATIVE_A | form.NEGATIVE_B):
+            return NegativeVarianceEstimate, (f"negative variance estimate at t={t} "
+                                              "(variant v2, small-T pathology)")
+        if code & form.VARIANCE_FAULTS:
+            return DegenerateVariance, (f"zero variance estimate at t={t}" if family == "v2"
+                                        else f"zero variance estimate at u={t}; "
+                                        "constant path has no correlation")
+        return None
+
+    # the codes seen at t = 1, 5 and T: 1 a zero variance of x, 3 a negative
+    # one, 12 a negative variance of y, 13 a zero one of x and a negative one
+    # of y, 15 both negative and 16 a ratio beyond 1, which is kept
+    @pytest.mark.parametrize("family, T, sigma, codes", [
+        ("bm", 40, None, {0, 1}), ("v2", 40, 0.1, {1, 3, 12, 13, 15, 16}),
+        ("v2", 200, 0.5, {0, 1})])
+    def test_views_raise_exactly_where_the_codes_say(self, family, T, sigma, codes):
+        x, y, params, view = self._batch(family, T, sigma)
+        seen = set()
+        for t in (1, 5, T):
+            g, s_a, s_b = params.components(x, y, t)
+            rho, code = form.flag_codes(g, s_a, s_b)
+            seen.update(code.tolist())
+            for i, c in enumerate(code.tolist()):
+                expect = self._expect(family, c, t)
+                if expect:
+                    with pytest.raises(expect[0], match=f"^{re.escape(expect[1])}$"):
+                        view(x[i], y[i], t)
+                else:
+                    assert view(x[i], y[i], t).hex() == float(rho[i]).hex()
+            # a batch raises as its worst row, or returns every row's ratio
+            expect = self._expect(family, int(np.bitwise_or.reduce(code)), t)
+            if expect:
+                with pytest.raises(expect[0], match=f"^{re.escape(expect[1])}$"):
+                    view(x, y, t)
+            else:
+                assert view(x, y, t).tobytes() == rho.tobytes()
+        assert seen == codes
 
 
 class TestRecords:

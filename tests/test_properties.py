@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dyncorr import (
     BmEstimatorParams,
+    BmPathPair,
     CorrelationProfile,
     DomainError,
+    DyncorrError,
+    GbmEstimatorParams,
+    GbmPathPair,
     TimeGrid,
+    estimate_bm,
+    estimate_gbm,
     gamma_hat_bm,
     r_from_rho,
     rho_from_r,
@@ -75,3 +82,35 @@ class TestEstimatorProperties:
         sx = sigma_sq_hat_bm(pair.x, u=t, params=params)
         sy = sigma_sq_hat_bm(pair.y, u=t, params=params)
         assert g * g <= sx * sy * (1 + 1e-10)
+
+
+# path arrays of rank 0 to 2, empty sides included, whose entries are mostly
+# ordinary values but can be non-finite or large enough to overflow the sums
+shapes = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=12)
+entries = st.one_of(st.floats(-10.0, 10.0),
+                    st.sampled_from([np.nan, np.inf, -np.inf, 1e200, -1e300, 0.0]))
+
+
+class TestPairProperties:
+    @given(data=st.data(), family=st.sampled_from(["bm", "v1", "v2"]),
+           sigma=st.sampled_from([0.1, 1.0, np.nan, 0.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_a_pair_is_refused_or_estimates_raise_only_package_errors(self, data, family,
+                                                                      sigma):
+        shape = data.draw(shapes)
+        x = data.draw(hnp.arrays(float, shape, elements=entries))
+        y = data.draw(hnp.arrays(float, st.one_of(st.just(shape), shapes), elements=entries))
+        try:
+            pair = BmPathPair(x, y) if family == "bm" else GbmPathPair(x, y, x, y, sigma)
+        except DomainError:
+            return
+        if family == "bm":
+            estimate, params = estimate_bm, BmEstimatorParams(0.5, 1.0)
+        else:
+            estimate, params = estimate_gbm, GbmEstimatorParams(1.0, 12.0, 2.0, sigma, family)
+        T = len(pair.paths[0])
+        for t in sorted({1, T // 2 + 1, T}):
+            try:
+                estimate(pair, t, params)
+            except DyncorrError:
+                pass

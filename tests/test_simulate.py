@@ -1,15 +1,18 @@
 """Path generation: covariance structure, reproducibility, transforms."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from dyncorr import (
     BmEstimatorParams,
+    BmPathPair,
     CorrelationProfile,
     DomainError,
     GbmEstimatorParams,
+    GbmPathPair,
     IndexOutOfRange,
     PathOverflow,
     TimeGrid,
@@ -64,6 +67,57 @@ class TestReproducibility:
         assert gpair.w is pair.x and gpair.u is pair.y and gpair.sigma == 0.2
 
 
+class TestPairPaths:
+    """Both pair types refuse a path no estimator can read, where the pair is
+    made, with a DomainError naming the field (``simulate.check_paths``)."""
+
+    _T = 50
+    _FIELDS = {"bm": ("x", "y"), "gbm": ("r_path", "s_path", "w", "u")}
+
+    @classmethod
+    def _make(cls, kind, sigma=0.1, **changed):
+        """A pair of seeded paths, with the fields in ``changed`` replaced."""
+        pair = simulate_gbm_pair(simulate_bm_pair(CONST_HALF, TimeGrid(cls._T), 1), 0.1)
+        paths = pair.paths if kind == "bm" else (pair.r_path, pair.s_path, *pair.paths)
+        fields = dict(zip(cls._FIELDS[kind], paths)) | changed
+        return BmPathPair(**fields) if kind == "bm" else GbmPathPair(**fields, sigma=sigma)
+
+    @pytest.mark.parametrize("kind, field", [(k, f) for k, fs in _FIELDS.items() for f in fs])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_path_is_refused(self, kind, field, value):
+        # its curve record would call components at every time, O(T^2), to
+        # raise at each
+        path = np.linspace(1.0, 2.0, self._T)
+        path[7] = value
+        with pytest.raises(DomainError, match=f"^{field} must be finite, got {value} at index 7$"):
+            self._make(kind, **{field: path})
+
+    @pytest.mark.parametrize("kind", ["bm", "gbm"])
+    @pytest.mark.parametrize("shape", [(3, 50), (), (0,), (1, 50)])
+    def test_a_path_that_is_not_one_non_empty_row_is_refused(self, kind, shape):
+        # the estimators read one row per path: a batch or a 0-d array would
+        # reach them as a numpy error
+        bad = {f: np.ones(shape) for f in self._FIELDS[kind]}
+        first = self._FIELDS[kind][0]
+        with pytest.raises(DomainError, match=re.escape(
+                f"{first} must be a non-empty one-dimensional path, got shape {shape}")):
+            self._make(kind, **bad)
+
+    @pytest.mark.parametrize("kind, field", [(k, f) for k, fs in _FIELDS.items() for f in fs[1:]])
+    def test_unequal_lengths_are_refused(self, kind, field):
+        with pytest.raises(DomainError, match=f"^{field} has 49 values where the pair's "
+                                              "first path has 50$"):
+            self._make(kind, **{field: np.ones(self._T - 1)})
+
+    @pytest.mark.parametrize("sigma, message", [
+        (float("nan"), "sigma must be finite"), (float("inf"), "sigma must be finite"),
+        (0.0, "sigma must be positive"), (-0.1, "sigma must be positive")])
+    def test_gbm_sigma_must_be_finite_and_positive(self, sigma, message):
+        # abs(nan - s) > 1e-12 is false: pair_paths' sigma check cannot see a NaN
+        with pytest.raises(DomainError, match=message):
+            self._make("gbm", sigma=sigma)
+
+
 class TestCovarianceStructure:
     def test_perfect_correlation_gives_identical_paths(self):
         prof = CorrelationProfile("constant", (1.0,))
@@ -104,6 +158,22 @@ class TestGbm:
         w = np.zeros(3)
         with pytest.raises(DomainError):
             gbm_transform(w, w, 0.0)
+
+    @pytest.mark.parametrize("which", ["w", "u"])
+    def test_a_nan_driving_path_is_refused(self, which):
+        # the exponent guard cannot see a NaN, since nan > 700 is false
+        paths = {"w": np.linspace(0.0, 1.0, 5), "u": np.linspace(0.0, 1.0, 5)}
+        paths[which] = np.r_[paths[which][:3], np.nan, 1.0]
+        with pytest.raises(DomainError, match=f"^{which} must be finite"):
+            gbm_transform(paths["w"], paths["u"], 0.1)
+
+    @pytest.mark.parametrize("which", ["w", "u"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_an_infinite_driving_path_overflows(self, which, value):
+        paths = {"w": np.linspace(0.0, 1.0, 5), "u": np.linspace(0.0, 1.0, 5)}
+        paths[which] = np.r_[paths[which][:3], value, 1.0]
+        with pytest.raises(PathOverflow):
+            gbm_transform(paths["w"], paths["u"], 0.1)
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_sigma_must_be_finite(self, sigma):
